@@ -85,7 +85,12 @@ def cmd_verify(args) -> int:
 
 def cmd_infinite_run(args) -> int:
     if args.preset == "custom-oracle":
-        offsets = tuple(int(x) for x in args.offsets.split(",")) if args.offsets else (1, 2)
+        try:
+            offsets = tuple(int(x) for x in args.offsets.split(",")) if args.offsets else (1, 2)
+        except ValueError:
+            raise GraphInputError(
+                f"--offsets must be comma-separated integers, got {args.offsets!r}"
+            ) from None
         pres = preset("custom-oracle", offsets=offsets)
     else:
         pres = preset(args.preset)
@@ -119,6 +124,8 @@ def cmd_gen(args) -> int:
         raise GraphInputError(
             f"unknown family {args.family!r}; choose from {', '.join(sorted(NAMED_GRAPHS))}"
         )
+    if args.n is not None and args.n < 0:
+        raise GraphInputError(f"the size parameter must be non-negative, got {args.n}")
     try:
         g = family(args.n) if args.n is not None else family()
     except TypeError as exc:

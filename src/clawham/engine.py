@@ -14,6 +14,7 @@ prefix, the shape of a limit circle through all ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -24,6 +25,7 @@ from .errors import (
 from .extension import (
     ExtensionCase,
     PathExtension,
+    _SpliceCycle,
     apply_path_extension,
     extend_to_cover,
     find_path_extension,
@@ -37,11 +39,9 @@ from .graph import (
     bfs_distances,
     components,
     cut,
-    cycle_from_edge_set,
-    edge_key,
     induced_subgraph,
-    is_connected,
     neighborhood_k,
+    reachable_within,
 )
 from .predicates import claw_at, locally_connected_at
 from .presentations import Ball, GraphPresentation
@@ -80,6 +80,20 @@ class GoodTupleContext:
         )
         return cls(g, c, dec, near2, around4, zones)
 
+    @cached_property
+    def witness_room(self) -> frozenset[int]:
+        """Where witness sets may lie: off the base cycle, or within
+        distance 2 of its neighborhood."""
+        return (frozenset(self.graph.vertices) - self.base_cycle.vertex_set) | self.near_cycle_2
+
+    @cached_property
+    def far_from_finite(self) -> frozenset[int]:
+        return frozenset(self.graph.vertices) - self.around_finite_4
+
+    @cached_property
+    def component_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(c) for c in self.dec.infinite_components)
+
 
 @dataclass(frozen=True)
 class GoodTuple:
@@ -101,39 +115,39 @@ def check_good_tuple(
 ) -> list[str]:
     """All violations of the six witness properties; empty means good."""
     g = ctx.graph
-    dec = ctx.dec
     problems: list[str] = []
     on_cycle = cycle.vertex_set
     base_set = ctx.base_cycle.vertex_set
     if not base_set <= on_cycle:
         problems.append("(a) the cycle lost vertices of the round's base cycle")
     for j in sorted(witness_sets):
-        part = frozenset(dec.parts[j - 1])
-        comp = frozenset(dec.infinite_components[j - 1])
+        part = frozenset(ctx.dec.parts[j - 1])
+        comp = ctx.component_sets[j - 1]
         zone = ctx.part_zones[j - 1]
         m = witness_sets[j]
         if not (part | zone) <= on_cycle:
             problems.append(f"(a) part {j}: separator part or its 3-zone not on the cycle")
         if not comp <= m:
             problems.append(f"(b) part {j}: witness set misses component vertices")
-        if not m <= (frozenset(g.vertices) - base_set) | ctx.near_cycle_2:
+        if not m <= ctx.witness_room:
             problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
-        crossing = [e for e in cycle.edge_set() if (e[0] in m) != (e[1] in m)]
-        if len(crossing) != 2:
+        inside = [v in m for v in cycle.order]
+        crossings = sum(a != b for a, b in zip(inside, inside[1:] + inside[:1]))
+        if crossings != 2:
             problems.append(
-                f"(c) part {j}: cycle crosses the witness cut {len(crossing)} times"
+                f"(c) part {j}: cycle crosses the witness cut {crossings} times"
             )
-        stray = m - on_cycle - (frozenset(g.vertices) - ctx.around_finite_4)
+        stray = m - on_cycle - ctx.far_from_finite
         if stray:
             problems.append(
                 f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
                 "but near the finite component"
             )
-        if m and not is_connected(induced_subgraph(g, m)):
+        if m and len(reachable_within(g, m, min(m))) != len(m):
             problems.append(f"(e) part {j}: witness set induces a disconnected graph")
-        for p, compp in enumerate(dec.infinite_components, start=1):
-            inter = m & frozenset(compp)
-            if inter and inter != frozenset(compp):
+        for p, compp in enumerate(ctx.component_sets, start=1):
+            inter = m & compp
+            if inter and inter != compp:
                 problems.append(
                     f"(f) part {j}: witness set contains part of component {p} only"
                 )
@@ -381,21 +395,18 @@ def cut_lemma_round(
         n_s = min(set(g.neighbors(s)) & tree_vertices)
         n_t = min(set(g.neighbors(t)) & tree_vertices)
         spine = _tree_path(tree_parent, n_s, n_t)
-        edges = set(tup.cycle.edge_set())
-        edges.discard(edge_key(s, t))
-        edges.add(edge_key(s, n_s))
-        edges.add(edge_key(n_t, t))
-        edges.update(edge_key(a, b) for a, b in zip(spine, spine[1:]))
-        spliced = cycle_from_edge_set(edges)
-        if spliced is None:
+        spliced = _SpliceCycle(tup.cycle)
+        try:
+            spliced.insert(g, s, t, spine)
+        except InternalConsistencyError as exc:
             raise InternalConsistencyError(
                 f"splicing the part-{ell} tree spine between {s} and {t} "
-                "did not yield a cycle"
-            )
+                f"did not yield a cycle: {exc}"
+            ) from exc
         covered_goal = part | tree_vertices
         cycle2, log = extend_to_cover(
             g,
-            spliced,
+            spliced.freeze(),
             covered_goal,
             target_pool=covered_goal,
             base_pool=tree_vertices,
@@ -462,16 +473,17 @@ def _round_conclusions(g, c, dec, tup, base_edges) -> dict[str, bool]:
     containment = want <= new_cycle.vertex_set
 
     near2 = set(neighborhood_k(g, nc, 2))
+    new_edges = new_cycle.edge_set()
     keep_ok = True
     for e in base_edges:
         if e[0] not in near2 and e[1] not in near2:
-            if e not in new_cycle.edge_set():
+            if e not in new_edges:
                 keep_ok = False
                 break
 
     near3 = set(neighborhood_k(g, nc, 3))
     loc_ok = True
-    for u, v in new_cycle.edge_set() - base_edges:
+    for u, v in new_edges - base_edges:
         for p in (u, v):
             if p in c and p not in near3:
                 loc_ok = False

@@ -6,12 +6,24 @@ vertices that sit inside the spliced path leave their old position and
 rejoin through the path; their former cycle-neighbors are joined directly
 (which is always possible in a claw-free graph).  No vertex is ever lost:
 the new cycle covers the old one plus the target.
+
+Both extension cases are one delete-and-insert on a successor/predecessor
+map: the bridged vertices are unlinked, then one segment is inserted between
+two cycle-adjacent vertices.  A splice therefore costs O(path length), not
+O(cycle length).  Its checks are local too.  ``validate_extension`` runs in
+full; then every edge the splice adds must be an edge of the graph within
+distance 2 of the base, every bridge must join two distinct vertices, every
+insertion must go between cycle-adjacent vertices and add only vertices off
+the cycle, and the cycle must grow by exactly the new path vertices.  With
+the input cycle validated once, these keep every intermediate cycle a single
+cycle of the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 from .errors import (
     DomainError,
@@ -21,11 +33,11 @@ from .errors import (
 )
 from .graph import (
     CycleEmbedding,
+    Edge,
     FiniteGraph,
     components,
-    cycle_from_edge_set,
     edge_key,
-    neighborhood_k,
+    reachable_within,
     shortest_path,
     validate_cycle,
 )
@@ -171,7 +183,7 @@ def find_path_extension(
     up, um = c.succ(base), c.pred(base)
     walk = shortest_path(g, target, {up}, allowed=nbrs)
     if walk is None:
-        comp = sorted(_reachable_within(g, nbrs, target))
+        comp = sorted(reachable_within(g, nbrs, target))
         raise HypothesisError(
             "locally_connected",
             sorted({base} | set(comp) | {up}),
@@ -208,18 +220,6 @@ def find_path_extension(
     reattach = ws if ws in nbrs else wp
     bridged = tuple(sorted(interior_w + [base]))
     return PathExtension(ExtensionCase.TWO, target, base, pw, bridged, reattach)
-
-
-def _reachable_within(g: FiniteGraph, allowed: frozenset[int], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if v in allowed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
 
 
 def _require_bridgeable(g, c, base, interior_on_cycle) -> None:
@@ -262,52 +262,129 @@ def truncate_extension(
     )
 
 
+class _SpliceCycle:
+    """A cycle under construction, as successor and predecessor maps.
+
+    ``succ`` and ``pred`` always follow the canonical orientation of
+    ``CycleEmbedding``: from the minimum vertex toward the smaller of its two
+    cycle-neighbors.  ``find_path_extension`` walks toward ``succ(base)``,
+    so the orientation decides which extension is found.
+    """
+
+    __slots__ = ("_succ", "_pred", "_low")
+
+    def __init__(self, c: CycleEmbedding):
+        order = c.order
+        self._succ = dict(zip(order, order[1:] + order[:1]))
+        self._pred = dict(zip(order, order[-1:] + order[:-1]))
+        self._low = order[0]
+
+    def __contains__(self, v: int) -> bool:
+        return v in self._succ
+
+    def succ(self, v: int) -> int:
+        return self._succ[v]
+
+    def pred(self, v: int) -> int:
+        return self._pred[v]
+
+    def freeze(self) -> CycleEmbedding:
+        """The current cycle as an immutable ``CycleEmbedding``, in O(n)."""
+        succ, low = self._succ, self._low
+        order = [low]
+        v = succ[low]
+        while v != low:
+            order.append(v)
+            v = succ[v]
+        if len(order) != len(succ):  # pragma: no cover - splices keep one cycle
+            raise InternalConsistencyError("the spliced cycle fell apart")
+        return CycleEmbedding(order)
+
+    def splice(self, g: FiniteGraph, ext: PathExtension) -> tuple[int, ...]:
+        """Apply a path extension in place; return the vertices it added."""
+        problems = validate_extension(g, self, ext)
+        if problems:
+            raise DomainError("invalid path extension: " + "; ".join(problems))
+        path = ext.extension_path
+        fresh = tuple(v for v in path if v not in self._succ)
+        size = len(self._succ)
+        gained = [self._bridge(g, b) for b in ext.bridged]
+        if ext.case is ExtensionCase.ONE:
+            gained += self.insert(g, ext.base, path[-1], path[:-1])
+        else:
+            gained += self.insert(g, ext.reattach, path[-1], (ext.base,) + path[:-1])
+        base, nbrs = ext.base, g.neighbor_set(ext.base)
+        for u, v in gained:
+            if not all(
+                p == base or p in nbrs or not nbrs.isdisjoint(g.neighbor_set(p))
+                for p in (u, v)
+            ):
+                raise InternalConsistencyError(
+                    f"new edge ({u}, {v}) strays farther than distance 2 from base {base}"
+                )
+        if len(self._succ) != size + len(fresh):
+            raise InternalConsistencyError(
+                "splicing a validated extension did not produce a spanning cycle",
+                witness=ext.to_json_obj(),
+            )
+        return fresh
+
+    def _bridge(self, g: FiniteGraph, b: int) -> Edge:
+        """Unlink ``b`` and join its two cycle-neighbors."""
+        p, s = self._pred.pop(b), self._succ.pop(b)
+        if p == s:
+            raise InternalConsistencyError(f"bridging {b} would leave a 2-cycle")
+        if not g.has_edge(p, s):
+            raise InternalConsistencyError(f"the splice adds the non-edge {edge_key(p, s)}")
+        self._succ[p] = s
+        self._pred[s] = p
+        return edge_key(p, s)
+
+    def insert(self, g: FiniteGraph, a: int, b: int, seq) -> list[Edge]:
+        """Insert the off-cycle vertices ``seq`` between the cycle-adjacent
+        ``a`` and ``b`` (``seq[0]`` next to ``a``); return the new edges,
+        after checking that each is an edge of ``g``."""
+        succ, pred = self._succ, self._pred
+        if succ.get(a) != b:
+            if succ.get(b) != a:
+                raise InternalConsistencyError(
+                    f"insertion ends {a} and {b} are not adjacent on the cycle"
+                )
+            a, b, seq = b, a, seq[::-1]
+        if not seq or len(set(seq)) != len(seq) or any(v in succ for v in seq):
+            raise InternalConsistencyError(
+                f"inserted vertices {list(seq)} are not distinct and off the cycle"
+            )
+        chain = (a, *seq, b)
+        links = list(zip(chain, chain[1:]))
+        for u, v in links:
+            if not g.has_edge(u, v):
+                raise InternalConsistencyError(
+                    f"the splice adds the non-edge {edge_key(u, v)}"
+                )
+        for u, v in links:
+            succ[u] = v
+            pred[v] = u
+        self._low = low = min(self._low, min(seq))
+        if succ[low] > pred[low]:
+            self._succ, self._pred = pred, succ
+        return [edge_key(u, v) for u, v in links]
+
+
 def apply_path_extension(
     g: FiniteGraph, c: CycleEmbedding, ext: PathExtension
 ) -> CycleEmbedding:
     """Splice an extension into the cycle and return the enlarged cycle."""
-    problems = validate_extension(g, c, ext)
-    if problems:
-        raise DomainError("invalid path extension: " + "; ".join(problems))
-    edges = set(c.edge_set())
-    removed: set = set()
-    added: set = set()
-    path = ext.extension_path
-    for b in ext.bridged:
-        bs, bp = c.succ(b), c.pred(b)
-        removed |= {edge_key(bp, b), edge_key(b, bs)}
-        added.add(edge_key(bp, bs))
-    added |= {edge_key(u, v) for u, v in zip(path, path[1:])}
-    added.add(edge_key(ext.base, ext.target))
-    if ext.case is ExtensionCase.ONE:
-        removed.add(edge_key(ext.base, path[-1]))
-    else:
-        removed.add(edge_key(ext.reattach, path[-1]))
-        added.add(edge_key(ext.reattach, ext.base))
-    new_cycle = cycle_from_edge_set((edges - removed) | added)
-    expected = c.vertex_set | set(path)
-    if new_cycle is None or new_cycle.vertex_set != expected:
-        raise InternalConsistencyError(
-            "splicing a validated extension did not produce a spanning cycle",
-            witness=ext.to_json_obj(),
-        )
-    check = validate_cycle(g, new_cycle)
-    if not check.ok:  # pragma: no cover - the surgery only uses real edges
-        raise InternalConsistencyError(
-            f"spliced cycle is invalid: {check.reason}", witness=check.witness
-        )
-    _assert_new_edges_near_base(g, c, new_cycle, ext.base)
-    return new_cycle
+    _require_cycle(g, c)
+    cycle = _SpliceCycle(c)
+    cycle.splice(g, ext)
+    return cycle.freeze()
 
 
-def _assert_new_edges_near_base(g, old: CycleEmbedding, new: CycleEmbedding, base: int) -> None:
-    """Every edge gained by a splice has both ends within distance 2 of the base."""
-    near = set(neighborhood_k(g, [base], 2)) | {base}
-    for u, v in new.edge_set() - old.edge_set():
-        if u not in near or v not in near:
-            raise InternalConsistencyError(
-                f"new edge ({u}, {v}) strays farther than distance 2 from base {base}"
-            )
+def _require_cycle(g: FiniteGraph, c: CycleEmbedding) -> None:
+    check = validate_cycle(g, c)
+    if not check.ok:
+        raise DomainError(f"not a cycle of the graph: {check.reason} {check.witness}")
 
 
 def extend_to_cover(
@@ -322,34 +399,47 @@ def extend_to_cover(
     Targets are restricted to ``target_pool`` and bases to ``base_pool``
     (None means unrestricted).  Among admissible targets, vertices adjacent
     to the current cycle are taken smallest id first; the base is the
-    smallest admissible neighbor on the cycle.
+    smallest admissible neighbor on the cycle.  Admissible targets wait in a
+    min-heap; a target stays admissible until it joins the cycle, because
+    splices never drop a cycle vertex.
     """
     goalset = g.require_subset(goal)
     targets = g.require_subset(target_pool) if target_pool is not None else None
     bases = g.require_subset(base_pool) if base_pool is not None else None
+    _require_cycle(g, c)
+    cycle = _SpliceCycle(c)
+    missing = set(goalset).difference(c.order)
+    frontier: list[int] = []
+    queued: set[int] = set()
+
+    def admit(new_vertices) -> None:
+        for b in new_vertices:
+            if bases is not None and b not in bases:
+                continue
+            for t in g.neighbors(b):
+                if t not in queued and t not in cycle and (targets is None or t in targets):
+                    queued.add(t)
+                    heappush(frontier, t)
+
+    admit(c.order)
     log: list[PathExtension] = []
-    cycle = c
-    while not goalset <= cycle.vertex_set:
-        step = None
-        pool = targets if targets is not None else frozenset(g.vertices)
-        for t in sorted(pool - cycle.vertex_set):
-            choices = [
-                b
-                for b in g.neighbors(t)
-                if b in cycle and (bases is None or b in bases)
-            ]
-            if choices:
-                step = (t, min(choices))
-                break
-        if step is None:
-            missing = sorted(goalset - cycle.vertex_set)
+    while missing:
+        while frontier and frontier[0] in cycle:
+            heappop(frontier)
+        if not frontier:
             raise ProgressError(
-                f"no admissible (target, base) pair while {missing} is uncovered"
+                f"no admissible (target, base) pair while {sorted(missing)} is uncovered"
             )
-        ext = find_path_extension(g, cycle, step[0], step[1])
-        cycle = apply_path_extension(g, cycle, ext)
+        t = frontier[0]
+        base = next(
+            b for b in g.neighbors(t) if b in cycle and (bases is None or b in bases)
+        )
+        ext = find_path_extension(g, cycle, t, base)
+        fresh = cycle.splice(g, ext)
+        missing.difference_update(fresh)
+        admit(fresh)
         log.append(ext)
-    return cycle, log
+    return cycle.freeze(), log
 
 
 def shortest_cycle_through(g: FiniteGraph, v: int) -> CycleEmbedding:
@@ -414,12 +504,13 @@ def replay_certificate(g: FiniteGraph, cert: HamiltonCertificate) -> ReplayRepor
     check = validate_cycle(g, cert.initial_cycle)
     if not check.ok:
         return ReplayReport(False, 0, f"initial cycle invalid: {check.reason} {check.witness}")
-    cycle = cert.initial_cycle
+    spliced = _SpliceCycle(cert.initial_cycle)
     for i, ext in enumerate(cert.extensions):
         try:
-            cycle = apply_path_extension(g, cycle, ext)
+            spliced.splice(g, ext)
         except (DomainError, InternalConsistencyError) as exc:
             return ReplayReport(False, i, f"step {i}: {exc}")
+    cycle = spliced.freeze()
     if cycle != cert.cycle:
         return ReplayReport(False, len(cert.extensions), "final cycle differs from the record")
     if cycle.vertex_set != frozenset(g.vertices):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, GraphInputError
 
@@ -180,6 +180,19 @@ def component_of(g: FiniteGraph, v: int) -> frozenset[int]:
     return frozenset(comp)
 
 
+def reachable_within(g: FiniteGraph, allowed: frozenset[int], start: int) -> set[int]:
+    """Vertices reachable from ``start`` through vertices of ``allowed``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in g.neighbors(u):
+            if v in allowed and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def is_connected(g: FiniteGraph) -> bool:
     if len(g) == 0:
         return True
@@ -240,10 +253,11 @@ class CycleEmbedding:
 
     The stored order starts at the minimum id and proceeds toward the
     smaller of that vertex's two cycle-neighbors, which pins down the
-    successor/predecessor maps.
+    successor/predecessor maps.  The cycle is immutable, so its edge set is
+    built on first use and kept.
     """
 
-    __slots__ = ("_order", "_index")
+    __slots__ = ("_order", "_index", "_edges")
 
     def __init__(self, order: Sequence[int]):
         seq = [int(v) for v in order]
@@ -253,6 +267,7 @@ class CycleEmbedding:
             raise DomainError("cycle order contains duplicate vertices")
         self._order = _canonical_rotation(seq)
         self._index = {v: i for i, v in enumerate(self._order)}
+        self._edges: frozenset[Edge] | None = None
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -286,10 +301,10 @@ class CycleEmbedding:
         return self._order[i - 1]
 
     def edge_set(self) -> frozenset[Edge]:
-        n = len(self._order)
-        return frozenset(
-            edge_key(self._order[i], self._order[(i + 1) % n]) for i in range(n)
-        )
+        if self._edges is None:
+            order = self._order
+            self._edges = frozenset(map(edge_key, order, order[1:] + order[:1]))
+        return self._edges
 
     def _require(self, v: int) -> int:
         try:
@@ -336,38 +351,3 @@ def validate_cycle(g: FiniteGraph, c: CycleEmbedding | Sequence[int]) -> CycleCh
         if not g.has_edge(u, v):
             return CycleCheck(False, "missing-edge", edge_key(u, v))
     return CycleCheck(True)
-
-
-def cycle_from_edge_set(edges: Iterable[Edge]) -> CycleEmbedding | None:
-    """Reassemble a single cycle from an edge set, or None if it is not one."""
-    adj: dict[int, list[int]] = {}
-    count = 0
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-        count += 1
-    if not adj or count != len(adj):
-        return None
-    if any(len(nb) != 2 for nb in adj.values()):
-        return None
-    start = min(adj)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-        if len(order) > len(adj):
-            return None
-    if len(order) != len(adj) or len(order) < 3:
-        return None
-    return CycleEmbedding(order)
-
-
-def iter_edges_of_order(order: Sequence[int]) -> Iterator[Edge]:
-    n = len(order)
-    for i in range(n):
-        yield edge_key(order[i], order[(i + 1) % n])

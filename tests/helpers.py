@@ -9,7 +9,21 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from clawham.graph import FiniteGraph
+from clawham.errors import DomainError, InternalConsistencyError, ProgressError
+from clawham.extension import (
+    ExtensionCase,
+    HamiltonCertificate,
+    ReplayReport,
+    find_path_extension,
+    validate_extension,
+)
+from clawham.graph import (
+    CycleEmbedding,
+    FiniteGraph,
+    edge_key,
+    neighborhood_k,
+    validate_cycle,
+)
 
 
 def adjacency_dict(g: FiniteGraph) -> dict[int, set[int]]:
@@ -271,3 +285,108 @@ def check_hole_witness(g: FiniteGraph, witness) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(ws)
+
+
+# -- reference splice ----------------------------------------------------------
+#
+# The whole-cycle rebuild the package used before splices became local:
+# remove and add edge keys, reassemble the cycle from its edge set, and
+# re-validate all of it.  Differential tests compare the live splice with it.
+
+
+def cycle_from_edge_set(edges) -> CycleEmbedding | None:
+    """Reassemble a single cycle from an edge set, or None if it is not one."""
+    adj: dict[int, list[int]] = {}
+    count = 0
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+        count += 1
+    if not adj or count != len(adj):
+        return None
+    if any(len(nb) != 2 for nb in adj.values()):
+        return None
+    start = min(adj)
+    order = [start]
+    prev, cur = None, start
+    while True:
+        a, b = adj[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        order.append(nxt)
+        prev, cur = cur, nxt
+        if len(order) > len(adj):
+            return None
+    if len(order) != len(adj) or len(order) < 3:
+        return None
+    return CycleEmbedding(order)
+
+
+def reference_apply(g: FiniteGraph, c: CycleEmbedding, ext) -> CycleEmbedding:
+    problems = validate_extension(g, c, ext)
+    if problems:
+        raise DomainError("invalid path extension: " + "; ".join(problems))
+    edges = set(c.edge_set())
+    removed: set = set()
+    added: set = set()
+    path = ext.extension_path
+    for b in ext.bridged:
+        bs, bp = c.succ(b), c.pred(b)
+        removed |= {edge_key(bp, b), edge_key(b, bs)}
+        added.add(edge_key(bp, bs))
+    added |= {edge_key(u, v) for u, v in zip(path, path[1:])}
+    added.add(edge_key(ext.base, ext.target))
+    if ext.case is ExtensionCase.ONE:
+        removed.add(edge_key(ext.base, path[-1]))
+    else:
+        removed.add(edge_key(ext.reattach, path[-1]))
+        added.add(edge_key(ext.reattach, ext.base))
+    new_cycle = cycle_from_edge_set((edges - removed) | added)
+    if new_cycle is None or new_cycle.vertex_set != c.vertex_set | set(path):
+        raise InternalConsistencyError("splice did not produce a spanning cycle")
+    check = validate_cycle(g, new_cycle)
+    if not check.ok:
+        raise InternalConsistencyError(f"spliced cycle is invalid: {check.reason}")
+    near = set(neighborhood_k(g, [ext.base], 2)) | {ext.base}
+    for u, v in new_cycle.edge_set() - c.edge_set():
+        if u not in near or v not in near:
+            raise InternalConsistencyError(f"new edge ({u}, {v}) strays from {ext.base}")
+    return new_cycle
+
+
+def reference_extend_to_cover(g, c, goal, target_pool=None, base_pool=None):
+    """The sorted-scan covering loop over ``reference_apply``."""
+    goalset = frozenset(goal)
+    pool = frozenset(g.vertices if target_pool is None else target_pool)
+    bases = None if base_pool is None else frozenset(base_pool)
+    log, cycle = [], c
+    while not goalset <= cycle.vertex_set:
+        step = None
+        for t in sorted(pool - cycle.vertex_set):
+            choices = [b for b in g.neighbors(t)
+                       if b in cycle and (bases is None or b in bases)]
+            if choices:
+                step = (t, min(choices))
+                break
+        if step is None:
+            raise ProgressError("no admissible (target, base) pair")
+        ext = find_path_extension(g, cycle, *step)
+        cycle = reference_apply(g, cycle, ext)
+        log.append(ext)
+    return cycle, log
+
+
+def reference_replay(g: FiniteGraph, cert: HamiltonCertificate) -> ReplayReport:
+    check = validate_cycle(g, cert.initial_cycle)
+    if not check.ok:
+        return ReplayReport(False, 0, "initial cycle invalid")
+    cycle = cert.initial_cycle
+    for i, ext in enumerate(cert.extensions):
+        try:
+            cycle = reference_apply(g, cycle, ext)
+        except (DomainError, InternalConsistencyError) as exc:
+            return ReplayReport(False, i, f"step {i}: {exc}")
+    if cycle != cert.cycle or cycle.vertex_set != frozenset(g.vertices):
+        return ReplayReport(False, len(cert.extensions), "final cycle differs")
+    return ReplayReport(True, len(cert.extensions))

@@ -166,3 +166,19 @@ def test_payloads_are_byte_identical_across_runs(tmp_path, capsys):
     _, c2, _ = run_cli(capsys, "infinite", "run", "--preset", "ray-square",
                        "--rounds", "2", "--radius", "16")
     assert c1 == c2
+
+
+def test_infinite_run_rejects_non_integer_offsets(capsys):
+    code, out, err = run_cli(
+        capsys, "infinite", "run", "--preset", "custom-oracle",
+        "--offsets", "1,x", "--rounds", "2", "--radius", "20",
+    )
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "GraphInputError" and "1,x" in payload["message"]
+
+
+def test_gen_rejects_negative_size(capsys):
+    code, out, err = run_cli(capsys, "gen", "path", "-5")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GraphInputError"

@@ -10,7 +10,6 @@ from clawham.graph import (
     FiniteGraph,
     components,
     cut,
-    cycle_from_edge_set,
     induced_subgraph,
     neighborhood_k,
     validate_cycle,
@@ -133,14 +132,6 @@ def test_validate_cycle_reports():
     c4 = cycle_graph(4)
     res = validate_cycle(c4, [0, 1, 3, 2])
     assert not res.ok and res.reason == "missing-edge" and res.witness == (1, 3)
-
-
-def test_cycle_from_edge_set_roundtrip():
-    c = CycleEmbedding([0, 4, 2, 5, 1])
-    assert cycle_from_edge_set(c.edge_set()) == c
-    assert cycle_from_edge_set({(0, 1), (1, 2)}) is None
-    # two disjoint triangles are not a single cycle
-    assert cycle_from_edge_set({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}) is None
 
 
 @st.composite
