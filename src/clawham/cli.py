@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .constructions import NAMED_GRAPHS, graph_power, line_graph
@@ -190,14 +191,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except HypothesisError as exc:
-        _emit(exc.payload())
-        print(str(exc), file=sys.stderr)
-        return exc.exit_code
-    except ClawhamError as exc:
-        print(json.dumps(exc.payload(), sort_keys=True), file=sys.stderr)
-        return exc.exit_code
+        try:
+            return args.func(args)
+        except HypothesisError as exc:
+            _emit(exc.payload())
+            print(str(exc), file=sys.stderr)
+            return exc.exit_code
+        except ClawhamError as exc:
+            print(json.dumps(exc.payload(), sort_keys=True), file=sys.stderr)
+            return exc.exit_code
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``| head``); devnull absorbs the final flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

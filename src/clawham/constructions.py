@@ -13,19 +13,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graph import Edge, FiniteGraph, bfs_distances, edge_key
+from .graph import Edge, FiniteGraph, edge_key, neighborhood_k
 
 
 def graph_power(g: FiniteGraph, k: int) -> FiniteGraph:
     """Same vertices, adjacency = graph distance between 1 and k."""
     if k < 1:
         raise DomainError(f"power exponent must be >= 1, got {k}")
-    edges = []
-    for v in g.vertices:
-        dist = bfs_distances(g, [v])
-        for u, d in dist.items():
-            if v < u and 1 <= d <= k:
-                edges.append((v, u))
+    edges = [(v, u) for v in g.vertices for u in neighborhood_k(g, [v], k) if v < u]
     return FiniteGraph(g.vertices, edges)
 
 

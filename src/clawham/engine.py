@@ -36,12 +36,11 @@ from .graph import (
     CycleEmbedding,
     Edge,
     FiniteGraph,
+    bfs,
     bfs_distances,
-    components,
+    components_within,
     cut,
-    induced_subgraph,
     neighborhood_k,
-    reachable_within,
 )
 from .predicates import claw_at, locally_connected_at
 from .presentations import Ball, GraphPresentation
@@ -143,7 +142,7 @@ def check_good_tuple(
                 f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
                 "but near the finite component"
             )
-        if m and len(reachable_within(g, m, min(m))) != len(m):
+        if m and sum(1 for _ in bfs(g, [min(m)], within=m)) != len(m):
             problems.append(f"(e) part {j}: witness set induces a disconnected graph")
         for p, compp in enumerate(ctx.component_sets, start=1):
             inter = m & compp
@@ -231,8 +230,7 @@ def _assert_deep_vertex(g: FiniteGraph, c: CycleEmbedding) -> None:
     nc = neighborhood_k(g, c.order, 1)
     if not nc:
         raise DomainError("the cycle already spans its component")
-    dist = bfs_distances(g, nc)
-    if max(dist.get(v, len(g)) for v in c.order) < 3:
+    if c.vertex_set <= frozenset(neighborhood_k(g, nc, 2)):
         raise DomainError(
             "the cycle has no vertex at distance 3 from its neighborhood; "
             "cover the 2-neighborhood first"
@@ -248,18 +246,13 @@ def _grow_part_tree(
     part = dec.parts[ell - 1]
     zone = set(neighborhood_k(g, part, 3)) & comp
     root = min(set(neighborhood_k(g, part, 1)) & comp)
-    parent: dict[int, int | None] = {root: None}
-    queue = [root]
-    remaining = set(zone) - {root}
-    while queue and remaining:
-        nxt: list[int] = []
-        for u in queue:
-            for w in g.neighbors(u):
-                if w in comp and w not in parent:
-                    parent[w] = u
-                    remaining.discard(w)
-                    nxt.append(w)
-        queue = nxt
+    parent: dict[int, int | None] = {}
+    remaining = set(zone)
+    for v, u, _ in bfs(g, [root], within=comp):
+        parent[v] = u
+        remaining.discard(v)
+        if not remaining:
+            break
     if remaining:
         raise InternalConsistencyError(
             f"the 3-zone of part {ell} is not reachable inside its component; "
@@ -532,7 +525,7 @@ def end_proxies(ball: Ball, skirt: int = 3) -> tuple[tuple[int, ...], ...]:
     shell = [
         v for v in ball.graph.vertices if ball.depth_of(v) >= ball.radius - skirt
     ]
-    comps = components(induced_subgraph(ball.graph, shell))
+    comps = components_within(ball.graph, shell)
     bset = set(ball.boundary)
     return tuple(c for c in comps if set(c) & bset)
 
@@ -544,7 +537,7 @@ def _stability_gate(ball: Ball) -> None:
     deep = [
         v for v in ball.graph.vertices if ball.depth_of(v) >= ball.radius - 7
     ]
-    deep_comps = components(induced_subgraph(ball.graph, deep))
+    deep_comps = components_within(ball.graph, deep)
     owner = {}
     for i, comp in enumerate(deep_comps):
         for v in comp:

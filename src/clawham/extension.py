@@ -35,9 +35,9 @@ from .graph import (
     CycleEmbedding,
     Edge,
     FiniteGraph,
+    bfs,
     components,
     edge_key,
-    reachable_within,
     shortest_path,
     validate_cycle,
 )
@@ -183,10 +183,10 @@ def find_path_extension(
     up, um = c.succ(base), c.pred(base)
     walk = shortest_path(g, target, {up}, allowed=nbrs)
     if walk is None:
-        comp = sorted(reachable_within(g, nbrs, target))
+        comp = {v for v, _, _ in bfs(g, [target], within=nbrs)}
         raise HypothesisError(
             "locally_connected",
-            sorted({base} | set(comp) | {up}),
+            sorted({base} | comp | {up}),
             f"neighborhood of {base} does not connect {target} to {up}",
         )
     stop = next(i for i, v in enumerate(walk) if v in (up, um))

@@ -3,13 +3,18 @@
 Graphs are simple and undirected, with non-negative integer vertex ids and
 sorted adjacency.  Every public operation returns sorted tuples so outputs
 are deterministic and directly comparable in tests.
+
+All traversal goes through one primitive, ``bfs(g, sources, within)``: a
+breadth-first search in sorted-adjacency order, optionally confined to a
+vertex set.  Neighborhoods, distances, shortest paths and components
+(``components_within`` for the subgraph induced on a vertex set) are thin
+reads of it, so no connectivity question builds a throwaway ``FiniteGraph``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError, GraphInputError
 
@@ -104,6 +109,38 @@ class FiniteGraph:
         return f"FiniteGraph(n={len(self._vertices)}, m={self.edge_count()})"
 
 
+def bfs(
+    g: FiniteGraph, sources: Iterable[int], within: Collection[int] | None = None
+) -> Iterator[tuple[int, int | None, int]]:
+    """Breadth-first search: yield ``(vertex, parent, depth)`` as each vertex
+    is reached.
+
+    Sources come first, in the order given, with parent None and depth 0.
+    Every other vertex is reached from the first vertex of the previous layer
+    that has it as a neighbor, scanning neighbors in sorted-adjacency order.
+    ``within`` confines the search to those vertices (sources are always
+    reached).  Callers stop the search by leaving the loop.
+    """
+    adj = g._adj
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    for s in parent:
+        if s not in adj:
+            g._require(s)
+        yield s, None, 0
+    frontier = list(parent)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in parent and (within is None or w in within):
+                    parent[w] = u
+                    nxt.append(w)
+                    yield w, u, depth
+        frontier = nxt
+
+
 def neighborhood_k(g: FiniteGraph, x: Iterable[int], k: int) -> VertexSet:
     """Vertices at distance between 1 and k from the set ``x``.
 
@@ -112,21 +149,12 @@ def neighborhood_k(g: FiniteGraph, x: Iterable[int], k: int) -> VertexSet:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    xs = g.require_subset(x)
-    seen = set(xs)
-    frontier = list(xs)
-    found: set[int] = set()
-    for _ in range(k):
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    found.add(w)
-                    nxt.append(w)
-        if not nxt:
+    found = []
+    for v, _, d in bfs(g, x):
+        if d > k:
             break
-        frontier = nxt
+        if d:
+            found.append(v)
     return tuple(sorted(found))
 
 
@@ -147,70 +175,32 @@ def induced_subgraph(g: FiniteGraph, x: Iterable[int]) -> FiniteGraph:
     return FiniteGraph(xs, edges)
 
 
-def components(g: FiniteGraph) -> tuple[VertexSet, ...]:
-    """Maximal connected vertex sets, sorted by minimum id."""
+def components_within(g: FiniteGraph, allowed: Iterable[int]) -> tuple[VertexSet, ...]:
+    """Components of the subgraph induced on ``allowed``, sorted by minimum
+    id, without building that subgraph."""
+    xs = g.require_subset(allowed)
     seen: set[int] = set()
     comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
+    for start in sorted(xs):
+        if start not in seen:
+            comp = sorted(v for v, _, _ in bfs(g, [start], within=xs))
+            seen.update(comp)
+            comps.append(tuple(comp))
     return tuple(comps)
 
 
-def component_of(g: FiniteGraph, v: int) -> frozenset[int]:
-    g._require(v)
-    comp = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return frozenset(comp)
-
-
-def reachable_within(g: FiniteGraph, allowed: frozenset[int], start: int) -> set[int]:
-    """Vertices reachable from ``start`` through vertices of ``allowed``."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if v in allowed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def components(g: FiniteGraph) -> tuple[VertexSet, ...]:
+    """Maximal connected vertex sets, sorted by minimum id."""
+    return components_within(g, g.vertices)
 
 
 def is_connected(g: FiniteGraph) -> bool:
-    if len(g) == 0:
-        return True
-    return len(component_of(g, g.vertices[0])) == len(g)
+    return len(components(g)) <= 1
 
 
 def bfs_distances(g: FiniteGraph, sources: Iterable[int]) -> dict[int, int]:
     """Distance from the source set to every reachable vertex."""
-    src = g.require_subset(sources)
-    dist = {v: 0 for v in src}
-    queue = deque(sorted(src))
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    return {v: d for v, _, d in bfs(g, sources)}
 
 
 def shortest_path(
@@ -228,23 +218,15 @@ def shortest_path(
     allow = None if allowed is None else frozenset(allowed)
     if allow is not None and start not in allow:
         raise DomainError("start vertex is excluded from the allowed set")
-    if start in goalset:
-        return [start]
-    parent: dict[int, int] = {start: start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in parent or (allow is not None and w not in allow):
-                continue
-            parent[w] = u
-            if w in goalset:
-                path = [w]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(w)
+    parent: dict[int, int | None] = {}
+    for v, u, _ in bfs(g, [start], within=allow):
+        parent[v] = u
+        if v in goalset:
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return path
     return None
 
 

@@ -11,12 +11,15 @@ infinite graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from .errors import DomainError, GraphInputError
 from .graph import FiniteGraph, VertexSet
+
+# Largest ball ``extract_ball`` builds: about 12 times the largest preset,
+# test or benchmark ball, so an oversized radius fails fast.
+MAX_BALL_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -31,22 +34,22 @@ class GraphPresentation:
         """Materialize the ball of the given graph-distance radius.
 
         Symmetry of the oracle is verified on every in-ball edge and the
-        returned neighbor lists must be finite (local finiteness).
+        returned neighbor lists must be finite (local finiteness).  A ball
+        with more than ``MAX_BALL_VERTICES`` vertices is refused.
         """
         if radius < 1:
             raise DomainError("radius must be >= 1")
         depth = {self.root: 0}
-        order = [self.root]
-        queue = deque([self.root])
-        while queue:
-            u = queue.popleft()
+        order = [self.root]  # discovery order, scanned as the BFS queue
+        for u in order:
             if depth[u] == radius:
                 continue
             for w in self.neighbors(u):
                 if w not in depth:
                     depth[w] = depth[u] + 1
                     order.append(w)
-                    queue.append(w)
+            if len(order) > MAX_BALL_VERTICES:
+                raise DomainError(f"a ball of radius {radius} exceeds {MAX_BALL_VERTICES} vertices")
         ids = {label: i for i, label in enumerate(order)}
         edges = []
         interior = []

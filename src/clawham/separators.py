@@ -16,8 +16,8 @@ from .graph import (
     CycleEmbedding,
     FiniteGraph,
     VertexSet,
-    components,
-    induced_subgraph,
+    components_within,
+    neighborhood_k,
 )
 
 
@@ -27,11 +27,11 @@ def is_minimal_separator(g: FiniteGraph, s) -> bool:
     if not ss or len(ss) >= len(g):
         return False
     rest = [v for v in g.vertices if v not in ss]
-    if not rest or len(components(induced_subgraph(g, rest))) < 2:
+    if not rest or len(components_within(g, rest)) < 2:
         return False
     for v in sorted(ss):
         sub = [u for u in g.vertices if u not in ss or u == v]
-        if len(components(induced_subgraph(g, sub))) >= 2:
+        if len(components_within(g, sub)) >= 2:
             return False
     return True
 
@@ -46,7 +46,7 @@ def minimal_separator_components(g: FiniteGraph, s) -> tuple[VertexSet, ...]:
     if not is_minimal_separator(g, ss):
         raise DomainError(f"{sorted(ss)} is not an inclusion-minimal separator")
     rest = [v for v in g.vertices if v not in ss]
-    comps = components(induced_subgraph(g, rest))
+    comps = components_within(g, rest)
     if len(comps) > 2:
         for v in sorted(ss):
             hits = []
@@ -96,8 +96,6 @@ def shrink_to_minimal_ray_separator(
     Removal is attempted in ascending id order and greedily kept when the
     remainder still separates, which makes the result deterministic.
     """
-    from .graph import neighborhood_k
-
     bset = g.require_subset(boundary)
     cset = c.vertex_set
     if bset & cset:
@@ -167,7 +165,7 @@ def decompose(
     if sset & cset:
         raise DomainError("separator vertices must avoid the cycle")
     rest = [v for v in g.vertices if v not in sset]
-    comps = components(induced_subgraph(g, rest))
+    comps = components_within(g, rest)
     finite_comp = None
     boundary_comps = []
     for comp in comps:

@@ -21,9 +21,11 @@ from clawham.graph import (
     CycleEmbedding,
     FiniteGraph,
     edge_key,
+    induced_subgraph,
     neighborhood_k,
     validate_cycle,
 )
+from clawham.predicates import PredicateReport
 
 
 def adjacency_dict(g: FiniteGraph) -> dict[int, set[int]]:
@@ -390,3 +392,204 @@ def reference_replay(g: FiniteGraph, cert: HamiltonCertificate) -> ReplayReport:
     if cycle != cert.cycle or cycle.vertex_set != frozenset(g.vertices):
         return ReplayReport(False, len(cert.extensions), "final cycle differs")
     return ReplayReport(True, len(cert.extensions))
+
+
+# -- reference traversal and predicates ----------------------------------------
+#
+# The implementations the package used before all traversal went through
+# ``graph.bfs`` and the predicates became linear-time: deque BFS loops, a
+# throwaway induced subgraph per connectivity question, vertex-removal
+# 2-connectivity, the ``combinations`` claw scan and the quadratic
+# lexicographic-BFS elimination order.  Differential tests compare the live
+# code with them, report for report.
+
+
+def reference_components(g: FiniteGraph) -> tuple[tuple[int, ...], ...]:
+    seen: set[int] = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_components_within(g: FiniteGraph, x) -> tuple[tuple[int, ...], ...]:
+    return reference_components(induced_subgraph(g, x))
+
+
+def reference_bfs_distances(g: FiniteGraph, sources) -> dict[int, int]:
+    src = g.require_subset(sources)
+    dist = {v: 0 for v in src}
+    queue = deque(sorted(src))
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_shortest_path(g: FiniteGraph, start, goals, allowed=None):
+    goalset = frozenset(goals)
+    allow = None if allowed is None else frozenset(allowed)
+    if allow is not None and start not in allow:
+        raise DomainError("start vertex is excluded from the allowed set")
+    if start in goalset:
+        return [start]
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w in parent or (allow is not None and w not in allow):
+                continue
+            parent[w] = u
+            if w in goalset:
+                path = [w]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            queue.append(w)
+    return None
+
+
+def reference_claw_at(g: FiniteGraph, v: int):
+    for a, b, c in combinations(g.neighbors(v), 3):
+        if not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c):
+            return (a, b, c)
+    return None
+
+
+def reference_is_claw_free(g: FiniteGraph) -> PredicateReport:
+    for v in g.vertices:
+        triple = reference_claw_at(g, v)
+        if triple is not None:
+            witness = tuple(sorted((v,) + triple))
+            return PredicateReport(False, witness, f"induced claw centered at {v}")
+    return PredicateReport(True)
+
+
+def reference_neighborhood_components(g: FiniteGraph, v: int):
+    return reference_components(induced_subgraph(g, g.neighbors(v)))
+
+
+def reference_is_locally_connected(g: FiniteGraph) -> PredicateReport:
+    for v in g.vertices:
+        comps = reference_neighborhood_components(g, v)
+        if len(comps) > 1:
+            witness = tuple(sorted({v} | set(comps[0]) | set(comps[1])))
+            return PredicateReport(
+                False, witness, f"neighborhood of {v} splits into {len(comps)} parts"
+            )
+    return PredicateReport(True)
+
+
+def reference_is_two_connected(g: FiniteGraph) -> PredicateReport:
+    if len(g) < 3:
+        raise DomainError("2-connectivity is only defined here for >= 3 vertices")
+    comps = reference_components(g)
+    if len(comps) > 1:
+        return PredicateReport(False, (comps[0][0], comps[1][0]), "graph is disconnected")
+    for v in g.vertices:
+        rest = [u for u in g.vertices if u != v]
+        if len(reference_components(induced_subgraph(g, rest))) > 1:
+            return PredicateReport(False, (v,), f"cutvertex {v}")
+    return PredicateReport(True)
+
+
+def reference_peo_order(g: FiniteGraph) -> list[int]:
+    labels: dict[int, list[int]] = {v: [] for v in g.vertices}
+    order: list[int] = []
+    remaining = set(g.vertices)
+    counter = len(g)
+    while remaining:
+        v = max(sorted(remaining), key=lambda u: labels[u])
+        remaining.discard(v)
+        order.append(v)
+        for w in g.neighbors(v):
+            if w in remaining:
+                labels[w].append(counter)
+        counter -= 1
+    order.reverse()
+    return order
+
+
+def reference_find_hole(g: FiniteGraph):
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        closed = set(nbrs) | {v}
+        for a, b in combinations(nbrs, 2):
+            if g.has_edge(a, b):
+                continue
+            allowed = (set(g.vertices) - closed) | {a, b}
+            path = reference_shortest_path(g, a, {b}, allowed=allowed)
+            if path is not None and len(path) >= 3:
+                return tuple(sorted([v] + path))
+    return None
+
+
+def reference_is_chordal(g: FiniteGraph) -> PredicateReport:
+    order = reference_peo_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
+        later = [w for w in g.neighbors(v) if pos[w] > i]
+        if not later:
+            continue
+        pivot = min(later, key=lambda w: pos[w])
+        for w in later:
+            if w != pivot and not g.has_edge(pivot, w):
+                hole = reference_find_hole(g)
+                return PredicateReport(False, hole, f"induced cycle on {len(hole)} vertices")
+    return PredicateReport(True)
+
+
+def seeded_random_graphs(seed: int = 2024) -> list[FiniteGraph]:
+    """Graphs on up to 60 vertices from sparse to dense, plus disconnected
+    unions, interval graphs (chordal), chains of blocks (cut vertices) and
+    line graphs (claw-free)."""
+    import random
+
+    from clawham.constructions import line_graph
+
+    rng = random.Random(seed)
+
+    def gnp(n: int, p: float, offset: int = 0) -> list[tuple[int, int]]:
+        return [(offset + i, offset + j) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < p]
+
+    out = []
+    for n in (5, 9, 16, 30, 45, 60):
+        for p in (0.05, 0.12, 0.3, 0.6, 0.9):
+            out.append(FiniteGraph(range(n), gnp(n, p)))
+        a = rng.randint(2, n - 2)
+        out.append(FiniteGraph(range(n), gnp(a, 0.5) + gnp(n - a, 0.5, offset=a)))
+        spans = [sorted(rng.sample(range(3 * n), 2)) for _ in range(n)]
+        out.append(FiniteGraph(range(n), [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]]))
+        # Blocks hung at random earlier vertices, relabelled at random, so
+        # the graph has several cut vertices in no particular id order.
+        edges, top = [], 1
+        while top < n:
+            block = [rng.randrange(top)] + list(range(top, min(n, top + rng.randint(1, 5))))
+            top = block[-1] + 1
+            edges += list(zip(block, block[1:] + block[:1])) if len(block) > 2 else [block]
+            edges += [e for e in combinations(block, 2) if rng.random() < 0.3]
+        perm = rng.sample(range(n), n)
+        out.append(FiniteGraph(range(n), [(perm[a], perm[b]) for a, b in edges]))
+        src = FiniteGraph(range(n // 4 + 3), gnp(n // 4 + 3, 0.3))
+        if 0 < src.edge_count() <= 60:
+            out.append(line_graph(src).graph)
+    return out

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from clawham.cli import main
 from clawham.graphio import graph_to_json
@@ -182,3 +186,37 @@ def test_gen_rejects_negative_size(capsys):
     code, out, err = run_cli(capsys, "gen", "path", "-5")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "GraphInputError"
+
+
+def test_infinite_run_refuses_a_huge_ball(capsys):
+    code, out, err = run_cli(
+        capsys, "infinite", "run", "--preset", "ray-square",
+        "--rounds", "2", "--radius", "100000000",
+    )
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError" and "vertices" in payload["message"]
+
+
+def test_reader_closing_the_pipe_early_is_quiet():
+    """``clawham gen path 20000 | head -c 10``: exit 1, no traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clawham.cli", "gen", "path", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert head == b'{"edges": '
+    assert code == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -297,3 +297,26 @@ def test_run_log_serialization():
     assert len(lines) == 3
     for rec in lines[1:]:
         assert {"round", "decomposition", "cycle", "witness_sets"} <= set(rec)
+
+
+def test_deep_vertex_gate_matches_the_distance_rule():
+    """The round precondition fails exactly when every cycle vertex is
+    within distance 2 of the cycle neighborhood."""
+    from clawham.engine import _assert_deep_vertex
+    from clawham.extension import extend_to_cover, shortest_cycle_through
+    from helpers import reference_bfs_distances
+
+    g, ids = double_ray_square_truncation(-15, 15)
+    outcomes = set()
+    for hi in range(2, 14):
+        goal = [ids[i] for i in range(hi)]
+        c, _ = extend_to_cover(g, shortest_cycle_through(g, ids[0]), goal, target_pool=goal)
+        dist = reference_bfs_distances(g, neighborhood_k(g, c.order, 1))
+        shallow = max(dist.get(v, len(g)) for v in c.order) < 3
+        outcomes.add(shallow)
+        if shallow:
+            with pytest.raises(DomainError, match="distance 3"):
+                _assert_deep_vertex(g, c)
+        else:
+            _assert_deep_vertex(g, c)
+    assert outcomes == {True, False}

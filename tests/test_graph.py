@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,13 @@ from clawham.errors import DomainError, GraphInputError
 from clawham.graph import (
     CycleEmbedding,
     FiniteGraph,
+    bfs_distances,
     components,
+    components_within,
     cut,
     induced_subgraph,
     neighborhood_k,
+    shortest_path,
     validate_cycle,
 )
 from clawham.constructions import (
@@ -21,7 +26,15 @@ from clawham.constructions import (
     petersen_graph,
 )
 from conftest import double_ray_square_truncation
-from helpers import girth_oracle, neighborhood_oracle
+from helpers import (
+    girth_oracle,
+    neighborhood_oracle,
+    reference_bfs_distances,
+    reference_components,
+    reference_components_within,
+    reference_shortest_path,
+    seeded_random_graphs,
+)
 
 
 def test_construction_rejects_bad_input():
@@ -192,3 +205,42 @@ def test_even_crossing_of_cuts(small_graphs):
         for sub in combinations(range(5), r):
             crossing = set(cut(g, sub)) & c.edge_set()
             assert len(crossing) % 2 == 0
+
+
+# -- differential tests against the previous deque-BFS implementations --------
+
+
+def _random_subset(rng, vertices):
+    p = rng.choice((0.2, 0.5, 0.8, 1.0))
+    return [v for v in vertices if rng.random() < p]
+
+
+def test_components_within_matches_reference():
+    rng = random.Random(7)
+    for g in seeded_random_graphs():
+        assert components(g) == reference_components(g)
+        for _ in range(6):
+            x = _random_subset(rng, g.vertices)
+            assert components_within(g, x) == reference_components_within(g, x)
+
+
+def test_components_within_rejects_unknown_vertices():
+    with pytest.raises(DomainError):
+        components_within(path_graph(3), [0, 9])
+
+
+def test_paths_and_distances_match_reference(small_graphs):
+    """Same distances, and the same shortest path with the same tie-breaks."""
+    rng = random.Random(11)
+    graphs = [g for n in range(1, 7) for g in small_graphs[n]] + seeded_random_graphs()
+    for g in graphs:
+        vs = list(g.vertices)
+        sources = _random_subset(rng, vs)
+        assert bfs_distances(g, sources) == reference_bfs_distances(g, sources)
+        for start in rng.sample(vs, min(6, len(vs))):
+            assert bfs_distances(g, [start]) == reference_bfs_distances(g, [start])
+            goals = rng.sample(vs, min(rng.randint(1, 3), len(vs)))
+            allowed = None if rng.random() < 0.3 else _random_subset(rng, vs) + [start]
+            assert shortest_path(g, start, goals, allowed) == reference_shortest_path(
+                g, start, goals, allowed
+            ), (g.edges(), start, goals, allowed)

@@ -13,12 +13,14 @@ from clawham.constructions import (
     wheel_graph,
 )
 from clawham.errors import DomainError
-from clawham.graph import FiniteGraph
+from clawham.graph import FiniteGraph, is_connected
 from clawham.predicates import (
+    claw_at,
     is_chordal,
     is_claw_free,
     is_locally_connected,
     is_two_connected,
+    neighborhood_components,
 )
 from helpers import (
     chordal_oracle,
@@ -27,6 +29,13 @@ from helpers import (
     check_local_connectivity_witness,
     has_induced_claw_oracle,
     locally_connected_oracle,
+    reference_claw_at,
+    reference_is_chordal,
+    reference_is_claw_free,
+    reference_is_locally_connected,
+    reference_is_two_connected,
+    reference_neighborhood_components,
+    seeded_random_graphs,
     two_connected_oracle,
 )
 
@@ -137,3 +146,69 @@ def test_deterministic_witness_order():
     assert is_claw_free(g).witness == is_claw_free(g).witness
     # ascending center, lexicographic triple: center 0 comes first
     assert is_claw_free(g).witness[0] == 0
+
+
+# -- differential tests against the previous implementations ------------------
+
+REFERENCES = {
+    "claw_free": (is_claw_free, reference_is_claw_free),
+    "locally_connected": (is_locally_connected, reference_is_locally_connected),
+    "chordal": (is_chordal, reference_is_chordal),
+    "two_connected": (is_two_connected, reference_is_two_connected),
+}
+
+
+def _report(fn, g):
+    try:
+        return fn(g).to_json_obj()
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def assert_matches_references(g):
+    for name, (live, ref) in REFERENCES.items():
+        assert _report(live, g) == _report(ref, g), (name, g.edges())
+    for v in g.vertices:
+        assert claw_at(g, v) == reference_claw_at(g, v), (v, g.edges())
+        assert neighborhood_components(g, v) == reference_neighborhood_components(g, v)
+
+
+def test_reports_match_references_exhaustive(small_graphs):
+    """Full reports (holds, witness, note) on every graph with n <= 7."""
+    for n in range(1, 8):
+        for g in small_graphs[n]:
+            assert_matches_references(g)
+
+
+def test_reports_match_references_random():
+    graphs = seeded_random_graphs()
+    assert any(not is_connected(g) for g in graphs)
+    assert any(is_chordal(g).holds and g.edge_count() > len(g) for g in graphs)
+    assert any(is_claw_free(g).holds and g.edge_count() > len(g) for g in graphs)
+    for g in graphs:
+        assert_matches_references(g)
+
+
+def test_two_connected_root_is_the_cut_vertex():
+    bowtie = FiniteGraph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    rep = is_two_connected(bowtie)
+    assert rep.to_json_obj() == {"holds": False, "witness": [0], "note": "cutvertex 0"}
+
+
+def test_two_connected_minimum_cut_vertex_found_last():
+    # The depth-first search from 0 descends 0-1-6-3-4-2 and settles the
+    # deepest cut vertices first: 4, 3, 6, and the minimum, 1, last.
+    g = FiniteGraph(range(7), [(0, 1), (1, 5), (1, 6), (5, 6), (6, 3), (3, 4), (4, 2)])
+    assert is_two_connected(g).to_json_obj() == {
+        "holds": False, "witness": [1], "note": "cutvertex 1"}
+
+
+def test_two_connected_blocks_joined_by_a_bridge():
+    g = FiniteGraph(range(6), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    assert is_two_connected(g).to_json_obj() == {
+        "holds": False, "witness": [2], "note": "cutvertex 2"}
+
+
+def test_two_connected_long_path_needs_no_recursion():
+    rep = is_two_connected(path_graph(20000))
+    assert not rep.holds and rep.witness == (1,)

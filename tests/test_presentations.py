@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from clawham import presentations
 from clawham.errors import DomainError, GraphInputError
 from clawham.graph import is_connected
 from clawham.predicates import claw_at, is_claw_free, locally_connected_at
@@ -68,3 +69,12 @@ def test_interior_vertices_have_full_neighborhoods():
         oracle_nbrs = set(pres.neighbors(ball.label_of(v)))
         ball_nbrs = {ball.label_of(u) for u in ball.graph.neighbors(v)}
         assert oracle_nbrs == ball_nbrs
+
+
+def test_ball_over_the_vertex_budget_is_refused(monkeypatch):
+    pres = preset("double-ray-square")
+    assert len(pres.extract_ball(10).graph) == 41
+    monkeypatch.setattr(presentations, "MAX_BALL_VERTICES", 40)
+    with pytest.raises(DomainError, match="exceeds 40 vertices"):
+        pres.extract_ball(10)
+    assert len(pres.extract_ball(9).graph) == 37
