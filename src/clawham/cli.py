@@ -38,6 +38,14 @@ def _read_text(path: str | None) -> str:
         raise GraphInputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GraphInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph(path: str | None) -> FiniteGraph:
     return parse_graph(_read_text(path))
 
@@ -62,9 +70,7 @@ def cmd_hamilton(args) -> int:
     cert = finite_hamilton(g)
     obj = cert.to_json_obj()
     if args.certificate_out:
-        with open(args.certificate_out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.certificate_out, json.dumps(obj, sort_keys=True) + "\n")
     _emit(obj)
     return 0
 
@@ -98,14 +104,13 @@ def cmd_infinite_run(args) -> int:
     state = run(pres, rounds=args.rounds, radius=args.radius)
     report = check_extraction_conditions(state) if len(state.rounds) >= 2 else None
     if args.log_out:
-        with open(args.log_out, "w", encoding="utf-8") as fh:
-            for rec in state.to_json_lines():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        lines = (json.dumps(rec, sort_keys=True) + "\n" for rec in state.to_json_lines())
+        _write_text(args.log_out, "".join(lines))
     if args.stable_dot:
         stable = set(report.stable_edges) if report else set()
         other = set(e for c in state.cycles() for e in c.edge_set()) - stable
-        with open(args.stable_dot, "w", encoding="utf-8") as fh:
-            fh.write(graph_to_dot(state.graph, highlight_edges=stable, dashed_edges=other))
+        dot = graph_to_dot(state.graph, highlight_edges=stable, dashed_edges=other)
+        _write_text(args.stable_dot, dot)
     payload = {
         "preset": pres.name,
         "radius": args.radius,
@@ -131,7 +136,7 @@ def cmd_gen(args) -> int:
         g = family(args.n) if args.n is not None else family()
     except TypeError as exc:
         raise GraphInputError(f"family {args.family!r} and n={args.n} mismatch: {exc}") from exc
-    if args.power and args.power > 1:
+    if args.power is not None:
         g = graph_power(g, args.power)
     if args.line:
         g = line_graph(g).graph

@@ -601,8 +601,9 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     state = RunState(ball, c0, [])
     cycle = c0
     prev_sep: tuple[int, ...] | None = None
-    for m in range(1, rounds + 1):
+    if rounds >= 1:
         _stability_gate(ball)
+    for m in range(1, rounds + 1):
         fringe = set(neighborhood_k(g, cycle.order, 2)) | cycle.vertex_set
         if fringe & set(ball.boundary):
             deepest = max(ball.depth_of(v) for v in cycle.order)

@@ -16,102 +16,88 @@ from .graph import (
     CycleEmbedding,
     FiniteGraph,
     VertexSet,
+    bfs,
     components_within,
     neighborhood_k,
 )
 
 
+def _minimal_split(g: FiniteGraph, ss: frozenset[int]) -> tuple[VertexSet, ...] | None:
+    """Components of g - ss if ss is an inclusion-minimal separator, else None."""
+    comps = components_within(g, [v for v in g.vertices if v not in ss])
+    if not ss or len(comps) < 2:
+        return None
+    owner = {v: i for i, comp in enumerate(comps) for v in comp}
+    for v in ss:
+        if len({owner[u] for u in g.neighbors(v) if u in owner}) < len(comps):
+            return None
+    return comps
+
+
 def is_minimal_separator(g: FiniteGraph, s) -> bool:
-    """Inclusion-minimal vertex set whose removal disconnects the graph."""
-    ss = g.require_subset(s)
-    if not ss or len(ss) >= len(g):
-        return False
-    rest = [v for v in g.vertices if v not in ss]
-    if not rest or len(components_within(g, rest)) < 2:
-        return False
-    for v in sorted(ss):
-        sub = [u for u in g.vertices if u not in ss or u == v]
-        if len(components_within(g, sub)) >= 2:
-            return False
-    return True
+    """Inclusion-minimal vertex set whose removal disconnects the graph.
+
+    A nonempty S is one exactly when G - S has two or more components and
+    each v in S has a neighbor in every one of them: then G - T is connected
+    for each proper subset T, through any v in S - T; and if v misses a
+    component K, K stays a component of G - (S - {v}), which still separates.
+    """
+    return _minimal_split(g, g.require_subset(s)) is not None
 
 
 def minimal_separator_components(g: FiniteGraph, s) -> tuple[VertexSet, ...]:
     """Components of g - s for a minimal separator s.
 
-    For claw-free graphs there are exactly two; three or more would force an
-    induced claw at some separator vertex, which is reported as the witness.
+    For claw-free graphs there are exactly two.  Every vertex of a minimal
+    separator has a neighbor in each component, so with three or more the
+    smallest separator vertex and its least neighbors in the first three
+    components form an induced claw, which is reported as the witness.
     """
     ss = g.require_subset(s)
-    if not is_minimal_separator(g, ss):
+    comps = _minimal_split(g, ss)
+    if comps is None:
         raise DomainError(f"{sorted(ss)} is not an inclusion-minimal separator")
-    rest = [v for v in g.vertices if v not in ss]
-    comps = components_within(g, rest)
     if len(comps) > 2:
-        for v in sorted(ss):
-            hits = []
-            for comp in comps:
-                nb = sorted(set(g.neighbors(v)) & set(comp))
-                if nb:
-                    hits.append(nb[0])
-            if len(hits) >= 3:
-                raise InternalConsistencyError(
-                    "minimal separator leaves more than two components, "
-                    "so the graph cannot be claw-free",
-                    witness=tuple(sorted([v] + hits[:3])),
-                )
+        v = min(ss)
+        nbrs = g.neighbor_set(v)
+        hits = [min(nbrs.intersection(comp)) for comp in comps[:3]]
         raise InternalConsistencyError(
-            "minimal separator leaves more than two components"
-        )  # pragma: no cover - minimality forces a 3-component vertex
+            "minimal separator leaves more than two components, "
+            "so the graph cannot be claw-free",
+            witness=tuple(sorted([v] + hits)),
+        )
     return comps
 
 
 def separates(g: FiniteGraph, blocker, sources, targets) -> bool:
     """True when every path from sources to targets passes through blocker."""
     blocked = frozenset(blocker)
-    src = [v for v in sources if v not in blocked]
     tgs = frozenset(targets) - blocked
-    if not src or not tgs:
-        return True
-    seen = set(src)
-    stack = list(src)
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in blocked or w in seen:
-                continue
-            if w in tgs:
-                return False
-            seen.add(w)
-            stack.append(w)
-    return True
+    allowed = frozenset(g.vertices) - blocked
+    src = [v for v in sources if v not in blocked]
+    return not any(v in tgs for v, _, _ in bfs(g, src, within=allowed))
 
 
 def shrink_to_minimal_ray_separator(
     g: FiniteGraph, c: CycleEmbedding, boundary
 ) -> VertexSet:
-    """Shrink N(V(c)) to an inclusion-minimal set separating c from the
-    boundary layer.
+    """The inclusion-minimal subset of X = N(V(c)) separating c from the
+    boundary layer: N(R), for R the vertices reached from the boundary in G - X.
 
-    Removal is attempted in ascending id order and greedily kept when the
-    remainder still separates, which makes the result deterministic.
+    N(R) lies in X (R misses the cycle, and a neighbor of R outside X is in
+    R), and every path from the boundary to the cycle leaves R through it, so
+    N(R) separates.  Each v in N(R) is on a path cycle - v - R - boundary that
+    meets X only at v, so every separating subset of X contains N(R).
     """
     bset = g.require_subset(boundary)
     cset = c.vertex_set
     if bset & cset:
         raise DomainError("the cycle touches the boundary layer")
-    candidate = set(neighborhood_k(g, cset, 1))
-    if bset & candidate:
+    x = frozenset(neighborhood_k(g, cset, 1))
+    if bset & x:
         raise DomainError("the boundary layer is adjacent to the cycle")
-    if not separates(g, candidate, cset, bset):
-        raise DomainError(
-            "the cycle neighborhood does not separate the cycle from the boundary"
-        )  # pragma: no cover - impossible once boundary is disjoint from N(c)
-    for v in sorted(candidate):
-        trial = candidate - {v}
-        if separates(g, trial, cset, bset):
-            candidate = trial
-    return tuple(sorted(candidate))
+    beyond = bfs(g, bset, within=frozenset(g.vertices) - x)
+    return tuple(sorted({u for v, _, _ in beyond for u in g.neighbors(v) if u in x}))
 
 
 @dataclass(frozen=True)

@@ -593,3 +593,84 @@ def seeded_random_graphs(seed: int = 2024) -> list[FiniteGraph]:
         if 0 < src.edge_count() <= 60:
             out.append(line_graph(src).graph)
     return out
+
+
+# -- reference separators --------------------------------------------------------
+#
+# The trial-and-error separator code the package used before the closed
+# forms: a depth-first ``separates``, the greedy shrink that drops each
+# candidate in ascending id order while the rest still separates, and the
+# minimality test that puts back one separator vertex at a time.
+
+
+def reference_separates(g: FiniteGraph, blocker, sources, targets) -> bool:
+    blocked = frozenset(blocker)
+    src = [v for v in sources if v not in blocked]
+    tgs = frozenset(targets) - blocked
+    if not src or not tgs:
+        return True
+    seen = set(src)
+    stack = list(src)
+    while stack:
+        u = stack.pop()
+        for w in g.neighbors(u):
+            if w in blocked or w in seen:
+                continue
+            if w in tgs:
+                return False
+            seen.add(w)
+            stack.append(w)
+    return True
+
+
+def reference_shrink(g: FiniteGraph, c: CycleEmbedding, boundary) -> tuple[int, ...]:
+    bset = g.require_subset(boundary)
+    cset = c.vertex_set
+    if bset & cset:
+        raise DomainError("the cycle touches the boundary layer")
+    candidate = set(neighborhood_k(g, cset, 1))
+    if bset & candidate:
+        raise DomainError("the boundary layer is adjacent to the cycle")
+    if not reference_separates(g, candidate, cset, bset):
+        raise DomainError("the cycle neighborhood does not separate")
+    for v in sorted(candidate):
+        trial = candidate - {v}
+        if reference_separates(g, trial, cset, bset):
+            candidate = trial
+    return tuple(sorted(candidate))
+
+
+def reference_is_minimal_separator(g: FiniteGraph, s) -> bool:
+    ss = g.require_subset(s)
+    if not ss or len(ss) >= len(g):
+        return False
+    rest = [v for v in g.vertices if v not in ss]
+    if not rest or len(reference_components_within(g, rest)) < 2:
+        return False
+    for v in sorted(ss):
+        sub = [u for u in g.vertices if u not in ss or u == v]
+        if len(reference_components_within(g, sub)) >= 2:
+            return False
+    return True
+
+
+def reference_minimal_separator_components(g: FiniteGraph, s):
+    ss = g.require_subset(s)
+    if not reference_is_minimal_separator(g, ss):
+        raise DomainError(f"{sorted(ss)} is not an inclusion-minimal separator")
+    comps = reference_components_within(g, [v for v in g.vertices if v not in ss])
+    if len(comps) > 2:
+        for v in sorted(ss):
+            hits = []
+            for comp in comps:
+                nb = sorted(set(g.neighbors(v)) & set(comp))
+                if nb:
+                    hits.append(nb[0])
+            if len(hits) >= 3:
+                raise InternalConsistencyError(
+                    "minimal separator leaves more than two components, "
+                    "so the graph cannot be claw-free",
+                    witness=tuple(sorted([v] + hits[:3])),
+                )
+        raise InternalConsistencyError("minimal separator leaves more than two components")
+    return comps

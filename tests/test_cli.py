@@ -6,9 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from clawham.cli import main
 from clawham.graphio import graph_to_json
-from clawham.constructions import complete_multipartite, cycle_graph, star_graph, wheel_graph
+from clawham.constructions import (
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    star_graph,
+    wheel_graph,
+)
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -157,6 +165,38 @@ def test_gen_power_and_line_flags(capsys):
     code, out, _ = run_cli(capsys, "gen", "complete", "3", "--line")
     obj = json.loads(out)
     assert len(obj["vertices"]) == 3 and len(obj["edges"]) == 3
+
+
+@pytest.mark.parametrize("power", ["0", "-2"])
+def test_gen_rejects_power_below_one(capsys, power):
+    code, out, err = run_cli(capsys, "gen", "path", "6", "--power", power)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_gen_power_one_is_the_graph_itself(capsys):
+    _, plain, _ = run_cli(capsys, "gen", "wheel", "5")
+    code, out, _ = run_cli(capsys, "gen", "wheel", "5", "--power", "1")
+    assert code == 0 and out == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("hamilton", "{graph}", "--certificate-out", "{out}"),
+    ("infinite", "run", "--preset", "ray-square", "--rounds", "2", "--radius", "20",
+     "--log-out", "{out}"),
+    ("infinite", "run", "--preset", "ray-square", "--rounds", "2", "--radius", "20",
+     "--stable-dot", "{out}"),
+], ids=["certificate-out", "log-out", "stable-dot"])
+def test_unwritable_output_path_is_status_2(tmp_path, capsys, argv):
+    graph = tmp_path / "k5.json"
+    graph.write_text(graph_to_json(complete_graph(5)))
+    out_path = tmp_path / "missing" / "out"
+    code, out, err = run_cli(
+        capsys, *(a.format(graph=graph, out=out_path) for a in argv)
+    )
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "GraphInputError" and "cannot write" in payload["message"]
 
 
 def test_payloads_are_byte_identical_across_runs(tmp_path, capsys):

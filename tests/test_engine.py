@@ -151,6 +151,19 @@ def test_run_zero_rounds():
     assert set(neighborhood_k(g, [0], 1)) <= seed_pool
 
 
+@pytest.mark.parametrize("rounds, calls", [(3, 1), (0, 0)])
+def test_run_checks_end_stability_once(monkeypatch, rounds, calls):
+    """The ball never changes during a run, so its stability gate runs once,
+    and not at all when no round is requested."""
+    import clawham.engine as engine
+
+    seen = []
+    gate = engine._stability_gate
+    monkeypatch.setattr(engine, "_stability_gate", lambda ball: seen.append(gate(ball)))
+    small_run(rounds=rounds, radius=30)
+    assert len(seen) == calls
+
+
 def test_run_cycles_nest_and_grow():
     state = small_run(rounds=2)
     cycles = state.cycles()

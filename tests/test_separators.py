@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from clawham.constructions import cycle_graph, glued_triangles, path_graph
-from clawham.errors import DomainError
-from clawham.graph import CycleEmbedding, FiniteGraph
+from clawham.engine import run
+from clawham.errors import ClawhamError, DomainError
+from clawham.graph import CycleEmbedding, FiniteGraph, components_within
 from clawham.predicates import is_claw_free
+from clawham.presentations import PRESET_NAMES, preset
 from clawham.separators import (
     check_complete_neighborhood,
     decompose,
@@ -15,7 +20,21 @@ from clawham.separators import (
     shrink_to_minimal_ray_separator,
 )
 from conftest import double_ray_square_truncation
-from helpers import brute_minimal_separators
+from helpers import (
+    brute_minimal_separators,
+    reference_is_minimal_separator,
+    reference_minimal_separator_components,
+    reference_separates,
+    reference_shrink,
+)
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the class, message and witness it raised."""
+    try:
+        return f(*args)
+    except ClawhamError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
 
 
 def test_minimal_separator_components_paths_and_gluings():
@@ -162,3 +181,94 @@ def test_is_minimal_separator_agrees_with_bruteforce(connected_small_graphs):
         for r in range(1, 4):
             for sub in combinations(g.vertices, r):
                 assert is_minimal_separator(g, sub) == (frozenset(sub) in brute)
+
+
+# -- closed forms against the trial-and-error references ---------------------
+
+
+def test_separates_sees_a_source_that_is_a_target():
+    assert separates(path_graph(3), [], [0], [0]) is False
+    assert separates(path_graph(3), [0], [0], [0]) is True
+
+
+def random_graph(rng: random.Random, n: int) -> FiniteGraph:
+    p = rng.choice((0.03, 0.08, 0.15, 0.3, 0.6, 0.9))
+    return FiniteGraph(
+        range(n), [(a, b) for a, b in combinations(range(n), 2) if rng.random() < p]
+    )
+
+
+def test_separates_matches_reference_on_random_inputs():
+    rng = random.Random(11)
+    for _ in range(1000):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n)
+        verts = rng.sample(range(n), n)
+        cut_a, cut_b = sorted(rng.sample(range(1, n + 1), 2))
+        sources, targets = verts[:cut_a], verts[cut_a:cut_b]
+        blocker = rng.sample(range(n), rng.randint(0, n // 2))
+        assert separates(g, blocker, sources, targets) == reference_separates(
+            g, blocker, sources, targets
+        )
+
+
+def test_shrink_matches_greedy_reference_on_random_triples():
+    """Empty boundaries, boundaries beyond N(c), some with vertices in
+    components the cycle cannot reach, and boundaries that break a
+    precondition."""
+    rng = random.Random(5)
+    unreachable = nonempty = 0
+    for i in range(1200):
+        n = rng.randint(3, 40)
+        g = random_graph(rng, n)
+        c = CycleEmbedding(rng.sample(range(n), 3))
+        kind = i % 3
+        if kind == 0:
+            boundary = []
+        elif kind == 1:
+            far = [v for v in range(n) if not (g.neighbor_set(v) | {v}) & c.vertex_set]
+            boundary = rng.sample(far, rng.randint(0, len(far)))
+            comps = components_within(g, range(n))
+            cycle_side = {v for comp in comps if set(comp) & c.vertex_set for v in comp}
+            unreachable += bool(set(boundary) - cycle_side)
+        else:
+            boundary = rng.sample(range(n), rng.randint(1, 3))
+        got = outcome(shrink_to_minimal_ray_separator, g, c, boundary)
+        assert got == outcome(reference_shrink, g, c, boundary)
+        nonempty += kind == 1 and bool(got)
+    assert unreachable > 50 and nonempty > 100
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_shrink_matches_greedy_reference_on_every_round(name):
+    state = run(preset(name), rounds=5, radius=70)
+    boundary = state.ball.boundary
+    for cycle, record in zip(state.cycles()[:-1], state.rounds):
+        sep = shrink_to_minimal_ray_separator(state.graph, cycle, boundary)
+        assert sep == reference_shrink(state.graph, cycle, boundary)
+        assert sep == record.dec.separator
+
+
+def test_shrink_preconditions_raise_as_before():
+    g, ids = double_ray_square_truncation(0, 10)
+    c = CycleEmbedding([ids[2], ids[3], ids[4]])
+    for boundary in ([ids[4], ids[10]], [ids[5], ids[10]]):
+        got = outcome(shrink_to_minimal_ray_separator, g, c, boundary)
+        assert got[0] is DomainError
+        assert got == outcome(reference_shrink, g, c, boundary)
+
+
+def test_minimality_matches_reference_on_every_subset(small_graphs):
+    pairs = 0
+    for n in range(1, 7):
+        for g in small_graphs[n]:
+            for mask in range(1 << n):
+                sub = [v for v in g.vertices if mask >> v & 1]
+                minimal = is_minimal_separator(g, sub)
+                assert minimal == reference_is_minimal_separator(g, sub)
+                pairs += 1
+                if minimal:
+                    assert outcome(minimal_separator_components, g, sub) == outcome(
+                        reference_minimal_separator_components, g, sub
+                    )
+    assert pairs == 11290
