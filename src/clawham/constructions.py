@@ -4,11 +4,20 @@ exhaustive isomorphism-free generator for small graphs.
 The generator grows graphs one vertex at a time and deduplicates through a
 canonical adjacency form (color refinement plus individualization search),
 so each isomorphism class appears exactly once and in a stable order.
+
+The search is pruned by the automorphisms it finds (McKay & Piperno,
+*Practical graph isomorphism II*, 2014).  Two leaves with equal bit strings
+give an automorphism g; a child v of a node with individualized prefix
+(v1..vk) is skipped when such automorphisms fixing v1..vk carry an explored
+sibling to v.  g maps the sibling's subtree onto v's leaf by leaf and keeps
+each leaf's bit string, so v's subtree holds no smaller value and the key is
+the one the full search gives.  Growth keys one attachment set per orbit of
+the parent's found automorphisms (McKay, *Isomorph-free exhaustive
+generation*, 1998): sets in one orbit give isomorphic children.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -153,28 +162,79 @@ NAMED_GRAPHS = {
 # -- canonical enumeration ---------------------------------------------------
 
 
-def _refine(n: int, nbrs: list[tuple[int, ...]], colors: tuple[int, ...]) -> tuple[int, ...]:
+def _refine(
+    n: int, nbrs: list[tuple[int, ...]], colors: tuple[int, ...], cells: int
+) -> tuple[tuple[int, ...], int]:
+    """Equitable refinement of ``colors``, which has ``cells`` distinct
+    values, and its number of cells.
+
+    Each pass recolors a vertex by its color and the sorted colors of its
+    neighbors.  That refines the partition, so the first pass that adds no
+    cell leaves it stable and ends the loop.  The colors returned need not
+    be 0..k-1; callers compare them only by order, and every pass keeps it.
+    """
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)
-        ]
-        mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(mapping[s] for s in sigs)
-        if new == colors:
-            return colors
-        colors = new
+        sigs = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
+        order = sorted(set(sigs))
+        if len(order) == cells:
+            return colors, cells
+        mapping = {s: i for i, s in enumerate(order)}
+        colors = tuple([mapping[s] for s in sigs])
+        cells = len(order)
 
 
-def canonical_key(n: int, adj_masks: list[int]) -> int:
+def _neighbor_lists(n: int, adj_masks: list[int]) -> list[tuple[int, ...]]:
+    """Neighbor tuples of a simple graph given as adjacency bit masks."""
+    if len(adj_masks) != n:
+        raise DomainError(f"need {n} adjacency masks, got {len(adj_masks)}")
+    nbrs = []
+    for v, mask in enumerate(adj_masks):
+        if mask < 0 or mask >> n:
+            raise DomainError(f"adjacency mask of vertex {v} has a bit outside 0..{n - 1}")
+        if mask >> v & 1:
+            raise DomainError(f"self-loop at vertex {v}")
+        row = tuple(u for u in range(n) if mask >> u & 1)
+        for u in row:
+            if not adj_masks[u] >> v & 1:
+                raise DomainError(f"adjacency masks are not symmetric: {v} -> {u} only")
+        nbrs.append(row)
+    return nbrs
+
+
+def canonical_key(
+    n: int, adj_masks: list[int], automorphisms: list[tuple[int, ...]] | None = None
+) -> int:
     """Canonical upper-triangle adjacency bits, as an integer.
 
-    Works by color refinement and branching on the first non-singleton color
-    class; the result is invariant under relabeling.
+    ``adj_masks[v]`` holds bit u when u ~ v; the masks must describe a simple
+    graph on 0..n-1 (DomainError otherwise).  The search refines colors to an
+    equitable partition, individualizes each vertex of the first
+    non-singleton cell in turn, and refines again; every leaf of this tree
+    orders the vertices, and the key is the least upper-triangle bit string
+    over the leaves.  Refinement and the cell rule commute with relabeling,
+    so the key is invariant under it.
+
+    Automorphism pruning: when a leaf ties with the best leaf so far, the
+    map best_perm[i] -> perm[i] is an automorphism and is kept.  At a node
+    whose individualized prefix is (v1..vk), a child v is skipped when the
+    kept automorphisms that fix v1..vk pointwise carry an explored sibling w
+    to v.  The key is unchanged: such an automorphism g maps the node
+    (v1..vk, w) to (v1..vk, v), so it maps every leaf order perm below w to
+    the leaf order g(perm) below v, and g(perm) has the same bit string as
+    perm because g preserves adjacency.  The subtree below v therefore holds
+    no value smaller than the one below w, which the search has seen.
+
+    If ``automorphisms`` is a list, the kept automorphisms are appended to
+    it, relabeled onto ``_graph_from_key(n, key)``: entry i of each tuple is
+    the image of vertex i.  They generate a subgroup of its automorphism
+    group, possibly a proper one.
     """
-    if n == 1:
+    nbrs = _neighbor_lists(n, adj_masks)
+    if n <= 1:
         return 0
-    nbrs = [tuple(u for u in range(n) if adj_masks[v] >> u & 1) for v in range(n)]
-    best: int | None = None
+    best = -1
+    best_perm: list[int] = []
+    found: list[tuple[int, ...]] = []
 
     def leaf_value(perm: list[int]) -> int:
         bits = 0
@@ -184,30 +244,45 @@ def canonical_key(n: int, adj_masks: list[int]) -> int:
                 bits = (bits << 1) | (row >> perm[j] & 1)
         return bits
 
-    def descend(colors: tuple[int, ...]) -> None:
-        nonlocal best
-        cells: dict[int, list[int]] = defaultdict(list)
-        for v in range(n):
-            cells[colors[v]].append(v)
-        target = None
-        for color in sorted(cells):
-            if len(cells[color]) > 1:
-                target = cells[color]
-                break
-        if target is None:
+    def descend(colors: tuple[int, ...], cells: int, prefix: tuple[int, ...]) -> None:
+        nonlocal best, best_perm
+        if cells == n:
             perm = sorted(range(n), key=colors.__getitem__)
             value = leaf_value(perm)
-            if best is None or value < best:
-                best = value
+            if best < 0 or value < best:
+                best, best_perm = value, perm
+            elif value == best:
+                image = [0] * n
+                for u, w in zip(best_perm, perm):
+                    image[u] = w
+                found.append(tuple(image))
             return
+        cell_color = min(c for c in set(colors) if colors.count(c) > 1)
+        target = [v for v in range(n) if colors[v] == cell_color]
+        # explored children and their images under the found automorphisms
+        # that fix the prefix
+        covered: set[int] = set()
         for v in target:
-            split = tuple(
-                c * 2 if u != v else c * 2 - 1 for u, c in zip(range(n), colors)
-            )
-            descend(_refine(n, nbrs, split))
+            if v in covered:
+                continue
+            split = tuple(c * 2 if u != v else c * 2 - 1 for u, c in enumerate(colors))
+            descend(*_refine(n, nbrs, split, cells + 1), prefix + (v,))
+            covered.add(v)
+            gens = [g for g in found if all(g[x] == x for x in prefix)]
+            stack = list(covered)
+            while stack:
+                u = stack.pop()
+                for g in gens:
+                    if g[u] not in covered:
+                        covered.add(g[u])
+                        stack.append(g[u])
 
-    descend(_refine(n, nbrs, tuple(0 for _ in range(n))))
-    assert best is not None
+    descend(*_refine(n, nbrs, (0,) * n, 1), ())
+    if automorphisms is not None:
+        position = [0] * n
+        for i, u in enumerate(best_perm):
+            position[u] = i
+        automorphisms.extend(tuple(position[g[u]] for u in best_perm) for g in found)
     return best
 
 
@@ -224,28 +299,71 @@ def _graph_from_key(n: int, key: int) -> FiniteGraph:
 
 _ENUM_CACHE: dict[int, list[FiniteGraph]] = {}
 _KEY_CACHE: dict[int, list[int]] = {1: [0]}
+# key -> automorphisms of _graph_from_key(n, key) that its search found, for
+# the largest n built so far; the next level uses them to skip attachments.
+_AUTOMORPHISMS: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+
+
+def _attachment_orbits(m: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The least subset mask of each orbit of subsets of 0..m-1 under the
+    group ``gens`` generates, ascending."""
+    size = 1 << m
+    if not gens:
+        return list(range(size))
+    images = []
+    for g in gens:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    reps = []
+    for mask in range(size):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
 
 
 def _keys_for(n: int) -> list[int]:
+    """Canonical keys of all graphs on n vertices, ascending.
+
+    Each graph on n - 1 vertices gets a new vertex n - 1 joined to every
+    subset of the old ones.  Subsets in one orbit of the parent's known
+    automorphisms give isomorphic children, so one per orbit is keyed.
+    """
     if n in _KEY_CACHE:
         return _KEY_CACHE[n]
     prev = _keys_for(n - 1)
-    found: set[int] = set()
+    parent_autos = _AUTOMORPHISMS.pop(n - 1, {})
+    found: dict[int, list[tuple[int, ...]]] = {}
     for key in prev:
         base = _graph_from_key(n - 1, key)
         masks = [0] * n
         for u, v in base.edges():
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        for attach in range(1 << (n - 1)):
+        for attach in _attachment_orbits(n - 1, parent_autos.get(key, [])):
             masks2 = list(masks)
             masks2[n - 1] = attach
             for u in range(n - 1):
                 if attach >> u & 1:
                     masks2[u] |= 1 << (n - 1)
-            found.add(canonical_key(n, masks2))
+            autos: list[tuple[int, ...]] = []
+            found.setdefault(canonical_key(n, masks2, autos), autos)
     keys = sorted(found)
     _KEY_CACHE[n] = keys
+    _AUTOMORPHISMS[n] = found
     return keys
 
 
@@ -259,6 +377,7 @@ def enumerate_graphs(n: int) -> list[FiniteGraph]:
 
 
 def enumerate_connected_graphs(n: int) -> list[FiniteGraph]:
+    """The connected graphs of ``enumerate_graphs(n)``, in the same order."""
     from .graph import is_connected
 
     return [g for g in enumerate_graphs(n) if is_connected(g)]

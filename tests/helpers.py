@@ -6,7 +6,7 @@ own search logic, so a bug in the package cannot hide in the tests.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from itertools import combinations
 
 from clawham.errors import DomainError, InternalConsistencyError, ProgressError
@@ -674,3 +674,67 @@ def reference_minimal_separator_components(g: FiniteGraph, s):
                 )
         raise InternalConsistencyError("minimal separator leaves more than two components")
     return comps
+
+
+# -- reference canonical form ----------------------------------------------------
+#
+# The canonical form the package used before automorphism pruning: the whole
+# individualization tree is searched, and refinement ends with a renaming pass.
+
+
+def reference_refine(n: int, nbrs: list[tuple[int, ...]], colors: tuple[int, ...]) -> tuple[int, ...]:
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)
+        ]
+        mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(mapping[s] for s in sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical_key(n: int, adj_masks: list[int]) -> int:
+    """Canonical upper-triangle adjacency bits, as an integer.
+
+    Works by color refinement and branching on the first non-singleton color
+    class; the result is invariant under relabeling.
+    """
+    if n == 1:
+        return 0
+    nbrs = [tuple(u for u in range(n) if adj_masks[v] >> u & 1) for v in range(n)]
+    best: int | None = None
+
+    def leaf_value(perm: list[int]) -> int:
+        bits = 0
+        for i in range(n):
+            row = adj_masks[perm[i]]
+            for j in range(i + 1, n):
+                bits = (bits << 1) | (row >> perm[j] & 1)
+        return bits
+
+    def descend(colors: tuple[int, ...]) -> None:
+        nonlocal best
+        cells: dict[int, list[int]] = defaultdict(list)
+        for v in range(n):
+            cells[colors[v]].append(v)
+        target = None
+        for color in sorted(cells):
+            if len(cells[color]) > 1:
+                target = cells[color]
+                break
+        if target is None:
+            perm = sorted(range(n), key=colors.__getitem__)
+            value = leaf_value(perm)
+            if best is None or value < best:
+                best = value
+            return
+        for v in target:
+            split = tuple(
+                c * 2 if u != v else c * 2 - 1 for u, c in zip(range(n), colors)
+            )
+            descend(reference_refine(n, nbrs, split))
+
+    descend(reference_refine(n, nbrs, tuple(0 for _ in range(n))))
+    assert best is not None
+    return best

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
+from clawham import constructions
 from clawham.constructions import (
     canonical_key,
     complete_graph,
+    complete_multipartite,
     cube_graph,
     cycle_graph,
+    enumerate_graphs,
     graph_power,
     line_graph,
     path_graph,
@@ -18,7 +24,17 @@ from clawham.constructions import (
 from clawham.errors import DomainError
 from clawham.graph import FiniteGraph, is_connected
 from clawham.predicates import is_claw_free, is_locally_connected
-from helpers import bfs_distance_oracle, adjacency_dict
+from helpers import adjacency_dict, bfs_distance_oracle, reference_canonical_key
+
+
+def masks_of(g: FiniteGraph, perm=None) -> list[int]:
+    """Adjacency bit masks of g on 0..n-1, with vertex v renamed perm[v]."""
+    perm = perm or list(range(len(g)))
+    masks = [0] * len(g)
+    for u, v in g.edges():
+        masks[perm[u]] |= 1 << perm[v]
+        masks[perm[v]] |= 1 << perm[u]
+    return masks
 
 
 def test_power_examples():
@@ -69,21 +85,133 @@ def test_line_graph_rejects_edgeless():
 
 def test_enumeration_counts_match_literature(small_graphs):
     # numbers of graphs / connected graphs per vertex count, up to isomorphism
-    assert [len(small_graphs[n]) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
-    connected = [len([g for g in small_graphs[n] if is_connected(g)]) for n in range(1, 8)]
-    assert connected == [1, 1, 2, 6, 21, 112, 853]
+    graphs = {**small_graphs, 8: enumerate_graphs(8)}
+    assert [len(graphs[n]) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    connected = [len([g for g in graphs[n] if is_connected(g)]) for n in range(1, 9)]
+    assert connected == [1, 1, 2, 6, 21, 112, 853, 11117]
+
+
+def test_enumeration_on_eight_vertices_is_pinned():
+    # SHA-256 of the n = 8 key list as the unpruned search produced it
+    digest = hashlib.sha256(repr(constructions._keys_for(8)).encode()).hexdigest()
+    assert digest == "728bc1276dd89fb7d6706013da92ab6e1d532f14c446b0ec86028d90f694153d"
 
 
 def test_enumeration_is_isomorphism_free(small_graphs):
-    for n in (4, 5):
-        keys = set()
-        for g in small_graphs[n]:
-            masks = [0] * n
-            for u, v in g.edges():
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            keys.add(canonical_key(n, masks))
+    for n in range(1, 8):
+        keys = {canonical_key(n, masks_of(g)) for g in small_graphs[n]}
         assert len(keys) == len(small_graphs[n])
+        for key in constructions._keys_for(n):
+            g = constructions._graph_from_key(n, key)
+            assert canonical_key(n, masks_of(g)) == key
+
+
+def test_canonical_key_matches_reference_on_every_small_graph(small_graphs):
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for g in small_graphs[n]:
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                masks = masks_of(g, perm)
+                assert canonical_key(n, masks) == reference_canonical_key(n, masks), (n, perm)
+
+
+def _disjoint_triangles(k: int) -> FiniteGraph:
+    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    return FiniteGraph(range(3 * k), edges)
+
+
+SYMMETRIC = {
+    **{f"empty-{n}": FiniteGraph(range(n), []) for n in range(1, 8)},
+    **{f"complete-{n}": complete_graph(n) for n in range(1, 8)},
+    "cycle-7": cycle_graph(7),
+    "k33": complete_multipartite(3, 3),
+    "k222": complete_multipartite(2, 2, 2),
+    "cube": cube_graph(),
+    "wheel-6": wheel_graph(6),
+    **{f"triangles-{k}": _disjoint_triangles(k) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_canonical_key_matches_reference_on_symmetric_graphs(name):
+    g = SYMMETRIC[name]
+    n = len(g)
+    rng = random.Random(n)
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        masks = masks_of(g, perm)
+        assert canonical_key(n, masks) == reference_canonical_key(n, masks)
+
+
+@pytest.mark.parametrize("name", [*SYMMETRIC, "petersen", "star-5"])
+def test_reported_automorphisms_fix_the_canonical_form(name):
+    g = {**SYMMETRIC, "petersen": petersen_graph(), "star-5": star_graph(5)}[name]
+    n = len(g)
+    perm = list(range(n))
+    random.Random(3).shuffle(perm)
+    autos: list[tuple[int, ...]] = []
+    key = canonical_key(n, masks_of(g, perm), autos)
+    canon = constructions._graph_from_key(n, key)
+    edges = set(canon.edges())
+    for a in autos:
+        assert sorted(a) == list(range(n))
+        assert {tuple(sorted((a[u], a[v]))) for u, v in edges} == edges
+    # The regular graphs here are vertex-transitive: the subtrees of the first
+    # two root children hold equal least leaves, so the search meets a tie.
+    if n > 1 and len({g.degree(v) for v in g.vertices}) == 1:
+        assert autos
+
+
+def test_attachment_orbits_match_brute_force(small_graphs):
+    from itertools import permutations
+
+    for n in range(1, 6):
+        for g in small_graphs[n]:
+            edges = set(g.edges())
+            group = [p for p in permutations(range(n))
+                     if {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges]
+
+            def image(p, mask):
+                return sum(1 << p[u] for u in range(n) if mask >> u & 1)
+
+            least = sorted({min(image(p, mask) for p in group) for mask in range(1 << n)})
+            assert constructions._attachment_orbits(n, group) == least
+            # one generator of largest order: its powers have to be followed
+            def powers(gen):
+                out, p = [], tuple(range(n))
+                while not out or p != out[0]:
+                    out.append(p)
+                    p = tuple(gen[x] for x in p)
+                return out
+
+            gen = max(group, key=lambda p: len(powers(p)))
+            cyclic = sorted({min(image(p, mask) for p in powers(gen)) for mask in range(1 << n)})
+            assert constructions._attachment_orbits(n, [gen]) == cyclic
+            found: list[tuple[int, ...]] = []
+            key = canonical_key(n, masks_of(g), found)
+            assert constructions._graph_from_key(n, key) == g
+            assert set(least) <= set(constructions._attachment_orbits(n, found))
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [
+        (3, [0b10]),  # too few masks
+        (2, [0b10, 0b01, 0]),  # too many masks
+        (3, [0b001, 0, 0]),  # self-loop
+        (2, [0b01, 0]),  # self-loop
+        (1, [0b1]),  # self-loop on one vertex
+        (2, [0b110, 0b001]),  # bit at n
+        (2, [-1, 0b01]),  # negative mask
+        (3, [0b010, 0, 0]),  # 0 -> 1 without 1 -> 0
+    ],
+)
+def test_canonical_key_rejects_malformed_masks(n, masks):
+    with pytest.raises(DomainError):
+        canonical_key(n, masks)
 
 
 def test_canonical_key_invariant_under_relabeling():
@@ -94,11 +222,7 @@ def test_canonical_key_invariant_under_relabeling():
     n = len(g)
 
     def key_of(perm):
-        masks = [0] * n
-        for u, v in g.edges():
-            masks[perm[u]] |= 1 << perm[v]
-            masks[perm[v]] |= 1 << perm[u]
-        return canonical_key(n, masks)
+        return canonical_key(n, masks_of(g, perm))
 
     base = key_of(list(range(n)))
     for _ in range(5):
