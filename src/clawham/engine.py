@@ -9,6 +9,16 @@ vertex set per end proxy; the pair must satisfy six machine-checkable
 properties (the engine's inductive invariant), and the sequence of rounds
 must satisfy five extraction conditions that certify, on the generated
 prefix, the shape of a limit circle through all ends.
+
+A round validates its input cycle once, then edits one live cycle and one
+dict of witness sets.  After every capture and finite-component splice,
+``_good_splice`` decides the six properties from the splice's footprint F
+(extension path plus base) and the old cycle-neighbors of F.  That costs
+O(k·|F|·deg) for k witness sets, plus a search inside a witness set in the
+one case that needs it, a set that sheds part of F; the search stops as soon
+as it has joined the set's neighbors of F.  At each part boundary and at
+the round end, the full ``check_good_tuple`` runs on a frozen copy, at
+O(k·(|C| + |M|) + k²) for cycle length |C| and witness-set sizes |M|.
 """
 
 from __future__ import annotations
@@ -20,11 +30,14 @@ from .errors import (
     DomainError,
     HypothesisError,
     InternalConsistencyError,
+    ProgressError,
     RadiusTooSmallError,
 )
 from .extension import (
     ExtensionCase,
     PathExtension,
+    _cover,
+    _require_cycle,
     _SpliceCycle,
     apply_path_extension,
     extend_to_cover,
@@ -37,9 +50,9 @@ from .graph import (
     Edge,
     FiniteGraph,
     bfs,
-    bfs_distances,
     components_within,
     cut,
+    edge_key,
     neighborhood_k,
 )
 from .predicates import claw_at, locally_connected_at
@@ -92,6 +105,18 @@ class GoodTupleContext:
     @cached_property
     def component_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(c) for c in self.dec.infinite_components)
+
+    @cached_property
+    def allowed(self) -> frozenset[int]:
+        """Where a witness-preserving extension may reach: the finite
+        component off the base cycle, the separator, and the finite
+        component's part of the 2-neighborhood of the cycle neighborhood."""
+        k0 = frozenset(self.dec.finite_component)
+        return (
+            (k0 - self.base_cycle.vertex_set)
+            | frozenset(self.dec.separator)
+            | (self.near_cycle_2 & k0)
+        )
 
 
 @dataclass(frozen=True)
@@ -164,18 +189,7 @@ def good_extend(tup: GoodTuple, ext: PathExtension) -> GoodTuple:
     internal inconsistency, because the theory guarantees success.
     """
     ctx = tup.context
-    allowed = (
-        (frozenset(ctx.dec.finite_component) - ctx.base_cycle.vertex_set)
-        | frozenset(ctx.dec.separator)
-        | (ctx.near_cycle_2 & frozenset(ctx.dec.finite_component))
-    )
-    footprint = set(ext.extension_path) | {ext.base}
-    stray = footprint - allowed
-    if stray:
-        raise DomainError(
-            f"extension footprint {sorted(stray)} leaves the allowed region "
-            "for witness-preserving extensions"
-        )
+    footprint = _footprint(ctx, ext)
     new_cycle = apply_path_extension(ctx.graph, tup.cycle, ext)
     z = ext.endvertex
     updated: dict[int, frozenset[int]] = {}
@@ -192,6 +206,132 @@ def good_extend(tup: GoodTuple, ext: PathExtension) -> GoodTuple:
             witness=ext.to_json_obj(),
         )
     return new_tup
+
+
+def _footprint(ctx: GoodTupleContext, ext: PathExtension) -> frozenset[int]:
+    """F = extension path plus base, required to lie in the allowed region."""
+    footprint = frozenset(ext.extension_path) | {ext.base}
+    stray = footprint - ctx.allowed
+    if stray:
+        raise DomainError(
+            f"extension footprint {sorted(stray)} leaves the allowed region "
+            "for witness-preserving extensions"
+        )
+    return footprint
+
+
+def _witness_rule(
+    witness: dict[int, set[int]], footprint: frozenset[int], z: int
+) -> None:
+    """The update rule, in place: a set absorbs the footprint when it holds
+    the path's endvertex ``z`` and sheds it otherwise."""
+    for m in witness.values():
+        if z in m:
+            m |= footprint
+        else:
+            m -= footprint
+
+
+def _good_splice(
+    ctx: GoodTupleContext,
+    cycle: _SpliceCycle,
+    witness: dict[int, set[int]],
+    ext: PathExtension,
+) -> tuple[tuple[int, ...], list[str]]:
+    """Splice ``ext`` into the live cycle, update the witness sets in place,
+    and return the vertices added plus the good-tuple violations, read off
+    the footprint F = extension path plus base.
+
+    Premises: the tuple was good before the splice; F lies in the allowed
+    region, so inside the finite component and the separator; and only
+    vertices of F change membership in a witness set.  Let ``near`` be F
+    with the old cycle-neighbors of its cycle vertices.  Then the verdict
+    names the same properties as ``check_good_tuple`` on the result:
+
+    * (a), (d): a splice removes only bridged vertices, all in F, so the
+      cycle lost nothing iff F is on the cycle afterwards.  Then the base
+      cycle, the parts and the zones are still on it, and every vertex a set
+      gains is on the cycle.  Vertices a set already held stay on it.
+    * (b), (f): F misses every infinite component, so ``comp ⊆ m`` and the
+      way m meets each component cannot change.  A set gains only vertices
+      of F, so it stays in ``witness_room`` iff its gains do.
+    * (c): every removed cycle edge is incident to F (a bridged b and the
+      insertion end ``path[-1]`` lie in F).  Every added edge is incident to
+      F or is a bridge edge (pred b, succ b), whose ends are old
+      cycle-neighbors of F.  So the edges away from ``near`` are the same
+      before and after, with unchanged membership at both ends, and the new
+      count is 2 − (old count at ``near``) + (new count at ``near``).
+    * (e): a set that absorbs F and met it before stays connected: F is a
+      path plus a base adjacent to all of it, and it shares a vertex with
+      the connected m.  A set that sheds F ∩ m: every component of m ∖ F
+      contains a neighbor of F ∩ m (m was connected), so m ∖ F is connected
+      iff one search inside it from such a neighbor reaches all of them; it
+      stops as soon as it has.  A set with the same F ∩ m is unchanged.  Any
+      other change, which the rule never makes, is searched in full.
+    """
+    g = ctx.graph
+    footprint = _footprint(ctx, ext)
+    near = set(footprint)
+    for v in footprint:
+        if v in cycle:
+            near.update((cycle.succ(v), cycle.pred(v)))
+    edges = _edges_at(cycle, near)
+    before = {j: footprint & m for j, m in witness.items()}
+    crossed = {j: _crossings(edges, m) for j, m in witness.items()}
+    fresh = cycle.splice(g, ext)
+    _witness_rule(witness, footprint, ext.endvertex)
+
+    problems: list[str] = []
+    if not all(v in cycle for v in footprint):
+        problems.append("(a) the splice dropped footprint vertices from the cycle")
+    edges = _edges_at(cycle, near)
+    for j in sorted(witness):
+        m = witness[j]
+        was, now = before[j], footprint & m
+        if not now - was <= ctx.witness_room:
+            problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
+        crossings = 2 - crossed[j] + _crossings(edges, m)
+        if crossings != 2:
+            problems.append(
+                f"(c) part {j}: cycle crosses the witness cut {crossings} times"
+            )
+        if now == was or (now == footprint and was):
+            connected = True
+        elif not now:
+            connected = _reaches_all(g, m, {w for v in was for w in g.neighbors(v) if w in m})
+        else:
+            connected = not m or _reaches_all(g, m, m)
+        if not connected:
+            problems.append(f"(e) part {j}: witness set induces a disconnected graph")
+    return fresh, problems
+
+
+def _edges_at(cycle: _SpliceCycle, near) -> set[Edge]:
+    """The cycle edges with an endpoint in ``near``."""
+    edges = set()
+    for v in near:
+        if v in cycle:
+            edges.add(edge_key(v, cycle.succ(v)))
+            edges.add(edge_key(cycle.pred(v), v))
+    return edges
+
+
+def _crossings(edges, m) -> int:
+    return sum((a in m) != (b in m) for a, b in edges)
+
+
+def _reaches_all(g: FiniteGraph, m, goal) -> bool:
+    """Whether one search inside ``m`` from ``min(goal)`` reaches all of
+    ``goal``, stopping as soon as it has; true for an empty goal."""
+    left = len(goal)
+    if not left:
+        return True
+    for v, _, _ in bfs(g, [min(goal)], within=m):
+        if v in goal:
+            left -= 1
+            if not left:
+                return True
+    return False
 
 
 # -- one round of the construction -------------------------------------------
@@ -221,9 +361,10 @@ class RoundRecord:
         }
 
 
-def _set_distance(g: FiniteGraph, a, b) -> int:
-    dist = bfs_distances(g, a)
-    return min((dist[v] for v in b if v in dist), default=len(g) + 1)
+def _at_least_four_apart(g: FiniteGraph, a, b) -> bool:
+    """Whether every vertex of ``b`` is at distance at least 4 from ``a``:
+    ``b`` misses ``a`` and its 3-neighborhood, a search of depth 3."""
+    return set(a).isdisjoint(b) and set(neighborhood_k(g, a, 3)).isdisjoint(b)
 
 
 def _assert_deep_vertex(g: FiniteGraph, c: CycleEmbedding) -> None:
@@ -296,10 +437,18 @@ def cut_lemma_round(
     a spanning tree of the part's 3-zone between the two, and finishes the
     zone by pooled extensions.  A final pooled pass covers the finite
     component.  Witness sets follow the two displayed update rules.
+
+    The input cycle is validated once.  All splices then edit one live
+    cycle and one dict of witness sets.  Each capture and finite-component
+    splice is checked by ``_good_splice`` from its footprint; the full
+    ``check_good_tuple`` runs on a frozen copy at each part boundary and at
+    the round end.
     """
+    _require_cycle(g, c)
     _assert_deep_vertex(g, c)
     ctx = GoodTupleContext.build(g, c, dec)
-    tup = GoodTuple(ctx, c, {})
+    cycle = _SpliceCycle(c)
+    witness: dict[int, set[int]] = {}
     ext_count = 0
     order: list[int] = []
     uncovered = set(range(1, dec.k + 1))
@@ -308,31 +457,40 @@ def cut_lemma_round(
     def uncovered_sep() -> set[int]:
         return {v for i in uncovered for v in dec.parts[i - 1]}
 
+    def good_splice(ext: PathExtension) -> tuple[int, ...]:
+        fresh, problems = _good_splice(ctx, cycle, witness, ext)
+        if problems:
+            raise InternalConsistencyError(
+                "extension broke the witness properties: " + "; ".join(problems),
+                witness=ext.to_json_obj(),
+            )
+        return fresh
+
     while uncovered:
         # -- capture one separator vertex of some uncovered part
         unc = uncovered_sep()
-        if tup.cycle.vertex_set & unc:
+        if any(v in cycle for v in unc):
             raise InternalConsistencyError(
                 "the cycle already meets an uncovered separator part"
             )
         v = min(unc)
-        u = min(set(g.neighbors(v)) & c.vertex_set)
-        ext = find_path_extension(g, tup.cycle, v, u)
+        u = min(w for w in g.neighbors(v) if w in c)
+        ext = find_path_extension(g, cycle, v, u)
         s = [p for p in ext.extension_path if p in unc][-1]
-        ext = truncate_extension(g, tup.cycle, ext, s)
-        tup = good_extend(tup, ext)
+        ext = truncate_extension(g, cycle, ext, s)
+        good_splice(ext)
         ext_count += 1
         ell = dec.part_of_vertex(s)
         part = frozenset(dec.parts[ell - 1])
         comp = frozenset(dec.infinite_components[ell - 1])
-        if tup.cycle.vertex_set & unc != {s}:
+        if {p for p in unc if p in cycle} != {s}:
             raise InternalConsistencyError(
                 f"expected exactly one uncovered separator vertex {s} on the cycle"
             )
 
         # -- capture a second vertex of the same part, adjacent on the cycle
         v2 = min(set(g.neighbors(s)) & comp)
-        ext2 = find_path_extension(g, tup.cycle, v2, s)
+        ext2 = find_path_extension(g, cycle, v2, s)
         walk = ext2.extension_path
         in_part = [p for p in walk if p in part]
         if not in_part:
@@ -366,9 +524,7 @@ def cut_lemma_round(
                 short = (t, z)
             else:
                 short = (t, after, z)
-        interior_on_cycle = tuple(
-            sorted(p for p in short[1:-1] if p in tup.cycle)
-        )
+        interior_on_cycle = tuple(sorted(p for p in short[1:-1] if p in cycle))
         if ext2.case is ExtensionCase.ONE:
             ext2 = PathExtension(ExtensionCase.ONE, t, s, short, interior_on_cycle)
         else:
@@ -376,9 +532,9 @@ def cut_lemma_round(
             ext2 = PathExtension(
                 ExtensionCase.TWO, t, s, short, bridged, ext2.reattach
             )
-        tup = good_extend(tup, ext2)
+        good_splice(ext2)
         ext_count += 1
-        if not g.has_edge(s, t) or (tup.cycle.succ(s) != t and tup.cycle.pred(s) != t):
+        if not g.has_edge(s, t) or (cycle.succ(s) != t and cycle.pred(s) != t):
             raise InternalConsistencyError(
                 f"the two captured separator vertices {s}, {t} are not cycle-adjacent"
             )
@@ -388,37 +544,29 @@ def cut_lemma_round(
         n_s = min(set(g.neighbors(s)) & tree_vertices)
         n_t = min(set(g.neighbors(t)) & tree_vertices)
         spine = _tree_path(tree_parent, n_s, n_t)
-        spliced = _SpliceCycle(tup.cycle)
         try:
-            spliced.insert(g, s, t, spine)
+            cycle.insert(g, s, t, spine)
         except InternalConsistencyError as exc:
             raise InternalConsistencyError(
                 f"splicing the part-{ell} tree spine between {s} and {t} "
                 f"did not yield a cycle: {exc}"
             ) from exc
         covered_goal = part | tree_vertices
-        cycle2, log = extend_to_cover(
-            g,
-            spliced.freeze(),
-            covered_goal,
-            target_pool=covered_goal,
-            base_pool=tree_vertices,
-        )
+        log = _cover(g, cycle, covered_goal, covered_goal, tree_vertices)
         ext_count += len(log)
 
         # -- witness updates: new part set, and absorb into older sets that
         #    contain the two captured vertices
         new_m = part | comp
-        updated: dict[int, frozenset[int]] = {}
-        for j, m in tup.witness_sets.items():
+        for j, m in witness.items():
             if (s in m) != (t in m):
                 raise InternalConsistencyError(
                     f"witness set {j} separates the adjacent pair {s}, {t}"
                 )
-            updated[j] = m | new_m if s in m else m
-        updated[ell] = new_m
-        tup = GoodTuple(ctx, cycle2, updated)
-        problems = tup.check()
+            if s in m:
+                m |= new_m
+        witness[ell] = set(new_m)
+        problems = check_good_tuple(ctx, cycle.freeze(), witness)
         if problems:
             raise InternalConsistencyError(
                 f"round {index}, part {ell}: " + "; ".join(problems)
@@ -428,30 +576,22 @@ def cut_lemma_round(
 
     # -- cover the finite component, keeping the witness sets current
     k0 = frozenset(dec.finite_component)
-    while not k0 <= tup.cycle.vertex_set:
-        step = None
-        for target in sorted(k0 - tup.cycle.vertex_set):
-            choices = [
-                b for b in g.neighbors(target) if b in tup.cycle and b in k0
-            ]
-            if choices:
-                step = (target, min(choices))
-                break
-        if step is None:
-            raise InternalConsistencyError(
-                "the finite component cannot be finished by pooled extensions"
-            )
-        ext = find_path_extension(g, tup.cycle, step[0], step[1])
-        tup = good_extend(tup, ext)
-        ext_count += 1
+    try:
+        log = _cover(g, cycle, k0, k0, k0, splice=good_splice)
+    except ProgressError as exc:
+        raise InternalConsistencyError(
+            "the finite component cannot be finished by pooled extensions"
+        ) from exc
+    ext_count += len(log)
 
+    tup = GoodTuple(ctx, cycle.freeze(), {j: frozenset(m) for j, m in witness.items()})
     checks = _round_conclusions(g, c, dec, tup, base_edges)
     return RoundRecord(
         index=index,
         dec=dec,
         part_order=tuple(order),
         cycle=tup.cycle,
-        witness_sets=dict(tup.witness_sets),
+        witness_sets=tup.witness_sets,
         extension_count=ext_count,
         checks=checks,
     )
@@ -621,7 +761,7 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
                 f"round {m} lost vertices of the previous cycle"
             )
         record.checks["separator_gap"] = (
-            prev_sep is None or _set_distance(g, prev_sep, sep) >= 4
+            prev_sep is None or _at_least_four_apart(g, prev_sep, sep)
         )
         if not all(record.checks.values()):
             bad = sorted(k for k, v in record.checks.items() if not v)
@@ -806,11 +946,11 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
 
     stable = stable_edge_set(cycles)
     region = state.rounds[-2].dec.finite_component if len(state.rounds) >= 2 else ()
-    w6 = []
-    for v in region:
-        deg = sum(1 for e in stable if v in e)
-        if deg != 2:
-            w6.append((v, deg))
+    degree: dict[int, int] = {}
+    for e in stable:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    w6 = [(v, degree.get(v, 0)) for v in region if degree.get(v, 0) != 2]
     cond6 = ConditionReport(not w6, tuple(w6))
 
     return ExtractionReport(

@@ -282,6 +282,9 @@ class _SpliceCycle:
     def __contains__(self, v: int) -> bool:
         return v in self._succ
 
+    def __iter__(self):
+        return iter(self._succ)
+
     def succ(self, v: int) -> int:
         return self._succ[v]
 
@@ -408,7 +411,22 @@ def extend_to_cover(
     bases = g.require_subset(base_pool) if base_pool is not None else None
     _require_cycle(g, c)
     cycle = _SpliceCycle(c)
-    missing = set(goalset).difference(c.order)
+    log = _cover(g, cycle, goalset, targets, bases)
+    return cycle.freeze(), log
+
+
+def _cover(g, cycle: _SpliceCycle, goal, targets=None, bases=None, splice=None):
+    """The loop of ``extend_to_cover`` on a live cycle, grown in place.
+
+    ``splice(ext)`` applies each extension and returns the vertices it
+    added; by default it is ``cycle.splice``.  Returns the extensions in
+    the order applied.
+    """
+    if splice is None:
+        def splice(ext):
+            return cycle.splice(g, ext)
+
+    missing = {v for v in goal if v not in cycle}
     frontier: list[int] = []
     queued: set[int] = set()
 
@@ -421,7 +439,7 @@ def extend_to_cover(
                     queued.add(t)
                     heappush(frontier, t)
 
-    admit(c.order)
+    admit(cycle)
     log: list[PathExtension] = []
     while missing:
         while frontier and frontier[0] in cycle:
@@ -435,11 +453,11 @@ def extend_to_cover(
             b for b in g.neighbors(t) if b in cycle and (bases is None or b in bases)
         )
         ext = find_path_extension(g, cycle, t, base)
-        fresh = cycle.splice(g, ext)
+        fresh = splice(ext)
         missing.difference_update(fresh)
         admit(fresh)
         log.append(ext)
-    return cycle.freeze(), log
+    return log
 
 
 def shortest_cycle_through(g: FiniteGraph, v: int) -> CycleEmbedding:

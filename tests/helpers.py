@@ -6,8 +6,11 @@ own search logic, so a bug in the package cannot hide in the tests.
 
 from __future__ import annotations
 
+import importlib.util
 from collections import defaultdict, deque
+from functools import cache
 from itertools import combinations
+from pathlib import Path
 
 from clawham.errors import DomainError, InternalConsistencyError, ProgressError
 from clawham.extension import (
@@ -738,3 +741,39 @@ def reference_canonical_key(n: int, adj_masks: list[int]) -> int:
     descend(reference_refine(n, nbrs, tuple(0 for _ in range(n))))
     assert best is not None
     return best
+
+
+# -- reference engine pieces ----------------------------------------------------
+#
+# What the engine computed before its checks became local: the separator gap
+# as a whole-ball distance, and stable degrees by one scan of the stable
+# edges per region vertex.
+
+
+def reference_set_distance(g: FiniteGraph, a, b) -> int:
+    """Distance between vertex sets ``a`` and ``b``; ``len(g) + 1`` when no
+    vertex of ``b`` is reachable from ``a``."""
+    dist = reference_bfs_distances(g, a)
+    return min((dist[v] for v in b if v in dist), default=len(g) + 1)
+
+
+def reference_stable_degree(stable, region) -> list[tuple[int, int]]:
+    """(vertex, degree) for each region vertex whose stable degree is not 2,
+    in region order."""
+    out = []
+    for v in region:
+        deg = sum(1 for e in stable if v in e)
+        if deg != 2:
+            out.append((v, deg))
+    return out
+
+
+@cache
+def bench_oracles():
+    """``bench/oracles.py``, loaded by path without changing ``sys.path``:
+    the ``tri-lattice-line`` and ``tripod-line`` presentations."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

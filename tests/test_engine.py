@@ -16,7 +16,12 @@ from clawham.engine import (
     run,
     stable_edge_set,
 )
-from clawham.errors import DomainError, HypothesisError, RadiusTooSmallError
+from clawham.errors import (
+    DomainError,
+    HypothesisError,
+    InternalConsistencyError,
+    RadiusTooSmallError,
+)
 from clawham.extension import find_path_extension, truncate_extension
 from clawham.graph import CycleEmbedding, FiniteGraph, cut, neighborhood_k
 from clawham.presentations import Ball, GraphPresentation, preset
@@ -333,3 +338,321 @@ def test_deep_vertex_gate_matches_the_distance_rule():
         else:
             _assert_deep_vertex(g, c)
     assert outcomes == {True, False}
+
+
+# -- the per-splice check against the full check ---------------------------------
+
+
+def _letters(problems) -> set[str]:
+    """The property letters ``a``..``f`` a list of violations names."""
+    return {p[1] for p in problems}
+
+
+@pytest.fixture
+def splice_verdicts(monkeypatch):
+    """Run every per-splice step as usual, and after it the full
+    ``check_good_tuple`` on the frozen cycle.  Records one
+    ``(ext, incremental letters, full letters)`` triple per splice."""
+    import clawham.engine as engine
+
+    seen = []
+    step = engine._good_splice
+
+    def checked(ctx, cycle, witness, ext):
+        seen.append(ext)
+        fresh, problems = step(ctx, cycle, witness, ext)
+        frozen = {j: frozenset(m) for j, m in witness.items()}
+        full = check_good_tuple(ctx, cycle.freeze(), frozen)
+        seen[-1] = (ext, _letters(problems), _letters(full))
+        return fresh, problems
+
+    monkeypatch.setattr(engine, "_good_splice", checked)
+    return seen
+
+
+def _presentation(name, radius, seed=7):
+    from clawham.presentations import PRESET_NAMES
+    from helpers import bench_oracles
+
+    if name in PRESET_NAMES:
+        return preset(name)
+    return bench_oracles().presentation(name, seed, radius)[0]
+
+
+DIFFERENTIAL_RUNS = [
+    ("double-ray-square", 70, 5, 7),
+    ("ray-square", 70, 5, 7),
+    ("ladder-line-graph", 70, 5, 7),
+    ("custom-oracle", 70, 5, 7),
+    ("tri-lattice-line", 13, 2, 7),
+    # seed 2 is the one run here in which a splice sheds part of a set
+    ("tri-lattice-line", 13, 2, 2),
+    ("tripod-line", 40, 3, 7),
+]
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", DIFFERENTIAL_RUNS)
+def test_incremental_check_matches_full_check(splice_verdicts, name, radius, rounds, seed):
+    run(_presentation(name, radius, seed), rounds, radius)
+    assert splice_verdicts
+    for ext, incremental, full in splice_verdicts:
+        assert incremental == full == set(), ext
+
+
+def test_differential_runs_reach_every_update_case(monkeypatch):
+    """The runs above absorb, shed part of a set, and leave sets alone."""
+    import clawham.engine as engine
+
+    cases = set()
+    rule = engine._witness_rule
+
+    def classify(witness, footprint, z):
+        for m in witness.values():
+            cases.add("absorb" if z in m else "shed" if footprint & m else "untouched")
+        rule(witness, footprint, z)
+
+    monkeypatch.setattr(engine, "_witness_rule", classify)
+    for name, radius, rounds, seed in DIFFERENTIAL_RUNS:
+        run(_presentation(name, radius, seed), rounds, radius)
+    assert cases == {"absorb", "shed", "untouched"}
+
+
+def _corrupt_first(monkeypatch, applies, corrupt):
+    """Patch the witness rule: at the first splice where ``applies(m, F, z)``
+    holds for some set m, apply the honest rule and then ``corrupt(m, F)``.
+    Returns a list that receives the corrupted set's index."""
+    import clawham.engine as engine
+
+    hit = []
+    rule = engine._witness_rule
+
+    def corrupted(witness, footprint, z):
+        pick = None if hit else next(
+            (j for j, m in witness.items() if applies(m, footprint, z)), None
+        )
+        rule(witness, footprint, z)
+        if pick is not None:
+            hit.append(pick)
+            corrupt(witness[pick], footprint)
+
+    monkeypatch.setattr(engine, "_witness_rule", corrupted)
+    return hit
+
+
+# kind -> (when it applies to a set m, given the graph, the footprint F and
+# the endvertex z; how it changes m after the honest rule, given F and the
+# extension's target t; the property letter it breaks)
+CORRUPTIONS = {
+    # m misses F and every neighbor of F, yet absorbs F: m falls apart
+    "absorb-where-shed": (
+        lambda g, m, f, z: not f & m and not any(w in m for v in f for w in g.neighbors(v)),
+        lambda m, f, t: m.update(f),
+        "e",
+    ),
+    # m absorbs F but drops the target, whose cycle-neighbors lie in F ⊆ m
+    "drop-target": (lambda g, m, f, z: z in m, lambda m, f, t: m.discard(t), "c"),
+    # m misses F but gains the target, whose cycle-neighbors lie in F
+    "flip-target": (lambda g, m, f, z: not f & m, lambda m, f, t: m.add(t), "c"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupted_witness_update_is_flagged(monkeypatch, splice_verdicts, kind):
+    """A wrong witness update is flagged by the per-splice check and by the
+    full check alike, and the round raises at that splice."""
+    applies, corrupt, want = CORRUPTIONS[kind]
+    if kind == "drop-target":
+        # only the tri-lattice runs have a set that absorbs a footprint
+        g, pres = None, _presentation("tri-lattice-line", 13)
+
+        def build():
+            run(pres, 2, 13)
+    else:
+        g, c, dec, _ = build_round_one_context()
+
+        def build():
+            cut_lemma_round(g, c, dec)
+    # the step records the extension before it applies the rule
+    hit = _corrupt_first(
+        monkeypatch,
+        lambda m, f, z: applies(g, m, f, z),
+        lambda m, f: corrupt(m, f, splice_verdicts[-1].target),
+    )
+    with pytest.raises(InternalConsistencyError, match="broke the witness properties"):
+        build()
+    assert len(hit) == 1
+    _, incremental, full = splice_verdicts[-1]
+    assert want in incremental
+    assert incremental == full
+    assert all(inc == full == set() for _, inc, full in splice_verdicts[:-1])
+
+
+def test_shedding_an_articulation_vertex_is_flagged():
+    """A set whose articulation vertex the splice sheds is disconnected, and
+    both checks say so.  The state is built by hand: no run of the presets
+    or bench oracles has a footprint vertex that cuts a witness set.
+
+    Cycle 0..5, witness set {1, 2, 10, 11} with the component {10, 11}
+    hanging off 2.  Inserting 6 between 2 and 3 through base 2 ends at
+    3, outside the set, so the set sheds 2 and splits into {1} and {10, 11}.
+    """
+    from clawham.engine import _good_splice
+    from clawham.extension import ExtensionCase, PathExtension, _SpliceCycle
+
+    g = FiniteGraph(
+        range(12),
+        [(i, (i + 1) % 6) for i in range(6)] + [(2, 6), (3, 6), (2, 10), (10, 11)],
+    )
+    c = CycleEmbedding(range(6))
+    dec = SeparatorDecomposition(
+        separator=(1,), finite_component=(2, 3, 6), infinite_components=((10, 11),),
+        parts=((1,),),
+    )
+    ctx = GoodTupleContext(
+        g, c, dec,
+        near_cycle_2=frozenset({1, 2, 3}),
+        around_finite_4=frozenset({0, 1, 2, 3, 4, 5, 6}),
+        part_zones=(frozenset(),),
+    )
+    witness = {1: {1, 2, 10, 11}}
+    assert check_good_tuple(ctx, c, witness) == []
+    cycle = _SpliceCycle(c)
+    ext = PathExtension(ExtensionCase.ONE, 6, 2, (6, 3), ())
+    _, problems = _good_splice(ctx, cycle, witness, ext)
+    assert witness == {1: {1, 10, 11}}
+    full = check_good_tuple(ctx, cycle.freeze(), witness)
+    assert _letters(problems) == _letters(full) == {"e"}
+
+
+def test_bridge_edge_that_crosses_a_witness_cut_is_counted():
+    """A bridge edge need not touch the footprint.  Here bridging 4 joins 3
+    (in the set) to 5 (outside it), and the crossing moves from (3, 4) to
+    (3, 5): still 2, by both checks.
+
+    Cycle 0..7 with the chord 3-5; the extension inserts 8 and re-routes 4
+    between base 0 and its successor 1.  The set {2, 3, 10} misses the
+    footprint {0, 1, 4, 8} and stays as it is.
+    """
+    from clawham.engine import _good_splice
+    from clawham.extension import ExtensionCase, PathExtension, _SpliceCycle
+
+    g = FiniteGraph(
+        range(11),
+        [(i, (i + 1) % 8) for i in range(8)]
+        + [(0, 8), (0, 4), (4, 8), (1, 4), (3, 5), (3, 10)],
+    )
+    c = CycleEmbedding(range(8))
+    dec = SeparatorDecomposition(
+        separator=(2,), finite_component=(0, 1, 4, 8), infinite_components=((10,),),
+        parts=((2,),),
+    )
+    ctx = GoodTupleContext(
+        g, c, dec,
+        near_cycle_2=frozenset(range(5)),
+        around_finite_4=frozenset(range(10)),
+        part_zones=(frozenset(),),
+    )
+    witness = {1: {2, 3, 10}}
+    assert check_good_tuple(ctx, c, witness) == []
+    cycle = _SpliceCycle(c)
+    ext = PathExtension(ExtensionCase.ONE, 8, 0, (8, 4, 1), (4,))
+    _, problems = _good_splice(ctx, cycle, witness, ext)
+    assert cycle.freeze() == CycleEmbedding([0, 8, 4, 1, 2, 3, 5, 6, 7])
+    assert problems == check_good_tuple(ctx, cycle.freeze(), witness) == []
+
+
+# -- separator gap and stable degrees against their references -------------------
+
+
+def test_separator_gap_matches_set_distance():
+    """``_at_least_four_apart`` agrees with the whole-ball distance on every
+    pair of consecutive separators of the presets and on seeded pairs."""
+    import random
+
+    from clawham.engine import _at_least_four_apart
+    from clawham.presentations import PRESET_NAMES
+    from helpers import reference_set_distance
+
+    pairs = 0
+    for name in PRESET_NAMES:
+        state = run(preset(name), 5, 70)
+        g = state.graph
+        seps = [r.dec.separator for r in state.rounds]
+        for a, b in zip(seps, seps[1:]):
+            assert _at_least_four_apart(g, a, b) == (reference_set_distance(g, a, b) >= 4)
+            pairs += 1
+    assert pairs == 4 * len(PRESET_NAMES)
+    rng = random.Random(20261018)
+    verdicts = set()
+    for name in ("double-ray-square", "ladder-line-graph"):
+        g = preset(name).extract_ball(12).graph
+        for _ in range(300):
+            a = rng.sample(g.vertices, rng.randint(1, 3))
+            b = rng.sample(g.vertices, rng.randint(1, 3))
+            want = reference_set_distance(g, a, b) >= 4
+            assert _at_least_four_apart(g, a, b) == want, (a, b)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", DIFFERENTIAL_RUNS)
+def test_stable_degree_matches_reference(name, radius, rounds, seed):
+    from clawham.engine import ConditionReport
+    from helpers import reference_stable_degree
+
+    state = run(_presentation(name, radius, seed), rounds, radius)
+    rep = check_extraction_conditions(state)
+    w6 = reference_stable_degree(set(rep.stable_edges), rep.stable_region)
+    assert rep.stable_degree.to_json_obj() == ConditionReport(not w6, tuple(w6)).to_json_obj()
+
+
+def test_stable_degree_witnesses_match_reference_off_two():
+    """Hand-built prefixes whose stable degrees are not all 2 report the
+    same witnesses, in region order, as the per-vertex scan."""
+    import random
+
+    from helpers import reference_stable_degree
+
+    rng = random.Random(7)
+    g = complete_graph(6)
+    seen_bad = False
+    for _ in range(40):
+        cycles = []
+        for _ in range(4):
+            order = list(range(6))
+            rng.shuffle(order)
+            cycles.append(CycleEmbedding(order[: rng.randint(3, 6)]))
+        state = _hand_state(g, cycles, [{}, {}, {}])
+        region = tuple(rng.sample(range(6), 4))
+        state.rounds[-2].dec = SeparatorDecomposition((), region, (), ())
+        rep = check_extraction_conditions(state)
+        w6 = reference_stable_degree(set(rep.stable_edges), region)
+        assert list(rep.stable_degree.witnesses) == w6
+        assert rep.stable_degree.holds == (not w6)
+        seen_bad |= bool(w6)
+    assert seen_bad
+
+
+# -- pinned run logs ------------------------------------------------------------
+
+PINNED_RUN_DIGESTS = {
+    "double-ray-square": "2cf8c7e63bbd452cf71159b383a78718fed4b609703b981fa1b402e6e067a5fb",
+    "ray-square": "2d3a240fb1d817917c5eaf00a493684b742184a658bdcb1a2f5c07deaadce5e2",
+    "ladder-line-graph": "2e22c4b0c0ea72136eda697650d16ad20509453fc4acff48145bc78e449ce048",
+    "custom-oracle": "f1c601a6369037c5a8daa33ba331acb6bafaa10f67bc69b1840ac55a97dbb5a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUN_DIGESTS))
+def test_run_log_and_extraction_report_are_pinned(name):
+    """SHA-256 of each preset's run log (5 rounds, radius 70), one
+    sorted-key JSON line per record, followed by its extraction report."""
+    import hashlib
+    import json
+
+    state = run(preset(name), 5, 70)
+    h = hashlib.sha256()
+    for line in state.to_json_lines():
+        h.update((json.dumps(line, sort_keys=True) + "\n").encode())
+    h.update(json.dumps(check_extraction_conditions(state).to_json_obj(), sort_keys=True).encode())
+    assert h.hexdigest() == PINNED_RUN_DIGESTS[name]
