@@ -11,14 +11,19 @@ must satisfy five extraction conditions that certify, on the generated
 prefix, the shape of a limit circle through all ends.
 
 A round validates its input cycle once, then edits one live cycle and one
-dict of witness sets.  After every capture and finite-component splice,
-``_good_splice`` decides the six properties from the splice's footprint F
-(extension path plus base) and the old cycle-neighbors of F.  That costs
+dict of witness sets.  Every splice goes through ``_tracked``, which reads
+the cycle edges a splice removed and added off its footprint F and the old
+cycle-neighbors of F.  After every capture and finite-component splice,
+``_good_splice`` decides the six properties from those edges, in
 O(k·|F|·deg) for k witness sets, plus a search inside a witness set in the
 one case that needs it, a set that sheds part of F; the search stops as soon
-as it has joined the set's neighbors of F.  At each part boundary and at
-the round end, the full ``check_good_tuple`` runs on a frozen copy, at
-O(k·(|C| + |M|) + k²) for cycle length |C| and witness-set sizes |M|.
+as it has joined the set's neighbors of F.  A part's spine and zone-cover
+splices only collect their net edge changes.  At the part boundary,
+``_good_part`` decides the six properties from those changes and the new
+and absorbing sets, in O(|Z|·deg + k·|P|) for the part's zone Z and the
+part and its edited cycle-neighbors P, never walking the part's component.
+The full ``check_good_tuple`` runs once, at the round end, on a frozen copy,
+at O(k·(|C| + |M|) + k²) for cycle length |C| and witness-set sizes |M|.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .graph import (
     bfs,
     components_within,
     cut,
-    edge_key,
     neighborhood_k,
 )
 from .predicates import claw_at, locally_connected_at
@@ -93,14 +97,11 @@ class GoodTupleContext:
         return cls(g, c, dec, near2, around4, zones)
 
     @cached_property
-    def witness_room(self) -> frozenset[int]:
-        """Where witness sets may lie: off the base cycle, or within
-        distance 2 of its neighborhood."""
-        return (frozenset(self.graph.vertices) - self.base_cycle.vertex_set) | self.near_cycle_2
-
-    @cached_property
-    def far_from_finite(self) -> frozenset[int]:
-        return frozenset(self.graph.vertices) - self.around_finite_4
+    def deep_base(self) -> frozenset[int]:
+        """The base-cycle vertices beyond distance 2 of the cycle
+        neighborhood.  Witness sets may lie anywhere else: x is in their
+        room exactly when x is off the base cycle or in ``near_cycle_2``."""
+        return self.base_cycle.vertex_set - self.near_cycle_2
 
     @cached_property
     def component_sets(self) -> tuple[frozenset[int], ...]:
@@ -153,7 +154,7 @@ def check_good_tuple(
             problems.append(f"(a) part {j}: separator part or its 3-zone not on the cycle")
         if not comp <= m:
             problems.append(f"(b) part {j}: witness set misses component vertices")
-        if not m <= ctx.witness_room:
+        if not m.isdisjoint(ctx.deep_base):
             problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
         inside = [v in m for v in cycle.order]
         crossings = sum(a != b for a, b in zip(inside, inside[1:] + inside[:1]))
@@ -161,7 +162,7 @@ def check_good_tuple(
             problems.append(
                 f"(c) part {j}: cycle crosses the witness cut {crossings} times"
             )
-        stray = m - on_cycle - ctx.far_from_finite
+        stray = {v for v in m & ctx.around_finite_4 if v not in on_cycle}
         if stray:
             problems.append(
                 f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
@@ -271,26 +272,20 @@ def _good_splice(
     """
     g = ctx.graph
     footprint = _footprint(ctx, ext)
-    near = set(footprint)
-    for v in footprint:
-        if v in cycle:
-            near.update((cycle.succ(v), cycle.pred(v)))
-    edges = _edges_at(cycle, near)
+    fresh, old_edges, new_edges = _tracked(cycle, footprint, lambda: cycle.splice(g, ext))
     before = {j: footprint & m for j, m in witness.items()}
-    crossed = {j: _crossings(edges, m) for j, m in witness.items()}
-    fresh = cycle.splice(g, ext)
+    crossed = {j: _crossings(old_edges, m) for j, m in witness.items()}
     _witness_rule(witness, footprint, ext.endvertex)
 
     problems: list[str] = []
     if not all(v in cycle for v in footprint):
         problems.append("(a) the splice dropped footprint vertices from the cycle")
-    edges = _edges_at(cycle, near)
     for j in sorted(witness):
         m = witness[j]
         was, now = before[j], footprint & m
-        if not now - was <= ctx.witness_room:
+        if not (now - was).isdisjoint(ctx.deep_base):
             problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
-        crossings = 2 - crossed[j] + _crossings(edges, m)
+        crossings = 2 - crossed[j] + _crossings(new_edges, m)
         if crossings != 2:
             problems.append(
                 f"(c) part {j}: cycle crosses the witness cut {crossings} times"
@@ -306,14 +301,25 @@ def _good_splice(
     return fresh, problems
 
 
-def _edges_at(cycle: _SpliceCycle, near) -> set[Edge]:
-    """The cycle edges with an endpoint in ``near``."""
-    edges = set()
-    for v in near:
+def _near(cycle: _SpliceCycle, footprint) -> set[int]:
+    """The footprint plus the cycle-neighbors of its cycle vertices.  A
+    splice or insertion that touches only the footprint removes and adds
+    only cycle edges between vertices of this set (see ``_good_splice``)."""
+    near = set(footprint)
+    for v in footprint:
         if v in cycle:
-            edges.add(edge_key(v, cycle.succ(v)))
-            edges.add(edge_key(cycle.pred(v), v))
-    return edges
+            near.update((cycle.succ(v), cycle.pred(v)))
+    return near
+
+
+def _tracked(cycle: _SpliceCycle, footprint, edit):
+    """Run ``edit()``, a splice or insertion on the live cycle that touches
+    only ``footprint``; return its result and the cycle edges at
+    ``_near(cycle, footprint)`` before and after it."""
+    near = _near(cycle, footprint)
+    old_edges = cycle.edges_at(near)
+    result = edit()
+    return result, old_edges, cycle.edges_at(near)
 
 
 def _crossings(edges, m) -> int:
@@ -332,6 +338,157 @@ def _reaches_all(g: FiniteGraph, m, goal) -> bool:
             if not left:
                 return True
     return False
+
+
+def _part_edit(first: dict[int, set[Edge]], cycle: _SpliceCycle, footprint, edit):
+    """Run ``edit()``, one of a part's splices that touches only
+    ``footprint``, after noting the cycle edges at each vertex of its
+    ``_near`` set that no earlier splice of the part touched.  Those are
+    still edges of the cycle the part started from, since a splice changes
+    only edges between vertices of its near set.  Returns the result."""
+    for v in _near(cycle, footprint):
+        if v not in first:
+            first[v] = cycle.edges_at((v,))
+    return edit()
+
+
+def _part_edits(first: dict[int, set[Edge]], cycle: _SpliceCycle) -> dict[Edge, int]:
+    """A part's net cycle-edge changes, -1 for an edge it removed and +1 for
+    one it added: every changed edge joins two vertices the part touched, so
+    compare their edges at first touch with their edges now."""
+    old = set().union(*first.values())
+    new = cycle.edges_at(first)
+    return {**dict.fromkeys(old - new, -1), **dict.fromkeys(new - old, 1)}
+
+
+def _part_rule(witness: dict[int, set[int]], ell: int, new_m: set[int], s: int) -> None:
+    """The part-boundary update, in place: every set that holds the
+    captured separator vertex ``s`` absorbs ``new_m`` = part ∪ component,
+    and part ``ell`` gets ``new_m`` as its own set."""
+    for m in witness.values():
+        if s in m:
+            m |= new_m
+    witness[ell] = new_m
+
+
+def _good_part(
+    ctx: GoodTupleContext,
+    cycle: _SpliceCycle,
+    witness: dict[int, set[int]],
+    ell: int,
+    s: int,
+    edits: dict[Edge, int],
+) -> list[str]:
+    """Apply the part-boundary update for part ``ell`` in place and return
+    the good-tuple violations, read off what the part changed since its
+    last checked splice (the second capture): the net cycle-edge changes
+    ``edits`` of its spine and zone-cover splices, and the sets the update
+    changed.
+
+    Write P and K for the part and its component, Z for its 3-zone, N for
+    P ∪ K, C0, W0 for the cycle and sets at the second capture and C1, W1
+    for them now.  Premises: the context is built by
+    ``GoodTupleContext.build`` from a decomposition of ``decompose``; the
+    tuple (C0, W0) was good; the part's splices and the spine add only
+    vertices of N, since their bases lie in K and N(K) ⊆ N; and the update
+    only adds vertices of N to sets and makes the new set a subset of N.
+    Every earlier splice added vertices of the allowed region or of another
+    part and its component, so K misses C0.  An older set m0 misses K: by
+    (f) it would hold all of K, including a neighbor of a part vertex, which
+    lies within distance 2 of the finite component and off C0, against (d).
+    Then the verdict names the same properties as ``check_good_tuple``:
+
+    * (a): splices and insertions never drop a vertex, so C0 ⊆ C1 and only
+      P ∪ Z ⊆ C1 is new, at O(|Z|).
+    * (b), (f): a set the update leaves alone keeps them.  A changed set
+      gains only vertices of N, which misses the base cycle (the separator
+      avoids it, and K lies outside the finite component that holds it), so
+      the set stays in the room.  N meets no other component, so the set
+      can break (b) or (f) only by holding part of K.  How many vertices of
+      K it gained follows from its size change and its gained part
+      vertices, without walking K.
+    * (c): a set's crossings change only on the edges the part added or
+      removed (the net count in ``edits``) and, for a changed set, on the
+      edges at N ∩ C1, the only cycle vertices whose membership changed.
+      N ∩ C1 is P ∩ C1 plus the endpoints in K of added edges, since K
+      misses C0.  The new set lies in N, so all its crossings are at N ∩ C1.
+      The endpoints in K are held by no older set, so an unchanged set is
+      recounted only if it holds an endpoint outside K.
+    * (d): the cycle only grows, so a set the update leaves alone keeps it.
+      A changed set's new off-cycle vertices near the finite component lie
+      in P ∪ Z: a vertex of K within distance 4 of the finite component is
+      within distance 3 of P, since every path to it enters K from P.
+    * (e): K is a component, so a changed set is connected when each gained
+      part vertex has a neighbor in K and the old set, if any, holds a part
+      vertex next to K or a neighbor of a gained part vertex.  A set that
+      gained only part of K, which the rule never does, is searched in full.
+      A set the update leaves alone keeps its members.
+
+    The cost is O(|Z|·deg) for the changed sets, and O(k·|P'|) for
+    selecting the unchanged sets to recount, P' being P and the endpoints
+    outside K of the edited edges; K is never walked.
+    """
+    g = ctx.graph
+    part = frozenset(ctx.dec.parts[ell - 1])
+    comp = ctx.component_sets[ell - 1]
+    zone = ctx.part_zones[ell - 1]
+    ends = {v for e in edits for v in e}
+    outside = {v for v in ends if v not in comp} | part
+    held = {j: m & outside for j, m in witness.items()}
+    sizes = {j: len(m) for j, m in witness.items()}
+    _part_rule(witness, ell, set(comp).union(part), s)
+
+    problems: list[str] = []
+    covered = part | zone
+    if not all(v in cycle for v in covered):
+        problems.append(f"(a) part {ell}: separator part or its 3-zone not on the cycle")
+    changed_edges = cycle.edges_at(part | (ends & comp))
+    for j in sorted(witness):
+        m, h = witness[j], held.get(j, set())
+        if j != ell and len(m) == sizes[j]:
+            if not h.isdisjoint(ends):
+                crossings = 2 + sum(d * ((a in m) != (b in m)) for (a, b), d in edits.items())
+                if crossings != 2:
+                    problems.append(
+                        f"(c) part {j}: cycle crosses the witness cut {crossings} times"
+                    )
+            continue
+
+        def was(v: int) -> bool:
+            return v in h if v in outside else v not in comp and v in m
+
+        gained = [p for p in part if p in m and p not in h]
+        got = len(m) - sizes.get(j, 0) - len(gained)
+        if j == ell and got != len(comp):
+            problems.append(f"(b) part {j}: witness set misses component vertices")
+        crossings = _crossings(changed_edges, m)
+        if j in sizes:  # absorbing: the old count, moved by the edits and by N
+            crossings += (
+                2
+                + sum(d * (was(a) != was(b)) for (a, b), d in edits.items())
+                - sum(was(a) != was(b) for a, b in changed_edges)
+            )
+        if crossings != 2:
+            problems.append(f"(c) part {j}: cycle crosses the witness cut {crossings} times")
+        stray = [v for v in covered if v in m and v not in cycle and v in ctx.around_finite_4]
+        if stray:
+            problems.append(
+                f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
+                "but near the finite component"
+            )
+        if got != len(comp):
+            connected = _reaches_all(g, m, m)
+        else:
+            connected = all(not comp.isdisjoint(g.neighbor_set(p)) for p in gained) and (
+                not sizes.get(j)
+                or any(not comp.isdisjoint(g.neighbor_set(p)) for p in h & part)
+                or any(was(w) for p in gained for w in g.neighbors(p))
+            )
+        if not connected:
+            problems.append(f"(e) part {j}: witness set induces a disconnected graph")
+        if 0 < got < len(comp):
+            problems.append(f"(f) part {j}: witness set contains part of component {ell} only")
+    return problems
 
 
 # -- one round of the construction -------------------------------------------
@@ -440,9 +597,9 @@ def cut_lemma_round(
 
     The input cycle is validated once.  All splices then edit one live
     cycle and one dict of witness sets.  Each capture and finite-component
-    splice is checked by ``_good_splice`` from its footprint; the full
-    ``check_good_tuple`` runs on a frozen copy at each part boundary and at
-    the round end.
+    splice is checked by ``_good_splice`` from its footprint, each part by
+    ``_good_part`` from its net edge changes and the sets it changed; the
+    full ``check_good_tuple`` runs once, on a frozen copy at the round end.
     """
     _require_cycle(g, c)
     _assert_deep_vertex(g, c)
@@ -482,7 +639,7 @@ def cut_lemma_round(
         ext_count += 1
         ell = dec.part_of_vertex(s)
         part = frozenset(dec.parts[ell - 1])
-        comp = frozenset(dec.infinite_components[ell - 1])
+        comp = ctx.component_sets[ell - 1]
         if {p for p in unc if p in cycle} != {s}:
             raise InternalConsistencyError(
                 f"expected exactly one uncovered separator vertex {s} on the cycle"
@@ -539,34 +696,37 @@ def cut_lemma_round(
                 f"the two captured separator vertices {s}, {t} are not cycle-adjacent"
             )
 
-        # -- splice a spanning tree of the part's 3-zone between s and t
+        # -- splice a spanning tree of the part's 3-zone between s and t,
+        #    then cover the zone; both are checked at the part boundary
+        first: dict[int, set[Edge]] = {}
         tree_parent, tree_vertices = _grow_part_tree(g, dec, ell)
         n_s = min(set(g.neighbors(s)) & tree_vertices)
         n_t = min(set(g.neighbors(t)) & tree_vertices)
         spine = _tree_path(tree_parent, n_s, n_t)
         try:
-            cycle.insert(g, s, t, spine)
+            _part_edit(first, cycle, {s, t, *spine}, lambda: cycle.insert(g, s, t, spine))
         except InternalConsistencyError as exc:
             raise InternalConsistencyError(
                 f"splicing the part-{ell} tree spine between {s} and {t} "
                 f"did not yield a cycle: {exc}"
             ) from exc
         covered_goal = part | tree_vertices
-        log = _cover(g, cycle, covered_goal, covered_goal, tree_vertices)
+        log = _cover(
+            g, cycle, covered_goal, covered_goal, tree_vertices,
+            splice=lambda ext: _part_edit(
+                first, cycle, {ext.base, *ext.extension_path}, lambda: cycle.splice(g, ext)
+            ),
+        )
         ext_count += len(log)
 
         # -- witness updates: new part set, and absorb into older sets that
         #    contain the two captured vertices
-        new_m = part | comp
         for j, m in witness.items():
             if (s in m) != (t in m):
                 raise InternalConsistencyError(
                     f"witness set {j} separates the adjacent pair {s}, {t}"
                 )
-            if s in m:
-                m |= new_m
-        witness[ell] = set(new_m)
-        problems = check_good_tuple(ctx, cycle.freeze(), witness)
+        problems = _good_part(ctx, cycle, witness, ell, s, _part_edits(first, cycle))
         if problems:
             raise InternalConsistencyError(
                 f"round {index}, part {ell}: " + "; ".join(problems)

@@ -291,6 +291,17 @@ class _SpliceCycle:
     def pred(self, v: int) -> int:
         return self._pred[v]
 
+    def edges_at(self, vertices) -> set[Edge]:
+        """The cycle edges with an endpoint in ``vertices``."""
+        succ, pred = self._succ, self._pred
+        edges = set()
+        for v in vertices:
+            if v in succ:
+                w, u = succ[v], pred[v]
+                edges.add((v, w) if v < w else (w, v))
+                edges.add((u, v) if u < v else (v, u))
+        return edges
+
     def freeze(self) -> CycleEmbedding:
         """The current cycle as an immutable ``CycleEmbedding``, in O(n)."""
         succ, low = self._succ, self._low

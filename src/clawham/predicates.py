@@ -9,7 +9,8 @@ unchanged from the plain definitions:
 
 * ``is_claw_free``: O(n d^2) steps plus an O(d) subset test per
   non-adjacent pair of neighbors; the lexicographically first claw.
-* ``is_locally_connected``: O(m d), one ``components_within`` per vertex.
+* ``is_locally_connected``: O(n d^2), one flood fill over each N(v); only
+  the first vertex that fails pays for listing its neighborhood components.
 * ``is_two_connected``: O(n + m), Hopcroft-Tarjan without recursion; the
   smallest cut vertex.
 * ``is_chordal``: O(n + m), maximum cardinality search; only a non-chordal
@@ -77,14 +78,26 @@ def neighborhood_components(g: FiniteGraph, v: int) -> tuple[VertexSet, ...]:
 
 
 def locally_connected_at(g: FiniteGraph, v: int) -> bool:
-    """Whether G[N(v)] is connected; empty and singleton neighborhoods count."""
-    return len(neighborhood_components(g, v)) <= 1
+    """Whether G[N(v)] is connected; empty and singleton neighborhoods count.
+    One flood fill over N(v), stepping along ``N(u) & N(v)``."""
+    nbrs = g.neighbor_set(v)
+    if not nbrs:
+        return True
+    start = g.neighbors(v)[0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in g.neighbor_set(stack.pop()) & nbrs:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nbrs)
 
 
 def is_locally_connected(g: FiniteGraph) -> PredicateReport:
     for v in g.vertices:
-        comps = neighborhood_components(g, v)
-        if len(comps) > 1:
+        if not locally_connected_at(g, v):
+            comps = neighborhood_components(g, v)
             witness = tuple(sorted({v} | set(comps[0]) | set(comps[1])))
             return PredicateReport(
                 False, witness, f"neighborhood of {v} splits into {len(comps)} parts"

@@ -33,18 +33,22 @@ class GraphPresentation:
     def extract_ball(self, radius: int) -> "Ball":
         """Materialize the ball of the given graph-distance radius.
 
-        Symmetry of the oracle is verified on every in-ball edge and the
-        returned neighbor lists must be finite (local finiteness).  A ball
-        with more than ``MAX_BALL_VERTICES`` vertices is refused.
+        The oracle is asked once per label; its answers are kept from the
+        search.  Symmetry of the oracle is verified on every in-ball edge
+        against the other end's kept answer, and the returned neighbor lists
+        must be finite (local finiteness).  A ball with more than
+        ``MAX_BALL_VERTICES`` vertices is refused.
         """
         if radius < 1:
             raise DomainError("radius must be >= 1")
         depth = {self.root: 0}
+        answers: dict = {}
         order = [self.root]  # discovery order, scanned as the BFS queue
         for u in order:
+            answers[u] = nbrs = tuple(self.neighbors(u))
             if depth[u] == radius:
                 continue
-            for w in self.neighbors(u):
+            for w in nbrs:
                 if w not in depth:
                     depth[w] = depth[u] + 1
                     order.append(w)
@@ -55,13 +59,13 @@ class GraphPresentation:
         interior = []
         boundary = []
         for label in order:
-            nbrs = tuple(self.neighbors(label))
+            nbrs = answers[label]
             if len(set(nbrs)) != len(nbrs):
                 raise GraphInputError(f"oracle repeats a neighbor at {label!r}")
             full = True
             for w in nbrs:
                 if w in ids:
-                    if label not in self.neighbors(w):
+                    if label not in answers[w]:
                         raise GraphInputError(
                             f"oracle is asymmetric on the pair ({label!r}, {w!r})"
                         )

@@ -777,3 +777,41 @@ def bench_oracles():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# -- the cactus-line oracle ------------------------------------------------------
+
+
+def _cactus_triangles(v):
+    """The two triangles at vertex v of the 4-regular triangle cactus.
+    Vertices are tuples; the root () has the child triangles {(), (0,),
+    (1,)} and {(), (2,), (3,)}, and every other v the child triangle
+    {v, v + (0,), v + (1,)}."""
+    if v == ():
+        return (((), (0,), (1,)), ((), (2,), (3,)))
+    p, i = v[:-1], v[-1]
+    if p == ():
+        parent = ((), (0,), (1,)) if i < 2 else ((), (2,), (3,))
+    else:
+        parent = (p, p + (0,), p + (1,))
+    return (parent, (v, v + (0,), v + (1,)))
+
+
+def _cactus_neighbors(v):
+    return {w for tri in _cactus_triangles(v) for w in tri} - {v}
+
+
+def _cactus_line_neighbors(edge):
+    u, v = edge
+    out = {tuple(sorted((u, w))) for w in _cactus_neighbors(u) if w != v}
+    out |= {tuple(sorted((v, w))) for w in _cactus_neighbors(v) if w != u}
+    return tuple(sorted(out))
+
+
+def cactus_line_presentation():
+    """The line graph of the 4-regular triangle cactus: every vertex lies in
+    exactly two triangles, so the line graph is claw-free, locally connected
+    and 6-regular, and it has infinitely many ends."""
+    from clawham.presentations import GraphPresentation
+
+    return GraphPresentation("cactus-line", _cactus_line_neighbors, ((), (0,)))

@@ -372,10 +372,12 @@ def splice_verdicts(monkeypatch):
 
 def _presentation(name, radius, seed=7):
     from clawham.presentations import PRESET_NAMES
-    from helpers import bench_oracles
+    from helpers import bench_oracles, cactus_line_presentation
 
     if name in PRESET_NAMES:
         return preset(name)
+    if name == "cactus-line":
+        return cactus_line_presentation()
     return bench_oracles().presentation(name, seed, radius)[0]
 
 
@@ -559,6 +561,198 @@ def test_bridge_edge_that_crosses_a_witness_cut_is_counted():
     _, problems = _good_splice(ctx, cycle, witness, ext)
     assert cycle.freeze() == CycleEmbedding([0, 8, 4, 1, 2, 3, 5, 6, 7])
     assert problems == check_good_tuple(ctx, cycle.freeze(), witness) == []
+
+
+# -- the part-boundary check against the full check ------------------------------
+
+
+@pytest.fixture
+def part_verdicts(monkeypatch):
+    """Run every part-boundary step as usual, and after it the full
+    ``check_good_tuple`` on the frozen cycle.  Records one
+    ``(part, part-boundary letters, full letters)`` triple per boundary."""
+    import clawham.engine as engine
+
+    seen = []
+    step = engine._good_part
+
+    def checked(ctx, cycle, witness, ell, s, edits):
+        problems = step(ctx, cycle, witness, ell, s, edits)
+        frozen = {j: frozenset(m) for j, m in witness.items()}
+        full = check_good_tuple(ctx, cycle.freeze(), frozen)
+        seen.append((ell, _letters(problems), _letters(full)))
+        return problems
+
+    monkeypatch.setattr(engine, "_good_part", checked)
+    return seen
+
+
+PART_RUNS = [
+    ("double-ray-square", 70, 5),
+    ("ray-square", 70, 5),
+    ("ladder-line-graph", 70, 5),
+    ("custom-oracle", 70, 5),
+    ("tri-lattice-line", 13, 2),
+    ("tripod-line", 40, 3),
+    # infinitely many ends: k = 14 parts in the round; the stability gate
+    # rejects every radius of this class, so it is bypassed
+    ("cactus-line", 9, 1),
+]
+
+
+@pytest.mark.parametrize("name, radius, rounds", PART_RUNS)
+def test_part_check_matches_full_check(monkeypatch, part_verdicts, name, radius, rounds):
+    import clawham.engine as engine
+
+    if name == "cactus-line":
+        monkeypatch.setattr(engine, "_stability_gate", lambda ball: None)
+    state = run(_presentation(name, radius), rounds, radius)
+    assert len(part_verdicts) == sum(r.dec.k for r in state.rounds)
+    for ell, by_part, full in part_verdicts:
+        assert by_part == full == set(), ell
+
+
+def test_full_check_runs_once_per_round(monkeypatch):
+    import clawham.engine as engine
+
+    calls = []
+    full = engine.check_good_tuple
+    monkeypatch.setattr(
+        engine, "check_good_tuple", lambda *args: calls.append(1) or full(*args)
+    )
+    state = small_run(rounds=5, radius=70)
+    assert len(calls) == len(state.rounds) == 5
+
+
+def _part_state(held_by_older):
+    """A hand-built round at the boundary of part B, after its second
+    capture.  No run of the presets or bench oracles has a set that absorbs
+    a part, so the absorbing case is built here.
+
+    The finite component is the base cycle 0-1-2-3 plus 13, off the cycle.
+    Part A = {4, 12} with component {5, 6} is done; part B = {7, 8, 11} has
+    the component {9, 10, 14}.  The cycle is 0-4-5-6-12-1-2-7-8-3 with s = 7 and
+    t = 8 captured.  The older set of part A is {4, 5, 6, 12} plus
+    ``held_by_older``, a run of cycle vertices after 12.  Returns the
+    context, the cycle, the sets and the index of part B.
+    """
+    from clawham.extension import _SpliceCycle
+
+    g = FiniteGraph(
+        range(15),
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 12), (12, 1),
+         (2, 7), (7, 8), (8, 3), (7, 9), (9, 14), (14, 10), (9, 10), (10, 8),
+         (10, 11), (11, 8), (11, 3), (7, 14), (9, 8), (9, 11), (13, 12), (13, 1)],
+    )
+    c = CycleEmbedding([0, 1, 2, 3])
+    dec = decompose(g, c, [4, 7, 8, 11, 12], [6, 9])
+    ctx = GoodTupleContext.build(g, c, dec)
+    a, b = dec.part_of_vertex(4), dec.part_of_vertex(7)
+    cycle = _SpliceCycle(CycleEmbedding([0, 4, 5, 6, 12, 1, 2, 7, 8, 3]))
+    witness = {a: {4, 5, 6, 12, *held_by_older}}
+    assert check_good_tuple(ctx, cycle.freeze(), witness) == []
+    return ctx, cycle, witness, b
+
+
+def _part_boundary(ctx, cycle, witness, ell, splices):
+    """Apply the part's splices, each a path extension or an insertion
+    ``(u, v, seq)``, then run the part-boundary step; returns its letters
+    and the full check's."""
+    from clawham.engine import _good_part, _part_edit, _part_edits
+    from clawham.extension import PathExtension
+
+    g = ctx.graph
+    first = {}
+    for step in splices:
+        if isinstance(step, PathExtension):
+            _part_edit(first, cycle, {step.base, *step.extension_path},
+                       lambda: cycle.splice(g, step))
+        else:
+            u, v, seq = step
+            _part_edit(first, cycle, {u, v, *seq}, lambda: cycle.insert(g, u, v, seq))
+    problems = _good_part(ctx, cycle, witness, ell, 7, _part_edits(first, cycle))
+    return _letters(problems), _letters(check_good_tuple(ctx, cycle.freeze(), witness))
+
+
+def _bridging_extension():
+    """Target 11 through base 10, on the path 11-9-8: it bridges 9, joining
+    its cycle-neighbors 7 and 14, and puts 11, 9 between 10 and 8."""
+    from clawham.extension import ExtensionCase, PathExtension
+
+    return PathExtension(ExtensionCase.ONE, 11, 10, (11, 9, 8), (9,))
+
+
+@pytest.mark.parametrize("splices", [
+    [(7, 8, (9, 14, 10, 11))],
+    # 11 goes in last, between 8 and 3
+    [(7, 8, (9, 14, 10)), (8, 3, (11,))],
+    "bridge",
+])
+def test_part_absorbed_by_an_older_set_is_good(splices):
+    """The older set holds s = 7 and t = 8, so it absorbs part B and its
+    component; both checks find the result good."""
+    if splices == "bridge":
+        splices = [(7, 8, (9, 14, 10)), _bridging_extension()]
+    ctx, cycle, witness, b = _part_state((1, 2, 7, 8, 3))
+    (a,) = witness
+    assert _part_boundary(ctx, cycle, witness, b, splices) == (set(), set())
+    assert witness[a] == {1, 2, 3, 4, 5, 6, 12} | witness[b]
+    assert witness[b] == {7, 8, 9, 10, 11, 14}
+
+
+def _corrupt_part_rule(monkeypatch, corrupt):
+    """Patch the part-boundary rule: apply the honest rule, then
+    ``corrupt(witness, ell, new_m)``."""
+    import clawham.engine as engine
+
+    rule = engine._part_rule
+
+    def corrupted(witness, ell, new_m, s):
+        rule(witness, ell, new_m, s)
+        corrupt(witness, ell, new_m)
+
+    monkeypatch.setattr(engine, "_part_rule", corrupted)
+
+
+def test_spine_across_an_older_cut_is_flagged():
+    """The spine, here 13, goes in between 12 and 1, both in the older set,
+    instead of between s and t: the older cut is crossed four times, part B's zone
+    stays off the cycle, and its new set holds zone vertices off it."""
+    ctx, cycle, witness, b = _part_state((1,))
+    by_part, full = _part_boundary(ctx, cycle, witness, b, [(12, 1, (13,))])
+    assert by_part == full == {"a", "c", "d"}
+
+
+def test_new_set_missing_a_part_vertex_is_flagged(monkeypatch):
+    """Part vertex 11 sits between 10 and 8 on the cycle; a new set without
+    it is crossed four times."""
+    _corrupt_part_rule(monkeypatch, lambda witness, ell, new_m: witness[ell].discard(11))
+    ctx, cycle, witness, b = _part_state(())
+    by_part, full = _part_boundary(ctx, cycle, witness, b, [(7, 8, (9, 14, 10, 11))])
+    assert by_part == full == {"c"}
+
+
+def test_new_set_missing_a_component_vertex_is_flagged(monkeypatch):
+    """Without 14, the new set misses part of its component, and the
+    cycle crosses its cut on both edges at 14, between 9 and 10."""
+    _corrupt_part_rule(monkeypatch, lambda witness, ell, new_m: witness[ell].discard(14))
+    ctx, cycle, witness, b = _part_state(())
+    inserts = [(7, 8, (9, 14, 10)), (8, 3, (11,))]
+    by_part, full = _part_boundary(ctx, cycle, witness, b, inserts)
+    assert by_part == full == {"b", "c", "f"}
+
+
+def test_absorption_into_a_set_without_s_is_flagged(monkeypatch):
+    """The older set holds neither s nor t, yet absorbs part B: it now has
+    two runs on the cycle and two pieces with no edge between them."""
+    def absorb_all(witness, ell, new_m):
+        for m in witness.values():
+            m |= new_m
+
+    _corrupt_part_rule(monkeypatch, absorb_all)
+    ctx, cycle, witness, b = _part_state(())
+    by_part, full = _part_boundary(ctx, cycle, witness, b, [(7, 8, (9, 14, 10, 11))])
+    assert by_part == full == {"c", "e"}
 
 
 # -- separator gap and stable degrees against their references -------------------

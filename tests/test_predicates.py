@@ -20,6 +20,7 @@ from clawham.predicates import (
     is_claw_free,
     is_locally_connected,
     is_two_connected,
+    locally_connected_at,
     neighborhood_components,
 )
 from helpers import (
@@ -170,7 +171,9 @@ def assert_matches_references(g):
         assert _report(live, g) == _report(ref, g), (name, g.edges())
     for v in g.vertices:
         assert claw_at(g, v) == reference_claw_at(g, v), (v, g.edges())
-        assert neighborhood_components(g, v) == reference_neighborhood_components(g, v)
+        comps = reference_neighborhood_components(g, v)
+        assert neighborhood_components(g, v) == comps
+        assert locally_connected_at(g, v) == (len(comps) <= 1), (v, g.edges())
 
 
 def test_reports_match_references_exhaustive(small_graphs):

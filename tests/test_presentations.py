@@ -78,3 +78,25 @@ def test_ball_over_the_vertex_budget_is_refused(monkeypatch):
     with pytest.raises(DomainError, match="exceeds 40 vertices"):
         pres.extract_ball(10)
     assert len(pres.extract_ball(9).graph) == 37
+
+
+def test_oracle_repeating_a_neighbor_is_refused():
+    def repeats(v):
+        return (v - 1, v + 1, v + 1)
+
+    with pytest.raises(GraphInputError, match="repeats a neighbor"):
+        GraphPresentation("repeats", repeats, 0).extract_ball(2)
+
+
+@pytest.mark.parametrize("name, radius", [("double-ray-square", 6), ("ladder-line-graph", 5)])
+def test_extract_ball_asks_the_oracle_once_per_label(name, radius):
+    base = preset(name)
+    asked = []
+
+    def counted(v):
+        asked.append(v)
+        return base.neighbors(v)
+
+    ball = GraphPresentation(name, counted, base.root).extract_ball(radius)
+    assert sorted(map(repr, asked)) == sorted(map(repr, ball.labels))
+    assert ball == base.extract_ball(radius)
