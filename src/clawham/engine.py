@@ -11,19 +11,20 @@ must satisfy five extraction conditions that certify, on the generated
 prefix, the shape of a limit circle through all ends.
 
 A round validates its input cycle once, then edits one live cycle and one
-dict of witness sets.  Every splice goes through ``_tracked``, which reads
-the cycle edges a splice removed and added off its footprint F and the old
-cycle-neighbors of F.  After every capture and finite-component splice,
-``_good_splice`` decides the six properties from those edges, in
-O(k·|F|·deg) for k witness sets, plus a search inside a witness set in the
-one case that needs it, a set that sheds part of F; the search stops as soon
-as it has joined the set's neighbors of F.  A part's spine and zone-cover
-splices only collect their net edge changes.  At the part boundary,
-``_good_part`` decides the six properties from those changes and the new
-and absorbing sets, in O(|Z|·deg + k·|P|) for the part's zone Z and the
-part and its edited cycle-neighbors P, never walking the part's component.
-The full ``check_good_tuple`` runs once, at the round end, on a frozen copy,
-at O(k·(|C| + |M|) + k²) for cycle length |C| and witness-set sizes |M|.
+dict of witness sets in steps.  A step is a capture or finite-component
+splice, or a part's spine and zone-cover splices; it ends with a witness
+update.  One tracker, ``_touch``, notes the cycle edges at each vertex a
+step's edits touch, on first touch, and one check, ``_good_step``, decides
+the six properties from the step's net edge changes and from the sets'
+changes inside the vertices the update may move (the footprint F of a
+splice, or a part P with its component K).  Its premises are that the
+tuple was good before the step, that no edit drops a vertex, and that the
+update moves only those vertices.  It costs O(k) C-level set operations for
+k witness sets, plus Python work in O(deg) per touched, gained or lost
+vertex outside a component held whole; a set that sheds vertices is
+searched only until their neighbors in it are joined.  The full
+``check_good_tuple`` runs once, at the round end, on a frozen copy, at
+O(k·(|C| + |M|) + k²) for cycle length |C| and witness-set sizes |M|.
 """
 
 from __future__ import annotations
@@ -233,97 +234,224 @@ def _witness_rule(
             m -= footprint
 
 
-def _good_splice(
+def _part_rule(witness: dict[int, set[int]], ell: int, new_m: set[int], s: int) -> None:
+    """The part-boundary update, in place: every set that holds the
+    captured separator vertex ``s`` absorbs ``new_m`` = part ∪ component,
+    and part ``ell`` gets ``new_m`` as its own set."""
+    for m in witness.values():
+        if s in m:
+            m |= new_m
+    witness[ell] = new_m
+
+
+def _touch(first: dict[int, set[Edge]], cycle: _SpliceCycle, footprint) -> None:
+    """The step tracker, called before each edit of a step that touches
+    only ``footprint``.  Notes the cycle edges at every vertex of the
+    footprint and at the cycle-neighbors of its cycle vertices that no
+    earlier edit of the step touched.  A splice or insertion changes only
+    edges between these vertices: it removes the edges at the vertices it
+    bridges and the edge it inserts into, and adds edges along its path and
+    between the cycle-neighbors of bridged vertices, all at footprint
+    vertices or their cycle-neighbors.  So the noted edges are those of the
+    cycle the step started from."""
+    near = set(footprint)
+    for v in footprint:
+        if v in cycle:
+            near.update((cycle.succ(v), cycle.pred(v)))
+    for v in near.difference(first):
+        first[v] = cycle.edges_at((v,))
+
+
+def _splice_step(
     ctx: GoodTupleContext,
     cycle: _SpliceCycle,
     witness: dict[int, set[int]],
     ext: PathExtension,
 ) -> tuple[tuple[int, ...], list[str]]:
-    """Splice ``ext`` into the live cycle, update the witness sets in place,
-    and return the vertices added plus the good-tuple violations, read off
-    the footprint F = extension path plus base.
-
-    Premises: the tuple was good before the splice; F lies in the allowed
-    region, so inside the finite component and the separator; and only
-    vertices of F change membership in a witness set.  Let ``near`` be F
-    with the old cycle-neighbors of its cycle vertices.  Then the verdict
-    names the same properties as ``check_good_tuple`` on the result:
-
-    * (a), (d): a splice removes only bridged vertices, all in F, so the
-      cycle lost nothing iff F is on the cycle afterwards.  Then the base
-      cycle, the parts and the zones are still on it, and every vertex a set
-      gains is on the cycle.  Vertices a set already held stay on it.
-    * (b), (f): F misses every infinite component, so ``comp ⊆ m`` and the
-      way m meets each component cannot change.  A set gains only vertices
-      of F, so it stays in ``witness_room`` iff its gains do.
-    * (c): every removed cycle edge is incident to F (a bridged b and the
-      insertion end ``path[-1]`` lie in F).  Every added edge is incident to
-      F or is a bridge edge (pred b, succ b), whose ends are old
-      cycle-neighbors of F.  So the edges away from ``near`` are the same
-      before and after, with unchanged membership at both ends, and the new
-      count is 2 − (old count at ``near``) + (new count at ``near``).
-    * (e): a set that absorbs F and met it before stays connected: F is a
-      path plus a base adjacent to all of it, and it shares a vertex with
-      the connected m.  A set that sheds F ∩ m: every component of m ∖ F
-      contains a neighbor of F ∩ m (m was connected), so m ∖ F is connected
-      iff one search inside it from such a neighbor reaches all of them; it
-      stops as soon as it has.  A set with the same F ∩ m is unchanged.  Any
-      other change, which the rule never makes, is searched in full.
-    """
-    g = ctx.graph
+    """Splice ``ext`` into the live cycle, a step of one edit whose update
+    is the witness rule on the footprint F = extension path plus base;
+    return the vertices added and the step's violations."""
     footprint = _footprint(ctx, ext)
-    fresh, old_edges, new_edges = _tracked(cycle, footprint, lambda: cycle.splice(g, ext))
-    before = {j: footprint & m for j, m in witness.items()}
-    crossed = {j: _crossings(old_edges, m) for j, m in witness.items()}
-    _witness_rule(witness, footprint, ext.endvertex)
-
-    problems: list[str] = []
-    if not all(v in cycle for v in footprint):
-        problems.append("(a) the splice dropped footprint vertices from the cycle")
-    for j in sorted(witness):
-        m = witness[j]
-        was, now = before[j], footprint & m
-        if not (now - was).isdisjoint(ctx.deep_base):
-            problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
-        crossings = 2 - crossed[j] + _crossings(new_edges, m)
-        if crossings != 2:
-            problems.append(
-                f"(c) part {j}: cycle crosses the witness cut {crossings} times"
-            )
-        if now == was or (now == footprint and was):
-            connected = True
-        elif not now:
-            connected = _reaches_all(g, m, {w for v in was for w in g.neighbors(v) if w in m})
-        else:
-            connected = not m or _reaches_all(g, m, m)
-        if not connected:
-            problems.append(f"(e) part {j}: witness set induces a disconnected graph")
+    first: dict[int, set[Edge]] = {}
+    _touch(first, cycle, footprint)
+    fresh = cycle.splice(ctx.graph, ext)
+    problems = _good_step(
+        ctx, cycle, witness, first, footprint, (),
+        lambda: _witness_rule(witness, footprint, ext.endvertex),
+    )
     return fresh, problems
 
 
-def _near(cycle: _SpliceCycle, footprint) -> set[int]:
-    """The footprint plus the cycle-neighbors of its cycle vertices.  A
-    splice or insertion that touches only the footprint removes and adds
-    only cycle edges between vertices of this set (see ``_good_splice``)."""
-    near = set(footprint)
-    for v in footprint:
-        if v in cycle:
-            near.update((cycle.succ(v), cycle.pred(v)))
-    return near
+def _part_step(
+    ctx: GoodTupleContext,
+    cycle: _SpliceCycle,
+    witness: dict[int, set[int]],
+    first: dict[int, set[Edge]],
+    ell: int,
+    s: int,
+) -> list[str]:
+    """End the step of part ``ell``, whose spine and zone-cover edits are
+    noted in ``first``: its update is the part rule, which moves vertices
+    of the part P and its component K; return the step's violations."""
+    moved = ctx.component_sets[ell - 1].union(ctx.dec.parts[ell - 1])
+    return _good_step(
+        ctx, cycle, witness, first, moved, (ell,),
+        lambda: _part_rule(witness, ell, set(moved), s),
+    )
 
 
-def _tracked(cycle: _SpliceCycle, footprint, edit):
-    """Run ``edit()``, a splice or insertion on the live cycle that touches
-    only ``footprint``; return its result and the cycle edges at
-    ``_near(cycle, footprint)`` before and after it."""
-    near = _near(cycle, footprint)
-    old_edges = cycle.edges_at(near)
-    result = edit()
-    return result, old_edges, cycle.edges_at(near)
+def _good_step(
+    ctx: GoodTupleContext,
+    cycle: _SpliceCycle,
+    witness: dict[int, set[int]],
+    first: dict[int, set[Edge]],
+    moved: frozenset[int],
+    met: tuple[int, ...],
+    rule,
+) -> list[str]:
+    """Run ``rule()``, the witness update that ends a step, and return the
+    good-tuple violations of the result, read off what the step changed.
+
+    A step is one or more edits of the live cycle, each noted in ``first``
+    by ``_touch``, and then the update.  ``moved`` holds the vertices the
+    update may move, and ``met`` the components it meets: the footprint F
+    and none for a splice (F lies in the allowed region), P ∪ K and K's
+    index for a part P with component K.  Premises: the tuple was good
+    before the step; the context is built by ``GoodTupleContext.build``
+    from a decomposition of ``decompose``, so a component's neighbors
+    outside it lie in its part; no edit drops a cycle vertex
+    (``_SpliceCycle.splice`` raises when one would); and the update changes
+    sets only inside ``moved``, where it also puts every set it creates.
+    For a set W before and m after the update (W = ∅ for a new set), let
+    was = W ∩ moved, gained = m ∩ moved − was and lost = was − m.  Then the
+    verdict names the same properties as ``check_good_tuple``:
+
+    * (a): the cycle only grows, so only a new set's part and zone can be
+      off it.
+    * (b): a set holds its component iff it lost none of it, or for a new
+      set iff it holds it now.  It stays off the deep base cycle, which
+      ``moved`` misses: F lies in the allowed region, P in the separator
+      and K outside the finite component.
+    * (c): exact.  Only the net edits (+1 added, −1 removed: the edges in
+      ``first`` against the edges now at those vertices) change which edges
+      are on the cycle, and only edges at changed vertices change whether
+      they cross.  So the count is 2 (0 for a new set), plus Σ d·x(e) over
+      the edits for x(e) = [e crosses m], plus, for a changed set,
+      Σ x(e) − x_W(e) over the starting cycle's edges at ``moved``.
+    * (d): kept vertices were on the smaller cycle, so only gained vertices
+      near the finite component can be off it.
+    * (e): a set that only gained is connected iff ``_joined`` joins its
+      gains to W, with W and each component held whole as one block.  In a
+      set that lost vertices, every piece holds a gained vertex or a
+      neighbor of a lost one, since W was connected; one search inside m
+      joins them (``_reaches_all``).
+    * (f): only the components in ``met`` can be split.
+
+    A set that did not change and holds no endpoint of an edit keeps all
+    six, after one ``isdisjoint``.  The cost is O(k) set operations against
+    ``moved``, in C, plus Python work in O(deg) per touched vertex, per
+    gained vertex outside a component held whole, and per lost vertex; the
+    search in a set that lost vertices stops as soon as it has joined them.
+    """
+    g = ctx.graph
+    before = {j: m & moved for j, m in witness.items()}
+    rule()
+    old = set().union(*first.values())
+    new = cycle.edges_at(first)
+    edits = {**dict.fromkeys(old - new, -1), **dict.fromkeys(new - old, 1)}
+    ends = {v for e in edits for v in e}
+    at_moved = cycle.edges_at(cycle.on_cycle(moved).difference(first)).union(
+        *(first[v] for v in moved.intersection(first))
+    )
+
+    problems: list[str] = []
+    for j in sorted(witness):
+        m, is_new = witness[j], j not in before
+        was = before.get(j, frozenset())
+        now = m & moved
+        gained, lost = now - was if was else now, was - m
+        changed = gained or lost
+        if not (is_new or changed or not m.isdisjoint(ends)):
+            continue
+        comp, zone = ctx.component_sets[j - 1], ctx.part_zones[j - 1]
+        if is_new and not all(v in cycle for v in zone.union(ctx.dec.parts[j - 1])):
+            problems.append(f"(a) part {j}: separator part or its 3-zone not on the cycle")
+        if not (comp <= m if is_new else lost.isdisjoint(comp)):
+            problems.append(f"(b) part {j}: witness set misses component vertices")
+        crossings = (0 if is_new else 2) + sum(
+            d * ((a in m) != (b in m)) for (a, b), d in edits.items()
+        )
+        if changed:
+            def in_w(v: int) -> bool:
+                return v in was if v in moved else v in m
+
+            crossings += sum(((a in m) != (b in m)) - (in_w(a) != in_w(b)) for a, b in at_moved)
+        if crossings != 2:
+            problems.append(f"(c) part {j}: cycle crosses the witness cut {crossings} times")
+        if not changed:
+            continue
+        whole = {p: ctx.component_sets[p - 1] <= m for p in met}
+        stray = [v for v in gained & ctx.around_finite_4 if v not in cycle]
+        if stray:
+            problems.append(
+                f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
+                "but near the finite component"
+            )
+        if lost:
+            goal = {w for v in lost for w in g.neighbors(v) if w in m} | gained
+            joined = _reaches_all(g, m, goal)
+        else:
+            blocks = [
+                (ctx.component_sets[p - 1], ctx.dec.parts[p - 1])
+                for p in met
+                if whole[p] and ctx.component_sets[p - 1].isdisjoint(was)
+            ]
+            joined = _joined(g, m, gained, blocks)
+        if not joined:
+            problems.append(f"(e) part {j}: witness set induces a disconnected graph")
+        for p in met:
+            if not whole[p] and not ctx.component_sets[p - 1].isdisjoint(m):
+                problems.append(f"(f) part {j}: witness set contains part of component {p} only")
+    return problems
 
 
-def _crossings(edges, m) -> int:
-    return sum((a in m) != (b in m) for a, b in edges)
+def _joined(g: FiniteGraph, m, gained, blocks) -> bool:
+    """Whether ``m`` is connected, given that m − ``gained`` is, and that
+    each (component, part) of ``blocks`` is a component held whole in
+    ``gained`` whose neighbors outside it lie in its part.  Only the gained
+    vertices outside the blocks are walked: m − gained is one node (None),
+    and a block joins the held vertices of its part next to it."""
+    loose = gained.difference(*(comp for comp, _ in blocks))
+    root: dict = {}
+
+    def find(v):
+        while v in root:
+            v = root[v]
+        return v
+
+    def join(u, v) -> None:
+        u, v = find(u), find(v)
+        if u != v:
+            root[u] = v
+
+    for x in loose:
+        for w in g.neighbors(x):
+            if w in loose:
+                join(x, w)
+            elif w in m and w not in gained:
+                join(x, None)
+    for comp, part in blocks:
+        touching = [
+            q if q in loose else None
+            for q in part
+            if q in m and not comp.isdisjoint(g.neighbor_set(q))
+        ]
+        if not touching:
+            return len(m) == len(comp)
+        for q in touching:
+            join(q, touching[0])
+    nodes = loose | ({None} if len(m) > len(gained) else set())
+    return len({find(v) for v in nodes}) <= 1
 
 
 def _reaches_all(g: FiniteGraph, m, goal) -> bool:
@@ -338,157 +466,6 @@ def _reaches_all(g: FiniteGraph, m, goal) -> bool:
             if not left:
                 return True
     return False
-
-
-def _part_edit(first: dict[int, set[Edge]], cycle: _SpliceCycle, footprint, edit):
-    """Run ``edit()``, one of a part's splices that touches only
-    ``footprint``, after noting the cycle edges at each vertex of its
-    ``_near`` set that no earlier splice of the part touched.  Those are
-    still edges of the cycle the part started from, since a splice changes
-    only edges between vertices of its near set.  Returns the result."""
-    for v in _near(cycle, footprint):
-        if v not in first:
-            first[v] = cycle.edges_at((v,))
-    return edit()
-
-
-def _part_edits(first: dict[int, set[Edge]], cycle: _SpliceCycle) -> dict[Edge, int]:
-    """A part's net cycle-edge changes, -1 for an edge it removed and +1 for
-    one it added: every changed edge joins two vertices the part touched, so
-    compare their edges at first touch with their edges now."""
-    old = set().union(*first.values())
-    new = cycle.edges_at(first)
-    return {**dict.fromkeys(old - new, -1), **dict.fromkeys(new - old, 1)}
-
-
-def _part_rule(witness: dict[int, set[int]], ell: int, new_m: set[int], s: int) -> None:
-    """The part-boundary update, in place: every set that holds the
-    captured separator vertex ``s`` absorbs ``new_m`` = part ∪ component,
-    and part ``ell`` gets ``new_m`` as its own set."""
-    for m in witness.values():
-        if s in m:
-            m |= new_m
-    witness[ell] = new_m
-
-
-def _good_part(
-    ctx: GoodTupleContext,
-    cycle: _SpliceCycle,
-    witness: dict[int, set[int]],
-    ell: int,
-    s: int,
-    edits: dict[Edge, int],
-) -> list[str]:
-    """Apply the part-boundary update for part ``ell`` in place and return
-    the good-tuple violations, read off what the part changed since its
-    last checked splice (the second capture): the net cycle-edge changes
-    ``edits`` of its spine and zone-cover splices, and the sets the update
-    changed.
-
-    Write P and K for the part and its component, Z for its 3-zone, N for
-    P ∪ K, C0, W0 for the cycle and sets at the second capture and C1, W1
-    for them now.  Premises: the context is built by
-    ``GoodTupleContext.build`` from a decomposition of ``decompose``; the
-    tuple (C0, W0) was good; the part's splices and the spine add only
-    vertices of N, since their bases lie in K and N(K) ⊆ N; and the update
-    only adds vertices of N to sets and makes the new set a subset of N.
-    Every earlier splice added vertices of the allowed region or of another
-    part and its component, so K misses C0.  An older set m0 misses K: by
-    (f) it would hold all of K, including a neighbor of a part vertex, which
-    lies within distance 2 of the finite component and off C0, against (d).
-    Then the verdict names the same properties as ``check_good_tuple``:
-
-    * (a): splices and insertions never drop a vertex, so C0 ⊆ C1 and only
-      P ∪ Z ⊆ C1 is new, at O(|Z|).
-    * (b), (f): a set the update leaves alone keeps them.  A changed set
-      gains only vertices of N, which misses the base cycle (the separator
-      avoids it, and K lies outside the finite component that holds it), so
-      the set stays in the room.  N meets no other component, so the set
-      can break (b) or (f) only by holding part of K.  How many vertices of
-      K it gained follows from its size change and its gained part
-      vertices, without walking K.
-    * (c): a set's crossings change only on the edges the part added or
-      removed (the net count in ``edits``) and, for a changed set, on the
-      edges at N ∩ C1, the only cycle vertices whose membership changed.
-      N ∩ C1 is P ∩ C1 plus the endpoints in K of added edges, since K
-      misses C0.  The new set lies in N, so all its crossings are at N ∩ C1.
-      The endpoints in K are held by no older set, so an unchanged set is
-      recounted only if it holds an endpoint outside K.
-    * (d): the cycle only grows, so a set the update leaves alone keeps it.
-      A changed set's new off-cycle vertices near the finite component lie
-      in P ∪ Z: a vertex of K within distance 4 of the finite component is
-      within distance 3 of P, since every path to it enters K from P.
-    * (e): K is a component, so a changed set is connected when each gained
-      part vertex has a neighbor in K and the old set, if any, holds a part
-      vertex next to K or a neighbor of a gained part vertex.  A set that
-      gained only part of K, which the rule never does, is searched in full.
-      A set the update leaves alone keeps its members.
-
-    The cost is O(|Z|·deg) for the changed sets, and O(k·|P'|) for
-    selecting the unchanged sets to recount, P' being P and the endpoints
-    outside K of the edited edges; K is never walked.
-    """
-    g = ctx.graph
-    part = frozenset(ctx.dec.parts[ell - 1])
-    comp = ctx.component_sets[ell - 1]
-    zone = ctx.part_zones[ell - 1]
-    ends = {v for e in edits for v in e}
-    outside = {v for v in ends if v not in comp} | part
-    held = {j: m & outside for j, m in witness.items()}
-    sizes = {j: len(m) for j, m in witness.items()}
-    _part_rule(witness, ell, set(comp).union(part), s)
-
-    problems: list[str] = []
-    covered = part | zone
-    if not all(v in cycle for v in covered):
-        problems.append(f"(a) part {ell}: separator part or its 3-zone not on the cycle")
-    changed_edges = cycle.edges_at(part | (ends & comp))
-    for j in sorted(witness):
-        m, h = witness[j], held.get(j, set())
-        if j != ell and len(m) == sizes[j]:
-            if not h.isdisjoint(ends):
-                crossings = 2 + sum(d * ((a in m) != (b in m)) for (a, b), d in edits.items())
-                if crossings != 2:
-                    problems.append(
-                        f"(c) part {j}: cycle crosses the witness cut {crossings} times"
-                    )
-            continue
-
-        def was(v: int) -> bool:
-            return v in h if v in outside else v not in comp and v in m
-
-        gained = [p for p in part if p in m and p not in h]
-        got = len(m) - sizes.get(j, 0) - len(gained)
-        if j == ell and got != len(comp):
-            problems.append(f"(b) part {j}: witness set misses component vertices")
-        crossings = _crossings(changed_edges, m)
-        if j in sizes:  # absorbing: the old count, moved by the edits and by N
-            crossings += (
-                2
-                + sum(d * (was(a) != was(b)) for (a, b), d in edits.items())
-                - sum(was(a) != was(b) for a, b in changed_edges)
-            )
-        if crossings != 2:
-            problems.append(f"(c) part {j}: cycle crosses the witness cut {crossings} times")
-        stray = [v for v in covered if v in m and v not in cycle and v in ctx.around_finite_4]
-        if stray:
-            problems.append(
-                f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
-                "but near the finite component"
-            )
-        if got != len(comp):
-            connected = _reaches_all(g, m, m)
-        else:
-            connected = all(not comp.isdisjoint(g.neighbor_set(p)) for p in gained) and (
-                not sizes.get(j)
-                or any(not comp.isdisjoint(g.neighbor_set(p)) for p in h & part)
-                or any(was(w) for p in gained for w in g.neighbors(p))
-            )
-        if not connected:
-            problems.append(f"(e) part {j}: witness set induces a disconnected graph")
-        if 0 < got < len(comp):
-            problems.append(f"(f) part {j}: witness set contains part of component {ell} only")
-    return problems
 
 
 # -- one round of the construction -------------------------------------------
@@ -536,14 +513,13 @@ def _assert_deep_vertex(g: FiniteGraph, c: CycleEmbedding) -> None:
 
 
 def _grow_part_tree(
-    g: FiniteGraph, dec: SeparatorDecomposition, ell: int
+    g: FiniteGraph, ctx: GoodTupleContext, ell: int
 ) -> tuple[dict[int, int | None], frozenset[int]]:
     """BFS tree inside the part's component spanning the 3-zone of the part,
     pruned of branches that do not lead to the zone."""
-    comp = frozenset(dec.infinite_components[ell - 1])
-    part = dec.parts[ell - 1]
-    zone = set(neighborhood_k(g, part, 3)) & comp
-    root = min(set(neighborhood_k(g, part, 1)) & comp)
+    comp = ctx.component_sets[ell - 1]
+    zone = ctx.part_zones[ell - 1]
+    root = min(w for p in ctx.dec.parts[ell - 1] for w in g.neighbors(p) if w in comp)
     parent: dict[int, int | None] = {}
     remaining = set(zone)
     for v, u, _ in bfs(g, [root], within=comp):
@@ -596,10 +572,12 @@ def cut_lemma_round(
     component.  Witness sets follow the two displayed update rules.
 
     The input cycle is validated once.  All splices then edit one live
-    cycle and one dict of witness sets.  Each capture and finite-component
-    splice is checked by ``_good_splice`` from its footprint, each part by
-    ``_good_part`` from its net edge changes and the sets it changed; the
-    full ``check_good_tuple`` runs once, on a frozen copy at the round end.
+    cycle and one dict of witness sets, in steps: each capture and each
+    finite-component splice is a step of one edit, and each part's spine
+    and zone covers are one step.  Every edit goes through the tracker
+    ``_touch``, and every step ends with its update rule and the check
+    ``_good_step``, which costs what the step changed; the full
+    ``check_good_tuple`` runs once, on a frozen copy at the round end.
     """
     _require_cycle(g, c)
     _assert_deep_vertex(g, c)
@@ -615,7 +593,7 @@ def cut_lemma_round(
         return {v for i in uncovered for v in dec.parts[i - 1]}
 
     def good_splice(ext: PathExtension) -> tuple[int, ...]:
-        fresh, problems = _good_splice(ctx, cycle, witness, ext)
+        fresh, problems = _splice_step(ctx, cycle, witness, ext)
         if problems:
             raise InternalConsistencyError(
                 "extension broke the witness properties: " + "; ".join(problems),
@@ -669,10 +647,7 @@ def cut_lemma_round(
             if after in uncovered_sep() - part:
                 if not g.has_edge(t, z):
                     other = dec.part_of_vertex(after)
-                    x = min(
-                        set(g.neighbors(after))
-                        & set(dec.infinite_components[other - 1])
-                    )
+                    x = min(g.neighbor_set(after) & ctx.component_sets[other - 1])
                     raise InternalConsistencyError(
                         "separator-neighborhood completeness failed "
                         f"at {after} for {t}, {z}",
@@ -697,26 +672,27 @@ def cut_lemma_round(
             )
 
         # -- splice a spanning tree of the part's 3-zone between s and t,
-        #    then cover the zone; both are checked at the part boundary
+        #    then cover the zone; one step, checked at the part boundary
         first: dict[int, set[Edge]] = {}
-        tree_parent, tree_vertices = _grow_part_tree(g, dec, ell)
+        tree_parent, tree_vertices = _grow_part_tree(g, ctx, ell)
         n_s = min(set(g.neighbors(s)) & tree_vertices)
         n_t = min(set(g.neighbors(t)) & tree_vertices)
         spine = _tree_path(tree_parent, n_s, n_t)
+        _touch(first, cycle, {s, t, *spine})
         try:
-            _part_edit(first, cycle, {s, t, *spine}, lambda: cycle.insert(g, s, t, spine))
+            cycle.insert(g, s, t, spine)
         except InternalConsistencyError as exc:
             raise InternalConsistencyError(
                 f"splicing the part-{ell} tree spine between {s} and {t} "
                 f"did not yield a cycle: {exc}"
             ) from exc
+
+        def zone_splice(ext: PathExtension) -> tuple[int, ...]:
+            _touch(first, cycle, {ext.base, *ext.extension_path})
+            return cycle.splice(g, ext)
+
         covered_goal = part | tree_vertices
-        log = _cover(
-            g, cycle, covered_goal, covered_goal, tree_vertices,
-            splice=lambda ext: _part_edit(
-                first, cycle, {ext.base, *ext.extension_path}, lambda: cycle.splice(g, ext)
-            ),
-        )
+        log = _cover(g, cycle, covered_goal, covered_goal, tree_vertices, splice=zone_splice)
         ext_count += len(log)
 
         # -- witness updates: new part set, and absorb into older sets that
@@ -726,7 +702,7 @@ def cut_lemma_round(
                 raise InternalConsistencyError(
                     f"witness set {j} separates the adjacent pair {s}, {t}"
                 )
-        problems = _good_part(ctx, cycle, witness, ell, s, _part_edits(first, cycle))
+        problems = _part_step(ctx, cycle, witness, first, ell, s)
         if problems:
             raise InternalConsistencyError(
                 f"round {index}, part {ell}: " + "; ".join(problems)
@@ -760,12 +736,11 @@ def cut_lemma_round(
 def _round_conclusions(g, c, dec, tup, base_edges) -> dict[str, bool]:
     """The three round conclusions, recorded (not raised) for the run log."""
     new_cycle = tup.cycle
-    nc = neighborhood_k(g, c.order, 1)
+    near2 = tup.context.near_cycle_2  # distance 1 to 2 from N(C), C ∩ N(C) = ∅
     n3_sep = set(neighborhood_k(g, dec.separator, 3))
     want = set(dec.finite_component) | set(dec.separator) | n3_sep
     containment = want <= new_cycle.vertex_set
 
-    near2 = set(neighborhood_k(g, nc, 2))
     new_edges = new_cycle.edge_set()
     keep_ok = True
     for e in base_edges:
@@ -774,7 +749,9 @@ def _round_conclusions(g, c, dec, tup, base_edges) -> dict[str, bool]:
                 keep_ok = False
                 break
 
-    near3 = set(neighborhood_k(g, nc, 3))
+    # a vertex of C, being outside N(C), is within distance 3 of N(C) iff it
+    # is in near2 or next to it
+    near3 = near2.union(neighborhood_k(g, near2, 1))
     loc_ok = True
     for u, v in new_edges - base_edges:
         for p in (u, v):
@@ -1105,7 +1082,7 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
     cond5 = ConditionReport(not w5, tuple(w5))
 
     stable = stable_edge_set(cycles)
-    region = state.rounds[-2].dec.finite_component if len(state.rounds) >= 2 else ()
+    region = state.rounds[-2].dec.finite_component
     degree: dict[int, int] = {}
     for e in stable:
         for v in e:

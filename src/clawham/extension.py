@@ -291,6 +291,10 @@ class _SpliceCycle:
     def pred(self, v: int) -> int:
         return self._pred[v]
 
+    def on_cycle(self, vertices) -> set[int]:
+        """The given vertices that lie on the cycle, in one intersection."""
+        return self._succ.keys() & vertices
+
     def edges_at(self, vertices) -> set[Edge]:
         """The cycle edges with an endpoint in ``vertices``."""
         succ, pred = self._succ, self._pred

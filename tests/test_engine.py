@@ -340,7 +340,7 @@ def test_deep_vertex_gate_matches_the_distance_rule():
     assert outcomes == {True, False}
 
 
-# -- the per-splice check against the full check ---------------------------------
+# -- the step check against the full check --------------------------------------
 
 
 def _letters(problems) -> set[str]:
@@ -349,24 +349,32 @@ def _letters(problems) -> set[str]:
 
 
 @pytest.fixture
-def splice_verdicts(monkeypatch):
-    """Run every per-splice step as usual, and after it the full
+def step_verdicts(monkeypatch):
+    """Run every step check as usual, and after it the full
     ``check_good_tuple`` on the frozen cycle.  Records one
-    ``(ext, incremental letters, full letters)`` triple per splice."""
+    ``(step letters, full letters)`` pair per step in ``steps``, and the
+    extension of each checked splice, as it reaches the footprint guard, in
+    ``exts``."""
+    from types import SimpleNamespace
+
     import clawham.engine as engine
 
-    seen = []
-    step = engine._good_splice
+    seen = SimpleNamespace(steps=[], exts=[])
+    check, footprint = engine._good_step, engine._footprint
 
-    def checked(ctx, cycle, witness, ext):
-        seen.append(ext)
-        fresh, problems = step(ctx, cycle, witness, ext)
+    def checked(ctx, cycle, witness, *args):
+        problems = check(ctx, cycle, witness, *args)
         frozen = {j: frozenset(m) for j, m in witness.items()}
         full = check_good_tuple(ctx, cycle.freeze(), frozen)
-        seen[-1] = (ext, _letters(problems), _letters(full))
-        return fresh, problems
+        seen.steps.append((_letters(problems), _letters(full)))
+        return problems
 
-    monkeypatch.setattr(engine, "_good_splice", checked)
+    def noted(ctx, ext):
+        seen.exts.append(ext)
+        return footprint(ctx, ext)
+
+    monkeypatch.setattr(engine, "_good_step", checked)
+    monkeypatch.setattr(engine, "_footprint", noted)
     return seen
 
 
@@ -392,13 +400,55 @@ DIFFERENTIAL_RUNS = [
     ("tripod-line", 40, 3, 7),
 ]
 
+PART_RUNS = [
+    ("double-ray-square", 70, 5),
+    ("ray-square", 70, 5),
+    ("ladder-line-graph", 70, 5),
+    ("custom-oracle", 70, 5),
+    ("tri-lattice-line", 13, 2),
+    ("tripod-line", 40, 3),
+    # infinitely many ends: k = 14 parts in the round; the stability gate
+    # rejects every radius of this class, so it is bypassed
+    ("cactus-line", 9, 1),
+]
+
+
+def _assert_steps_match(monkeypatch, verdicts, name, radius, rounds, seed=7):
+    """Run, and require one step per checked splice and per part, each
+    found good by the step check and by the full check alike."""
+    import clawham.engine as engine
+
+    if name == "cactus-line":
+        monkeypatch.setattr(engine, "_stability_gate", lambda ball: None)
+    state = run(_presentation(name, radius, seed), rounds, radius)
+    assert verdicts.exts
+    assert len(verdicts.steps) == len(verdicts.exts) + sum(r.dec.k for r in state.rounds)
+    for i, (by_step, full) in enumerate(verdicts.steps):
+        assert by_step == full == set(), i
+
 
 @pytest.mark.parametrize("name, radius, rounds, seed", DIFFERENTIAL_RUNS)
-def test_incremental_check_matches_full_check(splice_verdicts, name, radius, rounds, seed):
-    run(_presentation(name, radius, seed), rounds, radius)
-    assert splice_verdicts
-    for ext, incremental, full in splice_verdicts:
-        assert incremental == full == set(), ext
+def test_incremental_check_matches_full_check(
+    monkeypatch, step_verdicts, name, radius, rounds, seed
+):
+    _assert_steps_match(monkeypatch, step_verdicts, name, radius, rounds, seed)
+
+
+@pytest.mark.parametrize("name, radius, rounds", PART_RUNS)
+def test_part_check_matches_full_check(monkeypatch, step_verdicts, name, radius, rounds):
+    _assert_steps_match(monkeypatch, step_verdicts, name, radius, rounds)
+
+
+def test_full_check_runs_once_per_round(monkeypatch):
+    import clawham.engine as engine
+
+    calls = []
+    full = engine.check_good_tuple
+    monkeypatch.setattr(
+        engine, "check_good_tuple", lambda *args: calls.append(1) or full(*args)
+    )
+    state = small_run(rounds=5, radius=70)
+    assert len(calls) == len(state.rounds) == 5
 
 
 def test_differential_runs_reach_every_update_case(monkeypatch):
@@ -459,9 +509,9 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
-def test_corrupted_witness_update_is_flagged(monkeypatch, splice_verdicts, kind):
-    """A wrong witness update is flagged by the per-splice check and by the
-    full check alike, and the round raises at that splice."""
+def test_corrupted_witness_update_is_flagged(monkeypatch, step_verdicts, kind):
+    """A wrong witness update is flagged by the step check and by the full
+    check alike, and the round raises at that splice."""
     applies, corrupt, want = CORRUPTIONS[kind]
     if kind == "drop-target":
         # only the tri-lattice runs have a set that absorbs a footprint
@@ -474,19 +524,19 @@ def test_corrupted_witness_update_is_flagged(monkeypatch, splice_verdicts, kind)
 
         def build():
             cut_lemma_round(g, c, dec)
-    # the step records the extension before it applies the rule
+    # the footprint guard sees the extension before the rule runs
     hit = _corrupt_first(
         monkeypatch,
         lambda m, f, z: applies(g, m, f, z),
-        lambda m, f: corrupt(m, f, splice_verdicts[-1].target),
+        lambda m, f: corrupt(m, f, step_verdicts.exts[-1].target),
     )
     with pytest.raises(InternalConsistencyError, match="broke the witness properties"):
         build()
     assert len(hit) == 1
-    _, incremental, full = splice_verdicts[-1]
-    assert want in incremental
-    assert incremental == full
-    assert all(inc == full == set() for _, inc, full in splice_verdicts[:-1])
+    by_step, full = step_verdicts.steps[-1]
+    assert want in by_step
+    assert by_step == full
+    assert all(inc == full == set() for inc, full in step_verdicts.steps[:-1])
 
 
 def test_shedding_an_articulation_vertex_is_flagged():
@@ -498,7 +548,7 @@ def test_shedding_an_articulation_vertex_is_flagged():
     hanging off 2.  Inserting 6 between 2 and 3 through base 2 ends at
     3, outside the set, so the set sheds 2 and splits into {1} and {10, 11}.
     """
-    from clawham.engine import _good_splice
+    from clawham.engine import _splice_step
     from clawham.extension import ExtensionCase, PathExtension, _SpliceCycle
 
     g = FiniteGraph(
@@ -520,10 +570,54 @@ def test_shedding_an_articulation_vertex_is_flagged():
     assert check_good_tuple(ctx, c, witness) == []
     cycle = _SpliceCycle(c)
     ext = PathExtension(ExtensionCase.ONE, 6, 2, (6, 3), ())
-    _, problems = _good_splice(ctx, cycle, witness, ext)
+    _, problems = _splice_step(ctx, cycle, witness, ext)
     assert witness == {1: {1, 10, 11}}
     full = check_good_tuple(ctx, cycle.freeze(), witness)
     assert _letters(problems) == _letters(full) == {"e"}
+
+
+def test_shedding_and_regaining_a_footprint_vertex_is_flagged(monkeypatch):
+    """A set that sheds part of a footprint and, against the rule, gains a
+    footprint vertex with no neighbor in the rest of the set falls apart;
+    both checks say so.
+
+    Cycle 0..7 with the chord 3-5.  The extension from base 0 runs 8, 9
+    and the bridged 4 to 1, giving 0-8-9-4-1-2-3-5-6-7.  The set
+    {4, 5, 10, 11}, with the component {10, 11} hanging off 5, misses the
+    endvertex 1, so it sheds 4; the corrupted rule then adds the target 8.
+    """
+    import clawham.engine as engine
+    from clawham.extension import ExtensionCase, PathExtension, _SpliceCycle
+
+    rule = engine._witness_rule
+    monkeypatch.setattr(
+        engine, "_witness_rule", lambda witness, f, z: rule(witness, f, z) or witness[1].add(8)
+    )
+    g = FiniteGraph(
+        range(12),
+        [(i, (i + 1) % 8) for i in range(8)]
+        + [(3, 5), (0, 8), (8, 9), (0, 9), (9, 4), (0, 4), (4, 1), (5, 10), (10, 11)],
+    )
+    c = CycleEmbedding(range(8))
+    dec = SeparatorDecomposition(
+        separator=(5,), finite_component=(0, 1, 4, 8, 9), infinite_components=((10, 11),),
+        parts=((5,),),
+    )
+    ctx = GoodTupleContext(
+        g, c, dec,
+        near_cycle_2=frozenset({0, 1, 4, 5}),
+        around_finite_4=frozenset(range(10)),
+        part_zones=(frozenset(),),
+    )
+    witness = {1: {4, 5, 10, 11}}
+    assert check_good_tuple(ctx, c, witness) == []
+    cycle = _SpliceCycle(c)
+    ext = PathExtension(ExtensionCase.ONE, 8, 0, (8, 9, 4, 1), (4,))
+    _, problems = engine._splice_step(ctx, cycle, witness, ext)
+    assert cycle.freeze() == CycleEmbedding([0, 8, 9, 4, 1, 2, 3, 5, 6, 7])
+    assert witness == {1: {5, 8, 10, 11}}
+    full = check_good_tuple(ctx, cycle.freeze(), witness)
+    assert _letters(problems) == _letters(full) == {"c", "e"}
 
 
 def test_bridge_edge_that_crosses_a_witness_cut_is_counted():
@@ -535,7 +629,7 @@ def test_bridge_edge_that_crosses_a_witness_cut_is_counted():
     between base 0 and its successor 1.  The set {2, 3, 10} misses the
     footprint {0, 1, 4, 8} and stays as it is.
     """
-    from clawham.engine import _good_splice
+    from clawham.engine import _splice_step
     from clawham.extension import ExtensionCase, PathExtension, _SpliceCycle
 
     g = FiniteGraph(
@@ -558,73 +652,15 @@ def test_bridge_edge_that_crosses_a_witness_cut_is_counted():
     assert check_good_tuple(ctx, c, witness) == []
     cycle = _SpliceCycle(c)
     ext = PathExtension(ExtensionCase.ONE, 8, 0, (8, 4, 1), (4,))
-    _, problems = _good_splice(ctx, cycle, witness, ext)
+    _, problems = _splice_step(ctx, cycle, witness, ext)
     assert cycle.freeze() == CycleEmbedding([0, 8, 4, 1, 2, 3, 5, 6, 7])
     assert problems == check_good_tuple(ctx, cycle.freeze(), witness) == []
 
 
-# -- the part-boundary check against the full check ------------------------------
+# -- part steps, hand-built ------------------------------------------------------
 
 
-@pytest.fixture
-def part_verdicts(monkeypatch):
-    """Run every part-boundary step as usual, and after it the full
-    ``check_good_tuple`` on the frozen cycle.  Records one
-    ``(part, part-boundary letters, full letters)`` triple per boundary."""
-    import clawham.engine as engine
-
-    seen = []
-    step = engine._good_part
-
-    def checked(ctx, cycle, witness, ell, s, edits):
-        problems = step(ctx, cycle, witness, ell, s, edits)
-        frozen = {j: frozenset(m) for j, m in witness.items()}
-        full = check_good_tuple(ctx, cycle.freeze(), frozen)
-        seen.append((ell, _letters(problems), _letters(full)))
-        return problems
-
-    monkeypatch.setattr(engine, "_good_part", checked)
-    return seen
-
-
-PART_RUNS = [
-    ("double-ray-square", 70, 5),
-    ("ray-square", 70, 5),
-    ("ladder-line-graph", 70, 5),
-    ("custom-oracle", 70, 5),
-    ("tri-lattice-line", 13, 2),
-    ("tripod-line", 40, 3),
-    # infinitely many ends: k = 14 parts in the round; the stability gate
-    # rejects every radius of this class, so it is bypassed
-    ("cactus-line", 9, 1),
-]
-
-
-@pytest.mark.parametrize("name, radius, rounds", PART_RUNS)
-def test_part_check_matches_full_check(monkeypatch, part_verdicts, name, radius, rounds):
-    import clawham.engine as engine
-
-    if name == "cactus-line":
-        monkeypatch.setattr(engine, "_stability_gate", lambda ball: None)
-    state = run(_presentation(name, radius), rounds, radius)
-    assert len(part_verdicts) == sum(r.dec.k for r in state.rounds)
-    for ell, by_part, full in part_verdicts:
-        assert by_part == full == set(), ell
-
-
-def test_full_check_runs_once_per_round(monkeypatch):
-    import clawham.engine as engine
-
-    calls = []
-    full = engine.check_good_tuple
-    monkeypatch.setattr(
-        engine, "check_good_tuple", lambda *args: calls.append(1) or full(*args)
-    )
-    state = small_run(rounds=5, radius=70)
-    assert len(calls) == len(state.rounds) == 5
-
-
-def _part_state(held_by_older):
+def _part_state(held_by_older, eleven_on_cycle=False):
     """A hand-built round at the boundary of part B, after its second
     capture.  No run of the presets or bench oracles has a set that absorbs
     a part, so the absorbing case is built here.
@@ -633,8 +669,10 @@ def _part_state(held_by_older):
     Part A = {4, 12} with component {5, 6} is done; part B = {7, 8, 11} has
     the component {9, 10, 14}.  The cycle is 0-4-5-6-12-1-2-7-8-3 with s = 7 and
     t = 8 captured.  The older set of part A is {4, 5, 6, 12} plus
-    ``held_by_older``, a run of cycle vertices after 12.  Returns the
-    context, the cycle, the sets and the index of part B.
+    ``held_by_older``, a run of cycle vertices after 12.  With
+    ``eleven_on_cycle`` the graph has the edge 11-0 and the cycle already
+    runs 3-11-0.  Returns the context, the cycle, the sets and the index of
+    part B.
     """
     from clawham.extension import _SpliceCycle
 
@@ -642,13 +680,15 @@ def _part_state(held_by_older):
         range(15),
         [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 12), (12, 1),
          (2, 7), (7, 8), (8, 3), (7, 9), (9, 14), (14, 10), (9, 10), (10, 8),
-         (10, 11), (11, 8), (11, 3), (7, 14), (9, 8), (9, 11), (13, 12), (13, 1)],
+         (10, 11), (11, 8), (11, 3), (7, 14), (9, 8), (9, 11), (13, 12), (13, 1)]
+        + [(11, 0)] * eleven_on_cycle,
     )
     c = CycleEmbedding([0, 1, 2, 3])
     dec = decompose(g, c, [4, 7, 8, 11, 12], [6, 9])
     ctx = GoodTupleContext.build(g, c, dec)
     a, b = dec.part_of_vertex(4), dec.part_of_vertex(7)
-    cycle = _SpliceCycle(CycleEmbedding([0, 4, 5, 6, 12, 1, 2, 7, 8, 3]))
+    order = [0, 4, 5, 6, 12, 1, 2, 7, 8, 3] + [11] * eleven_on_cycle
+    cycle = _SpliceCycle(CycleEmbedding(order))
     witness = {a: {4, 5, 6, 12, *held_by_older}}
     assert check_good_tuple(ctx, cycle.freeze(), witness) == []
     return ctx, cycle, witness, b
@@ -656,21 +696,23 @@ def _part_state(held_by_older):
 
 def _part_boundary(ctx, cycle, witness, ell, splices):
     """Apply the part's splices, each a path extension or an insertion
-    ``(u, v, seq)``, then run the part-boundary step; returns its letters
-    and the full check's."""
-    from clawham.engine import _good_part, _part_edit, _part_edits
+    ``(u, v, seq)``, as one step through the tracker, then end the step
+    with the part rule; returns the step check's letters and the full
+    check's."""
+    from clawham.engine import _part_step, _touch
     from clawham.extension import PathExtension
 
     g = ctx.graph
     first = {}
     for step in splices:
         if isinstance(step, PathExtension):
-            _part_edit(first, cycle, {step.base, *step.extension_path},
-                       lambda: cycle.splice(g, step))
+            _touch(first, cycle, {step.base, *step.extension_path})
+            cycle.splice(g, step)
         else:
             u, v, seq = step
-            _part_edit(first, cycle, {u, v, *seq}, lambda: cycle.insert(g, u, v, seq))
-    problems = _good_part(ctx, cycle, witness, ell, 7, _part_edits(first, cycle))
+            _touch(first, cycle, {u, v, *seq})
+            cycle.insert(g, u, v, seq)
+    problems = _part_step(ctx, cycle, witness, first, ell, 7)
     return _letters(problems), _letters(check_good_tuple(ctx, cycle.freeze(), witness))
 
 
@@ -698,6 +740,15 @@ def test_part_absorbed_by_an_older_set_is_good(splices):
     assert _part_boundary(ctx, cycle, witness, b, splices) == (set(), set())
     assert witness[a] == {1, 2, 3, 4, 5, 6, 12} | witness[b]
     assert witness[b] == {7, 8, 9, 10, 11, 14}
+
+
+def test_part_vertex_on_the_cycle_away_from_the_spine_is_counted():
+    """Part vertex 11 is on the cycle between 3 and 0 before the part's
+    step, and no edit of the step touches it.  The new set still holds it,
+    so its cut is crossed on both cycle edges at 11 as well: four times."""
+    ctx, cycle, witness, b = _part_state((), eleven_on_cycle=True)
+    by_part, full = _part_boundary(ctx, cycle, witness, b, [(7, 8, (9, 14, 10))])
+    assert by_part == full == {"c"}
 
 
 def _corrupt_part_rule(monkeypatch, corrupt):
@@ -732,6 +783,16 @@ def test_new_set_missing_a_part_vertex_is_flagged(monkeypatch):
     assert by_part == full == {"c"}
 
 
+def test_new_set_joined_only_through_its_component_is_good(monkeypatch):
+    """Without t = 8 the new set's part vertices 7 and 11 share no edge.
+    The component joins them, and the set is still one run on the cycle,
+    so both checks find the result good."""
+    _corrupt_part_rule(monkeypatch, lambda witness, ell, new_m: witness[ell].discard(8))
+    ctx, cycle, witness, b = _part_state(())
+    by_part, full = _part_boundary(ctx, cycle, witness, b, [(7, 8, (9, 14, 10, 11))])
+    assert by_part == full == set()
+
+
 def test_new_set_missing_a_component_vertex_is_flagged(monkeypatch):
     """Without 14, the new set misses part of its component, and the
     cycle crosses its cut on both edges at 14, between 9 and 10."""
@@ -742,6 +803,19 @@ def test_new_set_missing_a_component_vertex_is_flagged(monkeypatch):
     assert by_part == full == {"b", "c", "f"}
 
 
+def test_new_set_split_inside_its_component_is_flagged(monkeypatch):
+    """Without 8, 9 and 14 the new set {7, 10, 11} holds part of its
+    component, and 7 keeps no neighbor in it: the set falls apart, which
+    only a search through the vertices it holds can tell."""
+    _corrupt_part_rule(
+        monkeypatch, lambda witness, ell, new_m: witness[ell].difference_update({8, 9, 14})
+    )
+    ctx, cycle, witness, b = _part_state(())
+    inserts = [(7, 8, (9, 14, 10)), (8, 3, (11,))]
+    by_part, full = _part_boundary(ctx, cycle, witness, b, inserts)
+    assert by_part == full == {"b", "c", "e", "f"}
+
+
 def test_absorption_into_a_set_without_s_is_flagged(monkeypatch):
     """The older set holds neither s nor t, yet absorbs part B: it now has
     two runs on the cycle and two pieces with no edge between them."""
@@ -750,6 +824,21 @@ def test_absorption_into_a_set_without_s_is_flagged(monkeypatch):
             m |= new_m
 
     _corrupt_part_rule(monkeypatch, absorb_all)
+    ctx, cycle, witness, b = _part_state(())
+    by_part, full = _part_boundary(ctx, cycle, witness, b, [(7, 8, (9, 14, 10, 11))])
+    assert by_part == full == {"c", "e"}
+
+
+def test_absorption_of_a_component_alone_is_flagged(monkeypatch):
+    """The older set absorbs part B's component but not the part.  The
+    component's only neighbors outside it are part vertices, so the set
+    falls apart, and the cycle crosses its cut twice more."""
+    def absorb_component(witness, ell, new_m):
+        for j, m in witness.items():
+            if j != ell:
+                m |= new_m - {7, 8, 11}
+
+    _corrupt_part_rule(monkeypatch, absorb_component)
     ctx, cycle, witness, b = _part_state(())
     by_part, full = _part_boundary(ctx, cycle, witness, b, [(7, 8, (9, 14, 10, 11))])
     assert by_part == full == {"c", "e"}
