@@ -14,6 +14,14 @@ each leaf's bit string, so v's subtree holds no smaller value and the key is
 the one the full search gives.  Growth keys one attachment set per orbit of
 the parent's found automorphisms (McKay, *Isomorph-free exhaustive
 generation*, 1998): sets in one orbit give isomorphic children.
+
+A child is keyed only when its new vertex lies in the last cell of its root
+equitable refinement, so most classes are keyed once rather than once per
+parent.  That cell is an isomorphism invariant, because refinement commutes
+with relabeling.  No class is lost: every graph has a vertex v in its last
+cell, the graph minus v is a parent, and the attachment orbit
+representative's child is isomorphic to that child by a map fixing the new
+vertex.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graph import Edge, FiniteGraph, edge_key, neighborhood_k
+from .graph import Edge, FiniteGraph, edge_key, is_connected, neighborhood_k
 
 
 def graph_power(g: FiniteGraph, k: int) -> FiniteGraph:
@@ -340,7 +348,16 @@ def _keys_for(n: int) -> list[int]:
 
     Each graph on n - 1 vertices gets a new vertex n - 1 joined to every
     subset of the old ones.  Subsets in one orbit of the parent's known
-    automorphisms give isomorphic children, so one per orbit is keyed.
+    automorphisms give isomorphic children, so one per orbit is considered.
+    A child is keyed only when n - 1 lies in its last cell, the cell of
+    largest color in ``_refine(n, nbrs, (0,) * n, 1)``.  No class is lost:
+    refinement commutes with relabeling, so the last cell is an isomorphism
+    invariant; every graph G' on n vertices has a vertex v in it, and G' - v
+    is one of the parents; and the children of one attachment orbit are
+    isomorphic by maps that fix n - 1, so the representative's n - 1 is in
+    its last cell too.  The first refinement pass ranks vertices by degree,
+    so a child whose new vertex has less than the largest degree is dropped
+    before any refinement.
     """
     if n in _KEY_CACHE:
         return _KEY_CACHE[n]
@@ -359,6 +376,11 @@ def _keys_for(n: int) -> list[int]:
             for u in range(n - 1):
                 if attach >> u & 1:
                     masks2[u] |= 1 << (n - 1)
+            if max(map(int.bit_count, masks2)) > attach.bit_count():
+                continue
+            colors, _ = _refine(n, _neighbor_lists(n, masks2), (0,) * n, 1)
+            if colors[n - 1] != max(colors):
+                continue
             autos: list[tuple[int, ...]] = []
             found.setdefault(canonical_key(n, masks2, autos), autos)
     keys = sorted(found)
@@ -378,8 +400,6 @@ def enumerate_graphs(n: int) -> list[FiniteGraph]:
 
 def enumerate_connected_graphs(n: int) -> list[FiniteGraph]:
     """The connected graphs of ``enumerate_graphs(n)``, in the same order."""
-    from .graph import is_connected
-
     return [g for g in enumerate_graphs(n) if is_connected(g)]
 
 

@@ -157,8 +157,10 @@ def check_good_tuple(
             problems.append(f"(b) part {j}: witness set misses component vertices")
         if not m.isdisjoint(ctx.deep_base):
             problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
-        inside = [v in m for v in cycle.order]
-        crossings = sum(a != b for a, b in zip(inside, inside[1:] + inside[:1]))
+        # each cycle edge with one end in m is counted once, at that end
+        crossings = sum(
+            (cycle.succ(v) not in m) + (cycle.pred(v) not in m) for v in m & on_cycle
+        )
         if crossings != 2:
             problems.append(
                 f"(c) part {j}: cycle crosses the witness cut {crossings} times"

@@ -12,6 +12,7 @@ from functools import cache
 from itertools import combinations
 from pathlib import Path
 
+from clawham.constructions import _attachment_orbits, _graph_from_key, canonical_key
 from clawham.errors import DomainError, InternalConsistencyError, ProgressError
 from clawham.extension import (
     ExtensionCase,
@@ -741,6 +742,46 @@ def reference_canonical_key(n: int, adj_masks: list[int]) -> int:
     descend(reference_refine(n, nbrs, tuple(0 for _ in range(n))))
     assert best is not None
     return best
+
+
+@cache
+def _reference_level(n: int) -> tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]:
+    """Keys on n vertices and, per key, the automorphisms its search found."""
+    if n == 1:
+        return (0,), {}
+    prev, parent_autos = _reference_level(n - 1)
+    found: dict[int, list[tuple[int, ...]]] = {}
+    for key in prev:
+        masks = [0] * n
+        for u, v in _graph_from_key(n - 1, key).edges():
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        for attach in _attachment_orbits(n - 1, parent_autos.get(key, [])):
+            child = list(masks)
+            child[n - 1] = attach
+            for u in range(n - 1):
+                if attach >> u & 1:
+                    child[u] |= 1 << (n - 1)
+            autos: list[tuple[int, ...]] = []
+            found.setdefault(canonical_key(n, child, autos), autos)
+    return tuple(sorted(found)), found
+
+
+def reference_keys_for(n: int) -> list[int]:
+    """The generator before its last-cell filter: every attachment orbit
+    representative of every parent is keyed."""
+    return list(_reference_level(n)[0])
+
+
+# -- reference good-tuple property (c) ------------------------------------------
+
+
+def reference_cut_crossings(cycle: CycleEmbedding, m) -> int:
+    """How many cycle edges have exactly one end in ``m``, from a membership
+    list over the whole cycle order (the count property (c) used before it
+    was read from ``m`` alone)."""
+    inside = [v in m for v in cycle.order]
+    return sum(a != b for a, b in zip(inside, inside[1:] + inside[:1]))
 
 
 # -- reference engine pieces ----------------------------------------------------

@@ -24,7 +24,12 @@ from clawham.constructions import (
 from clawham.errors import DomainError
 from clawham.graph import FiniteGraph, is_connected
 from clawham.predicates import is_claw_free, is_locally_connected
-from helpers import adjacency_dict, bfs_distance_oracle, reference_canonical_key
+from helpers import (
+    adjacency_dict,
+    bfs_distance_oracle,
+    reference_canonical_key,
+    reference_keys_for,
+)
 
 
 def masks_of(g: FiniteGraph, perm=None) -> list[int]:
@@ -89,12 +94,52 @@ def test_enumeration_counts_match_literature(small_graphs):
     assert [len(graphs[n]) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
     connected = [len([g for g in graphs[n] if is_connected(g)]) for n in range(1, 9)]
     assert connected == [1, 1, 2, 6, 21, 112, 853, 11117]
+    # claw-free graphs, connected or not (OEIS A086991)
+    claw_free = [len([g for g in graphs[n] if is_claw_free(g).holds]) for n in range(3, 9)]
+    assert claw_free == [4, 10, 26, 85, 302, 1285]
 
 
 def test_enumeration_on_eight_vertices_is_pinned():
     # SHA-256 of the n = 8 key list as the unpruned search produced it
     digest = hashlib.sha256(repr(constructions._keys_for(8)).encode()).hexdigest()
     assert digest == "728bc1276dd89fb7d6706013da92ab6e1d532f14c446b0ec86028d90f694153d"
+
+
+def test_keys_match_the_unfiltered_generator():
+    for n in range(1, 8):
+        assert constructions._keys_for(n) == reference_keys_for(n), n
+
+
+def _last_root_cell(n: int, masks: list[int]) -> set[int]:
+    colors, _ = constructions._refine(
+        n, constructions._neighbor_lists(n, masks), (0,) * n, 1
+    )
+    return {v for v in range(n) if colors[v] == max(colors)}
+
+
+def test_last_root_cell_is_invariant_under_relabeling(small_graphs):
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for g in small_graphs[n]:
+            cell = _last_root_cell(n, masks_of(g))
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert _last_root_cell(n, masks_of(g, perm)) == {perm[v] for v in cell}
+
+
+def test_keys_for_searches_about_once_per_class(monkeypatch):
+    monkeypatch.setattr(constructions, "_KEY_CACHE", {1: [0]})
+    monkeypatch.setattr(constructions, "_AUTOMORPHISMS", {})
+    calls = []
+    search = constructions.canonical_key
+    monkeypatch.setattr(
+        constructions, "canonical_key", lambda *args: calls.append(1) or search(*args)
+    )
+    classes = sum(len(constructions._keys_for(n)) for n in range(1, 8))
+    assert classes == 1252
+    # keying every attachment orbit representative takes 5758 searches
+    assert len(calls) <= 1.05 * classes
 
 
 def test_enumeration_is_isomorphism_free(small_graphs):

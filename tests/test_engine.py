@@ -451,6 +451,62 @@ def test_full_check_runs_once_per_round(monkeypatch):
     assert len(calls) == len(state.rounds) == 5
 
 
+def _crossing_verdicts(ctx, cycle, witness):
+    """The (c) violations of the full check, and those the membership scan
+    over the whole cycle order gives, as messages."""
+    from helpers import reference_cut_crossings
+
+    by_check = [p for p in check_good_tuple(ctx, cycle, witness) if p.startswith("(c)")]
+    by_scan = [
+        f"(c) part {j}: cycle crosses the witness cut {x} times"
+        for j in sorted(witness)
+        if (x := reference_cut_crossings(cycle, witness[j])) != 2
+    ]
+    return by_check, by_scan
+
+
+@pytest.mark.parametrize("name, radius, rounds", PART_RUNS)
+def test_cut_crossings_match_the_order_scan(monkeypatch, name, radius, rounds):
+    """After every step of the run, property (c) read from each set's cycle
+    vertices agrees with the scan over the whole cycle order."""
+    import clawham.engine as engine
+
+    verdicts = []
+    step = engine._good_step
+
+    def checked(ctx, cycle, witness, *args):
+        problems = step(ctx, cycle, witness, *args)
+        frozen = {j: frozenset(m) for j, m in witness.items()}
+        verdicts.append(_crossing_verdicts(ctx, cycle.freeze(), frozen))
+        return problems
+
+    monkeypatch.setattr(engine, "_good_step", checked)
+    if name == "cactus-line":
+        monkeypatch.setattr(engine, "_stability_gate", lambda ball: None)
+    run(_presentation(name, radius), rounds, radius)
+    assert verdicts
+    assert all(by_check == by_scan == [] for by_check, by_scan in verdicts)
+
+
+def test_four_cut_crossings_are_counted_exactly():
+    """A set that loses a cycle vertex inside its arc is crossed four times,
+    by either count."""
+    import random
+
+    g, c, dec, _ = build_round_one_context()
+    record = cut_lemma_round(g, c, dec)
+    ctx = GoodTupleContext.build(g, c, dec)
+    cycle, witness = record.cycle, dict(record.witness_sets)
+    j = min(witness)
+    inner = sorted(
+        v for v in witness[j] & cycle.vertex_set
+        if cycle.succ(v) in witness[j] and cycle.pred(v) in witness[j]
+    )
+    witness[j] = witness[j] - {random.Random(3).choice(inner)}
+    by_check, by_scan = _crossing_verdicts(ctx, cycle, witness)
+    assert by_check == by_scan == [f"(c) part {j}: cycle crosses the witness cut 4 times"]
+
+
 def test_differential_runs_reach_every_update_case(monkeypatch):
     """The runs above absorb, shed part of a set, and leave sets alone."""
     import clawham.engine as engine
