@@ -23,8 +23,9 @@ update moves only those vertices.  It costs O(k) C-level set operations for
 k witness sets, plus Python work in O(deg) per touched, gained or lost
 vertex outside a component held whole; a set that sheds vertices is
 searched only until their neighbors in it are joined.  The full
-``check_good_tuple`` runs once, at the round end, on a frozen copy, at
-O(k·(|C| + |M|) + k²) for cycle length |C| and witness-set sizes |M|.
+``check_good_tuple`` runs once, at the round end, on a frozen copy.  For a
+set m that holds its component K whole it does O(|m|) set work in C and
+Python work in O(|m ∩ C| + deg·|m - K|) for the cycle C.
 """
 
 from __future__ import annotations
@@ -58,15 +59,12 @@ from .graph import (
     bfs,
     components_within,
     cut,
+    edge_key,
     neighborhood_k,
 )
 from .predicates import claw_at, locally_connected_at
 from .presentations import Ball, GraphPresentation
-from .separators import (
-    SeparatorDecomposition,
-    decompose,
-    shrink_to_minimal_ray_separator,
-)
+from .separators import SeparatorDecomposition, ray_decomposition
 
 # -- good tuples --------------------------------------------------------------
 
@@ -89,13 +87,17 @@ class GoodTupleContext:
     ) -> "GoodTupleContext":
         nc = neighborhood_k(g, c.order, 1)
         near2 = frozenset(neighborhood_k(g, nc, 2))
-        k0 = set(dec.finite_component)
-        around4 = frozenset(neighborhood_k(g, dec.finite_component, 4)) | frozenset(k0)
-        zones = tuple(
-            frozenset(neighborhood_k(g, part, 3)) & frozenset(comp)
-            for part, comp in zip(dec.parts, dec.infinite_components)
+        around4 = frozenset(neighborhood_k(g, dec.finite_component, 4)).union(
+            dec.finite_component
         )
-        return cls(g, c, dec, near2, around4, zones)
+        comps = tuple(map(frozenset, dec.infinite_components))
+        zones = tuple(
+            comp.intersection(neighborhood_k(g, part, 3))
+            for part, comp in zip(dec.parts, comps)
+        )
+        ctx = cls(g, c, dec, near2, around4, zones)
+        ctx.__dict__["component_sets"] = comps  # the cached property, built once
+        return ctx
 
     @cached_property
     def deep_base(self) -> frozenset[int]:
@@ -109,11 +111,15 @@ class GoodTupleContext:
         return tuple(frozenset(c) for c in self.dec.infinite_components)
 
     @cached_property
+    def finite_set(self) -> frozenset[int]:
+        return frozenset(self.dec.finite_component)
+
+    @cached_property
     def allowed(self) -> frozenset[int]:
         """Where a witness-preserving extension may reach: the finite
         component off the base cycle, the separator, and the finite
         component's part of the 2-neighborhood of the cycle neighborhood."""
-        k0 = frozenset(self.dec.finite_component)
+        k0 = self.finite_set
         return (
             (k0 - self.base_cycle.vertex_set)
             | frozenset(self.dec.separator)
@@ -139,7 +145,16 @@ def check_good_tuple(
     cycle: CycleEmbedding,
     witness_sets: dict[int, frozenset[int]],
 ) -> list[str]:
-    """All violations of the six witness properties; empty means good."""
+    """All violations of the six witness properties; empty means good.
+
+    A set m that holds its (nonempty) component K whole is read around K:
+    K is connected, as a component of G - S, so for (e) one search of
+    m - K from its vertices next to K decides whether m is connected; and
+    the components are disjoint and miss F and S, so for (f) only
+    m - K - F - S can meet another component, and usually it is empty.
+    Any other set gets the search of all of m and an intersection with
+    every component.
+    """
     g = ctx.graph
     problems: list[str] = []
     on_cycle = cycle.vertex_set
@@ -153,7 +168,8 @@ def check_good_tuple(
         m = witness_sets[j]
         if not (part | zone) <= on_cycle:
             problems.append(f"(a) part {j}: separator part or its 3-zone not on the cycle")
-        if not comp <= m:
+        held = comp <= m
+        if not held:
             problems.append(f"(b) part {j}: witness set misses component vertices")
         if not m.isdisjoint(ctx.deep_base):
             problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
@@ -171,10 +187,18 @@ def check_good_tuple(
                 f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
                 "but near the finite component"
             )
-        if m and sum(1 for _ in bfs(g, [min(m)], within=m)) != len(m):
+        if held and comp:
+            rest = m - comp
+            starts = [v for v in rest if not comp.isdisjoint(g.neighbor_set(v))]
+            joined = sum(1 for _ in bfs(g, starts, within=rest)) == len(rest)
+            loose = rest.difference(ctx.finite_set, ctx.dec.separator)
+        else:
+            joined = not m or sum(1 for _ in bfs(g, [min(m)], within=m)) == len(m)
+            loose = m
+        if not joined:
             problems.append(f"(e) part {j}: witness set induces a disconnected graph")
-        for p, compp in enumerate(ctx.component_sets, start=1):
-            inter = m & compp
+        for p, compp in enumerate(ctx.component_sets if loose else (), start=1):
+            inter = loose & compp
             if inter and inter != compp:
                 problems.append(
                     f"(f) part {j}: witness set contains part of component {p} only"
@@ -320,10 +344,11 @@ def _good_step(
     and none for a splice (F lies in the allowed region), P ∪ K and K's
     index for a part P with component K.  Premises: the tuple was good
     before the step; the context is built by ``GoodTupleContext.build``
-    from a decomposition of ``decompose``, so a component's neighbors
-    outside it lie in its part; no edit drops a cycle vertex
-    (``_SpliceCycle.splice`` raises when one would); and the update changes
-    sets only inside ``moved``, where it also puts every set it creates.
+    from a decomposition of ``ray_decomposition`` or ``decompose``, so a
+    component's neighbors outside it lie in its part; no edit drops a cycle
+    vertex (``_SpliceCycle.splice`` raises when one would); and the update
+    changes sets only inside ``moved``, where it also puts every set it
+    creates.
     For a set W before and m after the update (W = ∅ for a new set), let
     was = W ∩ moved, gained = m ∩ moved − was and lost = was − m.  Then the
     verdict names the same properties as ``check_good_tuple``:
@@ -484,6 +509,9 @@ class RoundRecord:
     witness_sets: dict[int, frozenset[int]]
     extension_count: int
     checks: dict[str, bool] = field(default_factory=dict)
+    # S ∪ N³(S) for the round's separator S, read by the next round's gap
+    # check; not part of the run log
+    separator_reach: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -497,17 +525,20 @@ class RoundRecord:
         }
 
 
-def _at_least_four_apart(g: FiniteGraph, a, b) -> bool:
-    """Whether every vertex of ``b`` is at distance at least 4 from ``a``:
-    ``b`` misses ``a`` and its 3-neighborhood, a search of depth 3."""
-    return set(a).isdisjoint(b) and set(neighborhood_k(g, a, 3)).isdisjoint(b)
+def _within_three(g: FiniteGraph, a) -> frozenset[int]:
+    """The vertices at distance at most 3 from ``a``: a vertex set is at
+    distance at least 4 from ``a`` exactly when it misses this one."""
+    return frozenset(a).union(neighborhood_k(g, a, 3))
 
 
-def _assert_deep_vertex(g: FiniteGraph, c: CycleEmbedding) -> None:
-    nc = neighborhood_k(g, c.order, 1)
-    if not nc:
+def _assert_deep_vertex(ctx: GoodTupleContext) -> None:
+    """The round precondition, read from the context: some base-cycle
+    vertex is at distance 3 or more from the cycle neighborhood N(C).
+    ``near_cycle_2`` is empty exactly when N(C) is, since a vertex of N(C)
+    next to C puts that cycle vertex in it."""
+    if not ctx.near_cycle_2:
         raise DomainError("the cycle already spans its component")
-    if c.vertex_set <= frozenset(neighborhood_k(g, nc, 2)):
+    if not ctx.deep_base:
         raise DomainError(
             "the cycle has no vertex at distance 3 from its neighborhood; "
             "cover the 2-neighborhood first"
@@ -582,8 +613,8 @@ def cut_lemma_round(
     ``check_good_tuple`` runs once, on a frozen copy at the round end.
     """
     _require_cycle(g, c)
-    _assert_deep_vertex(g, c)
     ctx = GoodTupleContext.build(g, c, dec)
+    _assert_deep_vertex(ctx)
     cycle = _SpliceCycle(c)
     witness: dict[int, set[int]] = {}
     ext_count = 0
@@ -723,7 +754,8 @@ def cut_lemma_round(
     ext_count += len(log)
 
     tup = GoodTuple(ctx, cycle.freeze(), {j: frozenset(m) for j, m in witness.items()})
-    checks = _round_conclusions(g, c, dec, tup, base_edges)
+    reach = _within_three(g, dec.separator)
+    checks = _round_conclusions(g, c, dec, tup, base_edges, reach)
     return RoundRecord(
         index=index,
         dec=dec,
@@ -732,16 +764,16 @@ def cut_lemma_round(
         witness_sets=tup.witness_sets,
         extension_count=ext_count,
         checks=checks,
+        separator_reach=reach,
     )
 
 
-def _round_conclusions(g, c, dec, tup, base_edges) -> dict[str, bool]:
-    """The three round conclusions, recorded (not raised) for the run log."""
+def _round_conclusions(g, c, dec, tup, base_edges, reach) -> dict[str, bool]:
+    """The three round conclusions, recorded (not raised) for the run log;
+    ``reach`` is S ∪ N³(S) for the separator S."""
     new_cycle = tup.cycle
     near2 = tup.context.near_cycle_2  # distance 1 to 2 from N(C), C ∩ N(C) = ∅
-    n3_sep = set(neighborhood_k(g, dec.separator, 3))
-    want = set(dec.finite_component) | set(dec.separator) | n3_sep
-    containment = want <= new_cycle.vertex_set
+    containment = reach.union(dec.finite_component) <= new_cycle.vertex_set
 
     new_edges = new_cycle.edge_set()
     keep_ok = True
@@ -879,20 +911,26 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     c0, _ = extend_to_cover(g, seed, pool, target_pool=pool)
     state = RunState(ball, c0, [])
     cycle = c0
-    prev_sep: tuple[int, ...] | None = None
+    prev: RoundRecord | None = None
     if rounds >= 1:
         _stability_gate(ball)
     for m in range(1, rounds + 1):
-        fringe = set(neighborhood_k(g, cycle.order, 2)) | cycle.vertex_set
-        if fringe & set(ball.boundary):
+        near: set[int] = set()  # N(C), the first layer of the fringe search
+        fringe: set[int] = set()
+        for v, _, d in bfs(g, cycle.order):
+            if d > 2:
+                break
+            fringe.add(v)
+            if d == 1:
+                near.add(v)
+        if not fringe.isdisjoint(ball.boundary):
             deepest = max(ball.depth_of(v) for v in cycle.order)
             raise RadiusTooSmallError(
                 f"round {m}: the cycle reached within two steps of the "
                 "boundary; the ball interior is exhausted",
                 suggested_radius=deepest + 9 * (rounds - m + 1),
             )
-        sep = shrink_to_minimal_ray_separator(g, cycle, ball.boundary)
-        dec = decompose(g, cycle, sep, ball.boundary)
+        dec = ray_decomposition(g, cycle, near, ball.boundary)
         _radius_gate(ball, dec)
         record = cut_lemma_round(g, cycle, dec, index=m)
         if not cycle.vertex_set <= record.cycle.vertex_set:
@@ -900,7 +938,7 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
                 f"round {m} lost vertices of the previous cycle"
             )
         record.checks["separator_gap"] = (
-            prev_sep is None or _at_least_four_apart(g, prev_sep, sep)
+            prev is None or prev.separator_reach.isdisjoint(dec.separator)
         )
         if not all(record.checks.values()):
             bad = sorted(k for k, v in record.checks.items() if not v)
@@ -909,7 +947,7 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
             )
         state.rounds.append(record)
         cycle = record.cycle
-        prev_sep = sep
+        prev = record
     return state
 
 
@@ -985,6 +1023,26 @@ def stable_edge_set(cycles: list[CycleEmbedding]) -> frozenset[Edge]:
     return frozenset(stable)
 
 
+def _witness_cut(
+    g: FiniteGraph, dec: SeparatorDecomposition, j: int, m: frozenset[int]
+) -> frozenset[Edge]:
+    """The edges of ``cut(g, m)``.  When ``m`` holds the ``j``-th infinite
+    component K whole, K's neighbors outside it lie in the separator S, so
+    the cut is the edges leaving m - K plus the edges from S - m into K."""
+    if not 1 <= j <= dec.k or not m.issuperset(dec.infinite_components[j - 1]):
+        return frozenset(cut(g, m))
+    rest = m.difference(dec.infinite_components[j - 1])
+    edges = {edge_key(u, w) for u in rest for w in g.neighbors(u) if w not in m}
+    edges.update(
+        edge_key(s, w)
+        for s in dec.separator
+        if s not in m
+        for w in g.neighbors(s)
+        if w in m and w not in rest
+    )
+    return frozenset(edges)
+
+
 def check_extraction_conditions(state: RunState) -> ExtractionReport:
     """Verify the five conditions on the generated prefix and collect the
     stable sets; failures are reported with witnesses, never raised."""
@@ -1006,7 +1064,7 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
     cuts: dict[tuple[int, int], frozenset[Edge]] = {}
     for r, record in enumerate(state.rounds, start=1):
         for j, m in record.witness_sets.items():
-            cuts[(r, j)] = frozenset(cut(g, m))
+            cuts[(r, j)] = _witness_cut(g, record.dec, j, m)
 
     # (ii) cuts finite in the truncation and clear of the boundary layer
     w2 = []

@@ -91,8 +91,9 @@ class FiniteGraph:
 
     def require_subset(self, x: Iterable[int]) -> frozenset[int]:
         xs = frozenset(x)
-        for v in xs:
-            self._require(v)
+        if not xs <= self._adj.keys():
+            for v in xs:  # name the first offender
+                self._require(v)
         return xs
 
     def __eq__(self, other) -> bool:

@@ -33,58 +33,63 @@ class GraphPresentation:
     def extract_ball(self, radius: int) -> "Ball":
         """Materialize the ball of the given graph-distance radius.
 
-        The oracle is asked once per label; its answers are kept from the
-        search.  Symmetry of the oracle is verified on every in-ball edge
-        against the other end's kept answer, and the returned neighbor lists
-        must be finite (local finiteness).  A ball with more than
-        ``MAX_BALL_VERTICES`` vertices is refused.
+        The oracle is asked once per label, and each label gets its id when
+        it is discovered, so every answer is mapped to ids once, as it
+        arrives (None for a label beyond the ball).  Symmetry of the oracle
+        is verified on every in-ball edge against the ids of the other end's
+        answer, and the returned neighbor lists must be finite (local
+        finiteness).  A ball with more than ``MAX_BALL_VERTICES`` vertices is
+        refused.
         """
         if radius < 1:
             raise DomainError("radius must be >= 1")
-        depth = {self.root: 0}
-        answers: dict = {}
+        ids = {self.root: 0}
         order = [self.root]  # discovery order, scanned as the BFS queue
-        for u in order:
-            answers[u] = nbrs = tuple(self.neighbors(u))
-            if depth[u] == radius:
-                continue
-            for w in nbrs:
-                if w not in depth:
-                    depth[w] = depth[u] + 1
-                    order.append(w)
-            if len(order) > MAX_BALL_VERTICES:
-                raise DomainError(f"a ball of radius {radius} exceeds {MAX_BALL_VERTICES} vertices")
-        ids = {label: i for i, label in enumerate(order)}
+        depths = [0]
+        rows: list[tuple] = []  # neighbor ids per id, None beyond the ball
+        repeats: list[bool] = []
+        for i, u in enumerate(order):
+            nbrs = tuple(self.neighbors(u))
+            if depths[i] < radius:
+                row = []
+                for w in nbrs:
+                    j = ids.setdefault(w, len(order))
+                    if j == len(order):
+                        order.append(w)
+                        depths.append(depths[i] + 1)
+                    row.append(j)
+                if len(order) > MAX_BALL_VERTICES:
+                    raise DomainError(f"a ball of radius {radius} exceeds {MAX_BALL_VERTICES} vertices")
+                rows.append(tuple(row))
+                repeats.append(len(set(row)) != len(row))
+            else:
+                rows.append(tuple(map(ids.get, nbrs)))
+                repeats.append(len(set(nbrs)) != len(nbrs))
         edges = []
         interior = []
-        boundary = []
-        for label in order:
-            nbrs = answers[label]
-            if len(set(nbrs)) != len(nbrs):
-                raise GraphInputError(f"oracle repeats a neighbor at {label!r}")
-            full = True
-            for w in nbrs:
-                if w in ids:
-                    if label not in answers[w]:
-                        raise GraphInputError(
-                            f"oracle is asymmetric on the pair ({label!r}, {w!r})"
-                        )
-                    if ids[label] < ids[w]:
-                        edges.append((ids[label], ids[w]))
-                else:
-                    full = False
-            if full:
-                interior.append(ids[label])
-            if depth[label] == radius:
-                boundary.append(ids[label])
+        for i, row in enumerate(rows):
+            if repeats[i]:
+                raise GraphInputError(f"oracle repeats a neighbor at {order[i]!r}")
+            for j in row:
+                if j is None:
+                    continue
+                if i not in rows[j]:
+                    raise GraphInputError(
+                        f"oracle is asymmetric on the pair ({order[i]!r}, {order[j]!r})"
+                    )
+                if i < j:
+                    edges.append((i, j))
+            if None not in row:
+                interior.append(i)
+        boundary = [i for i, d in enumerate(depths) if d == radius]
         graph = FiniteGraph(range(len(order)), edges)
         return Ball(
             graph=graph,
-            boundary=tuple(sorted(boundary)),
-            interior=tuple(sorted(interior)),
+            boundary=tuple(boundary),
+            interior=tuple(interior),
             labels=tuple(order),
             radius=radius,
-            depths=tuple(depth[label] for label in order),
+            depths=tuple(depths),
             presentation_name=self.name,
         )
 

@@ -5,6 +5,20 @@ On a truncation ball, "every ray starting in the cycle meets the separator"
 is operationalized as "every path from the cycle to the boundary layer meets
 the separator"; components touching the boundary stand in for the infinite
 components.
+
+One search decides a round's separator and decomposition.  Let C be the
+cycle, X = N(C), B the boundary layer (missing C and X), R the vertices
+reached from B in G - X, and S = N(R) ∩ X, the minimal ray separator.  A
+component of G - X that meets B lies in R, and its neighbors outside it lie
+in X, hence in S: it is a component of G - S.  Conversely a component of
+G - S that meets B holds a vertex of R and so is that vertex's component of
+G - X.  So the boundary components of G - S are exactly the components of
+G - X that meet B, and one search from B that avoids X and labels what it
+reaches yields both S and them (``ray_decomposition``).  What is left,
+V - R - S, must be the one component of G - S that holds C: a search from C
+avoiding S and the count |F| + |R| + |S| = |V| for its result F confirm it,
+and a failed count means some component misses both C and B, so the radius
+is too small.
 """
 
 from __future__ import annotations
@@ -93,12 +107,9 @@ def shrink_to_minimal_ray_separator(
     cset = c.vertex_set
     if bset & cset:
         raise DomainError("the cycle touches the boundary layer")
-    x = frozenset(neighborhood_k(g, cset, 1))
-    if bset & x:
-        raise DomainError("the boundary layer is adjacent to the cycle")
-    beyond = bfs(g, bset, within=frozenset(g.vertices) - x)
-    return tuple(sorted({u for v, _, _ in beyond for u in g.neighbors(v) if u in x}))
-
+    near = frozenset(neighborhood_k(g, cset, 1))
+    separator, _, _ = _beyond_neighborhood(g, near, bset)
+    return tuple(separator)
 
 @dataclass(frozen=True)
 class SeparatorDecomposition:
@@ -147,37 +158,92 @@ def decompose(
     """
     sset = g.require_subset(separator)
     bset = g.require_subset(boundary)
-    cset = c.vertex_set
-    if sset & cset:
+    if sset & c.vertex_set:
         raise DomainError("separator vertices must avoid the cycle")
-    rest = [v for v in g.vertices if v not in sset]
-    comps = components_within(g, rest)
-    finite_comp = None
-    boundary_comps = []
-    for comp in comps:
-        compset = set(comp)
-        if cset <= compset:
-            finite_comp = comp
-        elif compset & bset:
-            boundary_comps.append(comp)
-        else:
-            raise RadiusTooSmallError(
-                "a component beyond the separator misses the boundary layer; "
-                "enlarge the truncation radius",
-                suggested_radius=2 * _depth_bound(g, bset),
-            )
-    if finite_comp is None:
+    finite = _cycle_component(g, c, sset)
+    comps, owner = _boundary_components(g, bset - finite, sset)
+    return _split(g, sset, bset, finite, comps, owner)
+
+
+def ray_decomposition(
+    g: FiniteGraph, c: CycleEmbedding, near, boundary
+) -> SeparatorDecomposition:
+    """``decompose(g, c, shrink_to_minimal_ray_separator(g, c, boundary),
+    boundary)`` from one search beyond the cycle neighborhood ``near``,
+    which must be N(V(c)); see the module docstring."""
+    bset = g.require_subset(boundary)
+    if bset & c.vertex_set:
+        raise DomainError("the cycle touches the boundary layer")
+    separator, comps, owner = _beyond_neighborhood(g, frozenset(near), bset)
+    sset = frozenset(separator)
+    return _split(g, sset, bset, _cycle_component(g, c, sset), comps, owner)
+
+
+def _beyond_neighborhood(g: FiniteGraph, near: frozenset[int], bset: frozenset[int]):
+    """The minimal ray separator S = N(R) ∩ X for X = ``near``, sorted, with
+    the components of g - X that meet the boundary and their owner map (see
+    ``_boundary_components``)."""
+    if bset & near:
+        raise DomainError("the boundary layer is adjacent to the cycle")
+    comps, owner = _boundary_components(g, bset, near)
+    separator = [s for s in sorted(near) if any(u in owner for u in g.neighbors(s))]
+    return separator, comps, owner
+
+
+def _boundary_components(
+    g: FiniteGraph, bset, blocker
+) -> tuple[list[VertexSet], dict[int, int]]:
+    """The components of g - ``blocker`` that meet ``bset``, sorted by
+    minimum id as ``components_within`` sorts them, and a map from each of
+    their vertices to the index of its component."""
+    allowed = frozenset(g.vertices).difference(blocker)
+    comps: list[VertexSet] = []
+    seen: set[int] = set()
+    for b in bset:
+        if b not in seen and b in allowed:
+            comps.append(tuple(sorted(v for v, _, _ in bfs(g, [b], within=allowed))))
+            seen.update(comps[-1])
+    comps.sort()
+    owner: dict[int, int] = {}
+    for i, comp in enumerate(comps):
+        owner.update(dict.fromkeys(comp, i))
+    return comps, owner
+
+
+def _cycle_component(g: FiniteGraph, c: CycleEmbedding, sset) -> set[int]:
+    """The vertex set of the component of g - ``sset`` holding the cycle."""
+    allowed = frozenset(g.vertices).difference(sset)
+    finite = {v for v, _, _ in bfs(g, c.order[:1], within=allowed)}
+    if not c.vertex_set <= finite:
         raise DomainError("no component contains the cycle")
-    parts: list[list[int]] = [[] for _ in boundary_comps]
-    compsets = [set(comp) for comp in boundary_comps]
-    finite_set = set(finite_comp)
+    return finite
+
+
+def _split(
+    g: FiniteGraph,
+    sset: frozenset[int],
+    bset: frozenset[int],
+    finite: set[int],
+    comps: list[VertexSet],
+    owner: dict[int, int],
+) -> SeparatorDecomposition:
+    """The decomposition of g - ``sset`` into the cycle's component
+    ``finite`` and the boundary components ``comps`` (owner map
+    ``owner``), after checking that nothing else is left and that every
+    separator vertex reaches one boundary component and ``finite``."""
+    if len(finite) + len(owner) + len(sset) != len(g):
+        raise RadiusTooSmallError(
+            "a component beyond the separator misses the boundary layer; "
+            "enlarge the truncation radius",
+            suggested_radius=2 * _depth_bound(g, bset),
+        )
+    parts: list[list[int]] = [[] for _ in comps]
     for s in sorted(sset):
-        nbrs = set(g.neighbors(s))
-        hit = [i for i, compset in enumerate(compsets) if nbrs & compset]
+        nbrs = g.neighbors(s)
+        hit = sorted({owner[u] for u in nbrs if u in owner})
         if len(hit) >= 2:
-            a = min(nbrs & compsets[hit[0]])
-            b = min(nbrs & compsets[hit[1]])
-            k0 = min(nbrs & finite_set) if nbrs & finite_set else None
+            a, b = (next(u for u in nbrs if owner.get(u) == i) for i in hit[:2])
+            k0 = next((u for u in nbrs if u in finite), None)
             witness = tuple(sorted({s, a, b} | ({k0} if k0 is not None else set())))
             raise InternalConsistencyError(
                 f"separator vertex {s} reaches two boundary components, "
@@ -189,7 +255,7 @@ def decompose(
                 f"separator vertex {s} has no neighbor beyond the separator, "
                 "contradicting minimality"
             )
-        if not (nbrs & finite_set):
+        if finite.isdisjoint(nbrs):
             raise InternalConsistencyError(
                 f"separator vertex {s} has no neighbor in the finite component, "
                 "contradicting minimality"
@@ -197,11 +263,10 @@ def decompose(
         parts[hit[0]].append(s)
     return SeparatorDecomposition(
         separator=tuple(sorted(sset)),
-        finite_component=finite_comp,
-        infinite_components=tuple(boundary_comps),
-        parts=tuple(tuple(sorted(p)) for p in parts),
+        finite_component=tuple(sorted(finite)),
+        infinite_components=tuple(comps),
+        parts=tuple(map(tuple, parts)),
     )
-
 
 def _depth_bound(g: FiniteGraph, bset) -> int:
     return max(1, len(g) // max(1, len(bset)))

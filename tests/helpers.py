@@ -856,3 +856,193 @@ def cactus_line_presentation():
     from clawham.presentations import GraphPresentation
 
     return GraphPresentation("cactus-line", _cactus_line_neighbors, ((), (0,)))
+
+
+# -- reference ray separator and decomposition ------------------------------------
+#
+# The round's separator and decomposition as the package computed them before
+# one labelled search did both: the closed-form separator N(R) from a search
+# of the outer region, then the components of the whole ball minus it.
+
+
+def reference_ray_separator(g: FiniteGraph, c: CycleEmbedding, boundary) -> tuple[int, ...]:
+    bset = g.require_subset(boundary)
+    cset = c.vertex_set
+    if bset & cset:
+        raise DomainError("the cycle touches the boundary layer")
+    x = neighborhood_oracle(g, cset, 1)
+    if bset & x:
+        raise DomainError("the boundary layer is adjacent to the cycle")
+    adj = {v: set(g.neighbors(v)) - x for v in g.vertices if v not in x}
+    beyond = bfs_distance_oracle(adj, sorted(bset))
+    return tuple(sorted({u for v in beyond for u in g.neighbors(v) if u in x}))
+
+
+def reference_decompose(g: FiniteGraph, c: CycleEmbedding, separator, boundary):
+    from clawham.errors import RadiusTooSmallError
+    from clawham.separators import SeparatorDecomposition
+
+    sset = g.require_subset(separator)
+    bset = g.require_subset(boundary)
+    cset = c.vertex_set
+    if sset & cset:
+        raise DomainError("separator vertices must avoid the cycle")
+    rest = [v for v in g.vertices if v not in sset]
+    comps = reference_components_within(g, rest)
+    finite_comp = None
+    boundary_comps = []
+    for comp in comps:
+        compset = set(comp)
+        if cset <= compset:
+            finite_comp = comp
+        elif compset & bset:
+            boundary_comps.append(comp)
+        else:
+            raise RadiusTooSmallError(
+                "a component beyond the separator misses the boundary layer; "
+                "enlarge the truncation radius",
+                suggested_radius=2 * max(1, len(g) // max(1, len(bset))),
+            )
+    if finite_comp is None:
+        raise DomainError("no component contains the cycle")
+    parts: list[list[int]] = [[] for _ in boundary_comps]
+    compsets = [set(comp) for comp in boundary_comps]
+    finite_set = set(finite_comp)
+    for s in sorted(sset):
+        nbrs = set(g.neighbors(s))
+        hit = [i for i, compset in enumerate(compsets) if nbrs & compset]
+        if len(hit) >= 2:
+            a = min(nbrs & compsets[hit[0]])
+            b = min(nbrs & compsets[hit[1]])
+            k0 = min(nbrs & finite_set) if nbrs & finite_set else None
+            witness = tuple(sorted({s, a, b} | ({k0} if k0 is not None else set())))
+            raise InternalConsistencyError(
+                f"separator vertex {s} reaches two boundary components, "
+                "which forces an induced claw in a claw-free graph",
+                witness=witness,
+            )
+        if not hit:
+            raise InternalConsistencyError(
+                f"separator vertex {s} has no neighbor beyond the separator, "
+                "contradicting minimality"
+            )
+        if not (nbrs & finite_set):
+            raise InternalConsistencyError(
+                f"separator vertex {s} has no neighbor in the finite component, "
+                "contradicting minimality"
+            )
+        parts[hit[0]].append(s)
+    return SeparatorDecomposition(
+        separator=tuple(sorted(sset)),
+        finite_component=finite_comp,
+        infinite_components=tuple(boundary_comps),
+        parts=tuple(tuple(sorted(p)) for p in parts),
+    )
+
+
+# -- reference full good-tuple check ----------------------------------------------
+#
+# The round-end check before it read a set that holds its component whole
+# around that component: (e) searches all of m, and (f) intersects m with
+# every infinite component.
+
+
+def reference_check_good_tuple(ctx, cycle: CycleEmbedding, witness_sets) -> list[str]:
+    g = ctx.graph
+    problems: list[str] = []
+    on_cycle = cycle.vertex_set
+    base_set = ctx.base_cycle.vertex_set
+    if not base_set <= on_cycle:
+        problems.append("(a) the cycle lost vertices of the round's base cycle")
+    for j in sorted(witness_sets):
+        part = frozenset(ctx.dec.parts[j - 1])
+        comp = ctx.component_sets[j - 1]
+        zone = ctx.part_zones[j - 1]
+        m = witness_sets[j]
+        if not (part | zone) <= on_cycle:
+            problems.append(f"(a) part {j}: separator part or its 3-zone not on the cycle")
+        if not comp <= m:
+            problems.append(f"(b) part {j}: witness set misses component vertices")
+        if not m.isdisjoint(ctx.deep_base):
+            problems.append(f"(b) part {j}: witness set strays onto the deep base cycle")
+        crossings = sum(
+            (cycle.succ(v) not in m) + (cycle.pred(v) not in m) for v in m & on_cycle
+        )
+        if crossings != 2:
+            problems.append(
+                f"(c) part {j}: cycle crosses the witness cut {crossings} times"
+            )
+        stray = {v for v in m & ctx.around_finite_4 if v not in on_cycle}
+        if stray:
+            problems.append(
+                f"(d) part {j}: witness vertices {sorted(stray)[:4]} are off the cycle "
+                "but near the finite component"
+            )
+        if m and len(bfs_distance_oracle({v: g.neighbor_set(v) & m for v in m}, [min(m)])) != len(m):
+            problems.append(f"(e) part {j}: witness set induces a disconnected graph")
+        for p, compp in enumerate(ctx.component_sets, start=1):
+            inter = m & compp
+            if inter and inter != compp:
+                problems.append(
+                    f"(f) part {j}: witness set contains part of component {p} only"
+                )
+    return problems
+
+
+# -- reference ball extraction ----------------------------------------------------
+#
+# ``extract_ball`` before labels got their ids on discovery: answers are kept
+# by label, and symmetry is checked by scanning the other end's answer.
+
+
+def reference_extract_ball(pres, radius: int):
+    from clawham.errors import GraphInputError
+    from clawham.presentations import MAX_BALL_VERTICES, Ball
+
+    if radius < 1:
+        raise DomainError("radius must be >= 1")
+    depth = {pres.root: 0}
+    answers: dict = {}
+    order = [pres.root]
+    for u in order:
+        answers[u] = nbrs = tuple(pres.neighbors(u))
+        if depth[u] == radius:
+            continue
+        for w in nbrs:
+            if w not in depth:
+                depth[w] = depth[u] + 1
+                order.append(w)
+        if len(order) > MAX_BALL_VERTICES:
+            raise DomainError(f"a ball of radius {radius} exceeds {MAX_BALL_VERTICES} vertices")
+    ids = {label: i for i, label in enumerate(order)}
+    edges = []
+    interior = []
+    boundary = []
+    for label in order:
+        nbrs = answers[label]
+        if len(set(nbrs)) != len(nbrs):
+            raise GraphInputError(f"oracle repeats a neighbor at {label!r}")
+        full = True
+        for w in nbrs:
+            if w in ids:
+                if label not in answers[w]:
+                    raise GraphInputError(
+                        f"oracle is asymmetric on the pair ({label!r}, {w!r})"
+                    )
+                if ids[label] < ids[w]:
+                    edges.append((ids[label], ids[w]))
+            else:
+                full = False
+        if full:
+            interior.append(ids[label])
+        if depth[label] == radius:
+            boundary.append(ids[label])
+    return Ball(
+        graph=FiniteGraph(range(len(order)), edges),
+        boundary=tuple(sorted(boundary)),
+        interior=tuple(sorted(interior)),
+        labels=tuple(order),
+        radius=radius,
+        depths=tuple(depth[label] for label in order),
+        presentation_name=pres.name,
+    )

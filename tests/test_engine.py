@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from clawham.constructions import complete_graph, cycle_graph
@@ -319,10 +321,16 @@ def test_run_log_serialization():
 
 def test_deep_vertex_gate_matches_the_distance_rule():
     """The round precondition fails exactly when every cycle vertex is
-    within distance 2 of the cycle neighborhood."""
+    within distance 2 of the cycle neighborhood.  It reads the context's
+    ``near_cycle_2``; the decomposition, which the gate does not read, is
+    the trivial one."""
     from clawham.engine import _assert_deep_vertex
     from clawham.extension import extend_to_cover, shortest_cycle_through
     from helpers import reference_bfs_distances
+
+    def gate(g, c):
+        dec = SeparatorDecomposition((), tuple(g.vertices), (), ())
+        _assert_deep_vertex(GoodTupleContext.build(g, c, dec))
 
     g, ids = double_ray_square_truncation(-15, 15)
     outcomes = set()
@@ -334,10 +342,12 @@ def test_deep_vertex_gate_matches_the_distance_rule():
         outcomes.add(shallow)
         if shallow:
             with pytest.raises(DomainError, match="distance 3"):
-                _assert_deep_vertex(g, c)
+                gate(g, c)
         else:
-            _assert_deep_vertex(g, c)
+            gate(g, c)
     assert outcomes == {True, False}
+    with pytest.raises(DomainError, match="already spans its component"):
+        gate(complete_graph(4), CycleEmbedding([0, 1, 2, 3]))
 
 
 # -- the step check against the full check --------------------------------------
@@ -904,11 +914,13 @@ def test_absorption_of_a_component_alone_is_flagged(monkeypatch):
 
 
 def test_separator_gap_matches_set_distance():
-    """``_at_least_four_apart`` agrees with the whole-ball distance on every
-    pair of consecutive separators of the presets and on seeded pairs."""
+    """The gap check, a separator missing the previous round's recorded
+    ``separator_reach`` (``_within_three`` of its separator), agrees with
+    the whole-ball distance on every pair of consecutive separators of the
+    presets and on seeded pairs."""
     import random
 
-    from clawham.engine import _at_least_four_apart
+    from clawham.engine import _within_three
     from clawham.presentations import PRESET_NAMES
     from helpers import reference_set_distance
 
@@ -916,9 +928,11 @@ def test_separator_gap_matches_set_distance():
     for name in PRESET_NAMES:
         state = run(preset(name), 5, 70)
         g = state.graph
-        seps = [r.dec.separator for r in state.rounds]
-        for a, b in zip(seps, seps[1:]):
-            assert _at_least_four_apart(g, a, b) == (reference_set_distance(g, a, b) >= 4)
+        for a, b in zip(state.rounds, state.rounds[1:]):
+            assert a.separator_reach == _within_three(g, a.dec.separator)
+            far = reference_set_distance(g, a.dec.separator, b.dec.separator) >= 4
+            assert a.separator_reach.isdisjoint(b.dec.separator) == far
+            assert b.checks["separator_gap"] == far
             pairs += 1
     assert pairs == 4 * len(PRESET_NAMES)
     rng = random.Random(20261018)
@@ -929,7 +943,7 @@ def test_separator_gap_matches_set_distance():
             a = rng.sample(g.vertices, rng.randint(1, 3))
             b = rng.sample(g.vertices, rng.randint(1, 3))
             want = reference_set_distance(g, a, b) >= 4
-            assert _at_least_four_apart(g, a, b) == want, (a, b)
+            assert _within_three(g, a).isdisjoint(b) == want, (a, b)
             verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -970,6 +984,151 @@ def test_stable_degree_witnesses_match_reference_off_two():
         assert rep.stable_degree.holds == (not w6)
         seen_bad |= bool(w6)
     assert seen_bad
+
+
+# -- one search per round and components held whole, against references ---------
+
+# every run of the step-check differential tests, once: DIFFERENTIAL_RUNS and
+# the cactus-line round of PART_RUNS (k = 14)
+ROUND_RUNS = DIFFERENTIAL_RUNS + [
+    (name, radius, rounds, 7)
+    for name, radius, rounds in PART_RUNS
+    if (name, radius, rounds, 7) not in DIFFERENTIAL_RUNS
+]
+
+
+@functools.cache
+def _round_run(name, radius, rounds, seed):
+    """The run, with the stability gate bypassed for cactus-line, and the
+    context of each of its rounds."""
+    import clawham.engine as engine
+
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "cactus-line":
+            mp.setattr(engine, "_stability_gate", lambda ball: None)
+        state = run(_presentation(name, radius, seed), rounds, radius)
+    contexts = [
+        GoodTupleContext.build(state.graph, c, r.dec)
+        for c, r in zip(state.cycles(), state.rounds)
+    ]
+    return state, contexts
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
+def test_one_search_decomposition_matches_shrink_then_decompose(name, radius, rounds, seed):
+    """Every round's decomposition, from one labelled search, equals the
+    closed-form separator followed by the components of the whole ball
+    minus it, and so does ``decompose`` of ``shrink_to_minimal_ray_separator``."""
+    from helpers import reference_decompose, reference_ray_separator
+
+    state, _ = _round_run(name, radius, rounds, seed)
+    g, boundary = state.graph, state.ball.boundary
+    for cycle, record in zip(state.cycles(), state.rounds):
+        want = reference_decompose(g, cycle, reference_ray_separator(g, cycle, boundary), boundary)
+        assert record.dec == want
+        sep = shrink_to_minimal_ray_separator(g, cycle, boundary)
+        assert decompose(g, cycle, sep, boundary) == want
+
+
+def _witness_variants(rng, ctx, witness):
+    """The round's sets, and seeded edits of one set at a time: a set that
+    gains or loses a vertex, gains all or part of another component, or
+    loses a vertex of its own component, so that it no longer holds it."""
+    yield witness
+    dec = ctx.dec
+    outside = [v for v in ctx.graph.vertices if v not in set(dec.separator)]
+    for j, m in sorted(witness.items()):
+        comp = dec.infinite_components[j - 1]
+        rest = sorted(m.difference(comp))
+        edits = [
+            m | {rng.choice(outside)},
+            m | set(rng.sample(list(dec.finite_component), 2)),
+            m - {rng.choice(comp)},
+        ]
+        if rest:
+            edits.append(m - {rng.choice(rest)})
+        for p, other in enumerate(dec.infinite_components, start=1):
+            if p != j:
+                edits += [m | set(other), m | set(other[: max(1, len(other) // 2)])]
+        for edit in edits:
+            yield {**witness, j: frozenset(edit)}
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
+def test_held_components_match_the_full_search(name, radius, rounds, seed):
+    """``check_good_tuple`` reads a set that holds its component K whole
+    around K; on every round's sets and seeded edits of them it reports
+    what the search of the whole set and the intersection with every
+    component report, message for message."""
+    import random
+
+    from helpers import reference_check_good_tuple
+
+    state, contexts = _round_run(name, radius, rounds, seed)
+    rng = random.Random(f"{name}-{seed}")
+    letters, held_letters = set(), set()
+    for ctx, record in zip(contexts, state.rounds):
+        for witness in _witness_variants(rng, ctx, record.witness_sets):
+            got = check_good_tuple(ctx, record.cycle, witness)
+            assert got == reference_check_good_tuple(ctx, record.cycle, witness)
+            letters |= _letters(got)
+            held = {f"part {j}:" for j, m in witness.items() if ctx.component_sets[j - 1] <= m}
+            held_letters |= {p[1] for p in got if p.split(" ", 1)[1][:8].rstrip() in held}
+    # both verdicts of the held-whole (e), and of (f) where there are two
+    # components, and the other path
+    ends = max(r.dec.k for r in state.rounds)
+    assert {"e", "f"} - held_letters == ({"f"} if ends == 1 else set())
+    assert "b" in letters
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
+def test_extraction_cut_matches_graph_cut(name, radius, rounds, seed):
+    """The cut of every recorded witness set, read around the component it
+    holds, equals ``graph.cut``, also on seeded edits and on an index that
+    names no part; the extraction report equals the one from ``graph.cut``."""
+    import random
+
+    import clawham.engine as engine
+
+    state, contexts = _round_run(name, radius, rounds, seed)
+    g = state.graph
+    rng = random.Random(f"{name}-{seed}")
+    for ctx, record in zip(contexts, state.rounds):
+        for witness in _witness_variants(rng, ctx, record.witness_sets):
+            for j, m in witness.items():
+                assert engine._witness_cut(g, record.dec, j, m) == frozenset(cut(g, m))
+        m = record.witness_sets[1]
+        assert engine._witness_cut(g, record.dec, record.dec.k + 1, m) == frozenset(cut(g, m))
+    if len(state.rounds) < 2:
+        return  # the extraction conditions need two rounds
+    report = check_extraction_conditions(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_witness_cut", lambda g, dec, j, m: frozenset(cut(g, m)))
+        assert check_extraction_conditions(state).to_json_obj() == report.to_json_obj()
+
+
+@pytest.mark.parametrize("rounds", [1, 3, 6])
+def test_run_searches_components_only_in_the_stability_gate(monkeypatch, rounds):
+    """A round takes no ``components_within``: the one labelled search of
+    the separator module replaces it.  The stability gate's two calls, once
+    per run, are all that remain, whatever the number of rounds."""
+    import sys
+
+    from clawham import graph
+
+    original = graph.components_within
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("clawham") and getattr(module, "components_within", None) is original:
+            monkeypatch.setattr(module, "components_within", counted)
+    state = run(preset("double-ray-square"), rounds, 70)
+    assert len(state.rounds) == rounds
+    assert len(calls) == 2
 
 
 # -- pinned run logs ------------------------------------------------------------

@@ -100,3 +100,64 @@ def test_extract_ball_asks_the_oracle_once_per_label(name, radius):
     ball = GraphPresentation(name, counted, base.root).extract_ball(radius)
     assert sorted(map(repr, asked)) == sorted(map(repr, ball.labels))
     assert ball == base.extract_ball(radius)
+
+
+def _ball_outcome(extract, pres, radius):
+    try:
+        return extract(pres, radius)
+    except (DomainError, GraphInputError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("double-ray-square", 40), ("ray-square", 40), ("ladder-line-graph", 30),
+     ("custom-oracle", 30), ("tri-lattice-line", 13), ("tripod-line", 40),
+     ("cactus-line", 9)],
+)
+def test_extract_ball_matches_reference(name, radius):
+    """Ids given on discovery build the same ball as answers kept by label,
+    on every preset, both bench oracles and cactus-line."""
+    from helpers import bench_oracles, cactus_line_presentation, reference_extract_ball
+
+    if name in presentations.PRESET_NAMES:
+        pres = preset(name)
+    elif name == "cactus-line":
+        pres = cactus_line_presentation()
+    else:
+        pres = bench_oracles().presentation(name, 7, radius)[0]
+    assert pres.extract_ball(radius) == reference_extract_ball(pres, radius)
+
+
+def test_extract_ball_errors_match_reference(monkeypatch):
+    """Repeats, asymmetry and the vertex budget raise the reference's first
+    error, with its message, also where one oracle has several faults."""
+    from helpers import reference_extract_ball
+
+    def faulty(repeat_at, drop_at, beyond):
+        def nbrs(v):
+            out = [v - 1, v + 1, v + 2, v - 2]
+            if v == drop_at:
+                out.remove(v + 1)  # v + 1 still names v: asymmetric
+            if v == repeat_at:
+                out.append(v - 1)
+            if v == beyond:
+                out += [v + 1000, v + 1000]  # a repeat beyond the ball
+            return tuple(out)
+        return nbrs
+
+    cases = [(3, 5, None), (5, 3, None), (None, 4, None), (None, None, 6),
+             (None, None, None), (-4, None, 6)]
+    outcomes = set()
+    for repeat_at, drop_at, beyond in cases:
+        pres = GraphPresentation("faulty", faulty(repeat_at, drop_at, beyond), 0)
+        for radius in (2, 3, 4):
+            want = _ball_outcome(reference_extract_ball, pres, radius)
+            assert _ball_outcome(GraphPresentation.extract_ball, pres, radius) == want
+            outcomes.add(want[0] if isinstance(want, tuple) else "ok")
+        monkeypatch.setattr(presentations, "MAX_BALL_VERTICES", 6)
+        want = _ball_outcome(reference_extract_ball, pres, 4)
+        assert want[0] is DomainError
+        assert _ball_outcome(GraphPresentation.extract_ball, pres, 4) == want
+        monkeypatch.undo()
+    assert outcomes == {GraphInputError, "ok"}

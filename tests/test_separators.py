@@ -7,7 +7,12 @@ import pytest
 
 from clawham.constructions import cycle_graph, glued_triangles, path_graph
 from clawham.engine import run
-from clawham.errors import ClawhamError, DomainError
+from clawham.errors import (
+    ClawhamError,
+    DomainError,
+    InternalConsistencyError,
+    RadiusTooSmallError,
+)
 from clawham.graph import CycleEmbedding, FiniteGraph, components_within
 from clawham.predicates import is_claw_free
 from clawham.presentations import PRESET_NAMES, preset
@@ -272,3 +277,101 @@ def test_minimality_matches_reference_on_every_subset(small_graphs):
                         reference_minimal_separator_components, g, sub
                     )
     assert pairs == 11290
+
+
+# -- one labelled search against the whole-ball decomposition ----------------------
+
+
+def full_outcome(f, *args):
+    """``outcome`` plus the suggested radius of a RadiusTooSmallError."""
+    try:
+        return f(*args)
+    except ClawhamError as exc:
+        return (type(exc), str(exc), getattr(exc, "witness", None),
+                getattr(exc, "suggested_radius", None))
+
+
+def connected_triple(rng: random.Random, g: FiniteGraph):
+    """Three vertices inducing a connected subgraph, as a CycleEmbedding of
+    their ids (decompose reads only its vertex set), or None."""
+    v = rng.choice(g.vertices)
+    near = list(g.neighbors(v))
+    if not near:
+        return None
+    u = rng.choice(near)
+    third = sorted((set(g.neighbors(v)) | set(g.neighbors(u))) - {u, v})
+    return CycleEmbedding([v, u, rng.choice(third)]) if third else None
+
+
+def test_decompose_matches_whole_ball_reference_on_random_inputs():
+    """``decompose`` and ``ray_decomposition`` give the reference's result,
+    or its error class, message, witness and suggested radius, on random
+    graphs, connected cycle stand-ins, boundaries and separators; stray
+    components, two-sided separator vertices and cycle components that
+    touch the boundary all occur."""
+    from collections import Counter
+
+    from clawham.separators import ray_decomposition
+    from helpers import neighborhood_oracle, reference_decompose, reference_ray_separator
+
+    rng = random.Random(29)
+    seen = Counter()
+    for i in range(1500):
+        n = rng.randint(5, 30)
+        g = random_graph(rng, n)
+        c = connected_triple(rng, g)
+        if c is None:
+            continue
+        near = neighborhood_oracle(g, c.vertex_set, 1)
+        far = [v for v in g.vertices if v not in near and v not in c]
+        boundary = rng.sample(far, rng.randint(0, len(far)))
+        if i % 2:
+            sep = shrink_to_minimal_ray_separator(g, c, boundary)
+        else:
+            sep = rng.sample(far + sorted(near), min(rng.randint(0, 4), len(far) + len(near)))
+        want = full_outcome(reference_decompose, g, c, sep, boundary)
+        assert full_outcome(decompose, g, c, sep, boundary) == want
+        if isinstance(want, tuple):
+            seen[want[0]] += 1
+            seen["two-sided"] += "reaches two" in want[1]
+        else:
+            seen["ok"] += 1
+            seen["touching"] += not set(want.finite_component).isdisjoint(boundary)
+        ref_sep = reference_ray_separator(g, c, boundary)
+        assert full_outcome(ray_decomposition, g, c, near, boundary) == full_outcome(
+            reference_decompose, g, c, ref_sep, boundary
+        )
+    assert seen["ok"] > 100 and seen[RadiusTooSmallError] > 100
+    assert seen[InternalConsistencyError] > 100 and seen["two-sided"] > 20
+    assert seen["touching"] > 20
+
+
+def test_stray_finite_component_means_the_radius_is_too_small():
+    """Triangle 0-1-2 with separator {3}: beyond it the boundary path 4-5
+    and the dead end 6, which meets neither the cycle nor the boundary."""
+    from clawham.separators import ray_decomposition
+    from helpers import reference_decompose
+
+    g = FiniteGraph(range(7), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+    c = CycleEmbedding([0, 1, 2])
+    want = full_outcome(reference_decompose, g, c, [3], [5])
+    assert want[0] is RadiusTooSmallError
+    assert full_outcome(decompose, g, c, [3], [5]) == want
+    assert full_outcome(ray_decomposition, g, c, {3}, [5]) == want
+
+
+def test_two_sided_separator_vertex_keeps_its_witness():
+    """The claw of ``test_decompose_two_sided_separator_vertex_reports_claw``
+    is the witness of the reference, by both entry points."""
+    from clawham.separators import ray_decomposition
+    from helpers import reference_decompose
+
+    g = FiniteGraph(
+        range(8),
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 6), (3, 5), (5, 7)],
+    )
+    c = CycleEmbedding([0, 1, 2])
+    want = full_outcome(reference_decompose, g, c, [3], [6, 7])
+    assert want[0] is InternalConsistencyError and want[2] == (2, 3, 4, 5)
+    assert full_outcome(decompose, g, c, [3], [6, 7]) == want
+    assert full_outcome(ray_decomposition, g, c, {3}, [6, 7]) == want
