@@ -3,13 +3,14 @@ Separator structure around a cycle
 ==================================
 
 On a strip of the square of the double ray (integers, edges between
-numbers at distance 1 or 2), shrink the neighborhood of a central triangle
-to a minimal set separating it from the strip ends, and decompose that set
-into per-end parts around the one finite component.
+numbers at distance 1 or 2), one search from the strip ends finds the
+minimal subset of a central triangle's neighborhood that separates the
+triangle from them, and splits it into per-end parts around the one finite
+component (``ray_decomposition``).
 """
 
-from clawham import CycleEmbedding, FiniteGraph, decompose, shrink_to_minimal_ray_separator
-from clawham.separators import check_complete_neighborhood, separates
+from clawham import CycleEmbedding, FiniteGraph, neighborhood_k
+from clawham.separators import check_complete_neighborhood, ray_decomposition, separates
 
 LO, HI = -10, 10
 ids = {i: i - LO for i in range(LO, HI + 1)}
@@ -21,13 +22,13 @@ cycle = CycleEmbedding([ids[0], ids[1], ids[2]])
 boundary = [ids[i] for i in (LO, LO + 1, HI - 1, HI)]
 print(f"strip {LO}..{HI}, cycle on {{0, 1, 2}}, boundary = ends of the strip")
 
-sep = shrink_to_minimal_ray_separator(g, cycle, boundary)
+dec = ray_decomposition(g, cycle, neighborhood_k(g, cycle.order, 1), boundary)
+sep = dec.separator
 print("minimal separator:", sorted(back[v] for v in sep))
 for v in sep:
     assert not separates(g, set(sep) - {v}, cycle.order, boundary)
 print("dropping any single vertex reconnects the cycle to the boundary: checked")
 
-dec = decompose(g, cycle, sep, boundary)
 print("\nfinite component:", [back[v] for v in dec.finite_component])
 for i, (part, comp) in enumerate(zip(dec.parts, dec.infinite_components), start=1):
     print(f"part {i}: separator vertices {[back[v] for v in part]} "

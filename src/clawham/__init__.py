@@ -18,13 +18,11 @@ from .constructions import (
 )
 from .engine import (
     ExtractionReport,
-    GoodTuple,
     GoodTupleContext,
     RunState,
     check_extraction_conditions,
     check_good_tuple,
     cut_lemma_round,
-    good_extend,
     run,
     stable_edge_set,
 )
@@ -67,9 +65,7 @@ from .presentations import Ball, GraphPresentation, preset
 from .separators import (
     SeparatorDecomposition,
     check_complete_neighborhood,
-    decompose,
     minimal_separator_components,
-    shrink_to_minimal_ray_separator,
 )
 
 __all__ = [
@@ -80,7 +76,6 @@ __all__ = [
     "DomainError",
     "ExtractionReport",
     "FiniteGraph",
-    "GoodTuple",
     "GoodTupleContext",
     "GraphInputError",
     "GraphPresentation",
@@ -102,13 +97,11 @@ __all__ = [
     "corollary_instances",
     "cut",
     "cut_lemma_round",
-    "decompose",
     "enumerate_connected_graphs",
     "enumerate_graphs",
     "extend_to_cover",
     "find_path_extension",
     "finite_hamilton",
-    "good_extend",
     "graph_power",
     "induced_subgraph",
     "is_chordal",
@@ -122,7 +115,6 @@ __all__ = [
     "replay_certificate",
     "run",
     "shortest_cycle_through",
-    "shrink_to_minimal_ray_separator",
     "stable_edge_set",
     "validate_cycle",
 ]

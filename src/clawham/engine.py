@@ -46,7 +46,7 @@ from .extension import (
     _cover,
     _require_cycle,
     _SpliceCycle,
-    apply_path_extension,
+    apply_path_extension,  # noqa: F401 - bench/test_tracer.py checks this binding
     extend_to_cover,
     find_path_extension,
     shortest_cycle_through,
@@ -127,19 +127,6 @@ class GoodTupleContext:
         )
 
 
-@dataclass(frozen=True)
-class GoodTuple:
-    """A cycle plus one witness set per covered end, with the six checkable
-    properties relative to a fixed context."""
-
-    context: GoodTupleContext
-    cycle: CycleEmbedding
-    witness_sets: dict[int, frozenset[int]]  # 1-based part index -> set
-
-    def check(self) -> list[str]:
-        return check_good_tuple(self.context, self.cycle, self.witness_sets)
-
-
 def check_good_tuple(
     ctx: GoodTupleContext,
     cycle: CycleEmbedding,
@@ -204,36 +191,6 @@ def check_good_tuple(
                     f"(f) part {j}: witness set contains part of component {p} only"
                 )
     return problems
-
-
-def good_extend(tup: GoodTuple, ext: PathExtension) -> GoodTuple:
-    """Apply a path extension to a good tuple, rewriting the witness sets.
-
-    The extension must stay in the allowed region (finite component off the
-    base cycle, the separator, or the 2-neighborhood of the cycle
-    neighborhood inside the finite component).  Each witness set absorbs the
-    path and base when the path ends inside it, and sheds them otherwise;
-    the updated tuple is re-verified and any violation is reported as an
-    internal inconsistency, because the theory guarantees success.
-    """
-    ctx = tup.context
-    footprint = _footprint(ctx, ext)
-    new_cycle = apply_path_extension(ctx.graph, tup.cycle, ext)
-    z = ext.endvertex
-    updated: dict[int, frozenset[int]] = {}
-    for j, m in tup.witness_sets.items():
-        if z in m:
-            updated[j] = m | footprint
-        else:
-            updated[j] = m - footprint
-    new_tup = GoodTuple(ctx, new_cycle, updated)
-    problems = new_tup.check()
-    if problems:
-        raise InternalConsistencyError(
-            "extension broke the witness properties: " + "; ".join(problems),
-            witness=ext.to_json_obj(),
-        )
-    return new_tup
 
 
 def _footprint(ctx: GoodTupleContext, ext: PathExtension) -> frozenset[int]:
@@ -344,11 +301,10 @@ def _good_step(
     and none for a splice (F lies in the allowed region), P ∪ K and K's
     index for a part P with component K.  Premises: the tuple was good
     before the step; the context is built by ``GoodTupleContext.build``
-    from a decomposition of ``ray_decomposition`` or ``decompose``, so a
-    component's neighbors outside it lie in its part; no edit drops a cycle
-    vertex (``_SpliceCycle.splice`` raises when one would); and the update
-    changes sets only inside ``moved``, where it also puts every set it
-    creates.
+    from a decomposition of ``ray_decomposition``, so a component's
+    neighbors outside it lie in its part; no edit drops a cycle vertex
+    (``_SpliceCycle.splice`` raises when one would); and the update changes
+    sets only inside ``moved``, where it also puts every set it creates.
     For a set W before and m after the update (W = ∅ for a new set), let
     was = W ∩ moved, gained = m ∩ moved − was and lost = was − m.  Then the
     verdict names the same properties as ``check_good_tuple``:
@@ -753,27 +709,29 @@ def cut_lemma_round(
         ) from exc
     ext_count += len(log)
 
-    tup = GoodTuple(ctx, cycle.freeze(), {j: frozenset(m) for j, m in witness.items()})
+    new_cycle = cycle.freeze()
+    sets = {j: frozenset(m) for j, m in witness.items()}
     reach = _within_three(g, dec.separator)
-    checks = _round_conclusions(g, c, dec, tup, base_edges, reach)
+    checks = _round_conclusions(ctx, new_cycle, sets, base_edges, reach)
     return RoundRecord(
         index=index,
         dec=dec,
         part_order=tuple(order),
-        cycle=tup.cycle,
-        witness_sets=tup.witness_sets,
+        cycle=new_cycle,
+        witness_sets=sets,
         extension_count=ext_count,
         checks=checks,
         separator_reach=reach,
     )
 
 
-def _round_conclusions(g, c, dec, tup, base_edges, reach) -> dict[str, bool]:
-    """The three round conclusions, recorded (not raised) for the run log;
+def _round_conclusions(ctx, new_cycle, sets, base_edges, reach) -> dict[str, bool]:
+    """The three round conclusions and the good-tuple verdict of the round's
+    cycle and witness sets, recorded (not raised) for the run log;
     ``reach`` is S ∪ N³(S) for the separator S."""
-    new_cycle = tup.cycle
-    near2 = tup.context.near_cycle_2  # distance 1 to 2 from N(C), C ∩ N(C) = ∅
-    containment = reach.union(dec.finite_component) <= new_cycle.vertex_set
+    g, c = ctx.graph, ctx.base_cycle
+    near2 = ctx.near_cycle_2  # distance 1 to 2 from N(C), C ∩ N(C) = ∅
+    containment = reach.union(ctx.dec.finite_component) <= new_cycle.vertex_set
 
     new_edges = new_cycle.edge_set()
     keep_ok = True
@@ -791,7 +749,7 @@ def _round_conclusions(g, c, dec, tup, base_edges, reach) -> dict[str, bool]:
         for p in (u, v):
             if p in c and p not in near3:
                 loc_ok = False
-    good = not tup.check()
+    good = not check_good_tuple(ctx, new_cycle, sets)
     return {
         "containment": containment,
         "kept_deep_edges": keep_ok,
@@ -830,11 +788,17 @@ class RunState:
         return [head] + [r.to_json_obj() for r in self.rounds]
 
 
-def end_proxies(ball: Ball, skirt: int = 3) -> tuple[tuple[int, ...], ...]:
+# End proxies are read in the outermost END_SKIRT + 1 layers of the ball, and
+# the construction must stay RADIUS_MARGIN layers inside it.
+END_SKIRT = 3
+RADIUS_MARGIN = 5
+
+
+def end_proxies(ball: Ball) -> tuple[tuple[int, ...], ...]:
     """Boundary components, computed with a thick skirt so that same-side
     boundary vertices connected just inside the ball stay together."""
     shell = [
-        v for v in ball.graph.vertices if ball.depth_of(v) >= ball.radius - skirt
+        v for v in ball.graph.vertices if ball.depth_of(v) >= ball.radius - END_SKIRT
     ]
     comps = components_within(ball.graph, shell)
     bset = set(ball.boundary)
@@ -843,25 +807,20 @@ def end_proxies(ball: Ball, skirt: int = 3) -> tuple[tuple[int, ...], ...]:
 
 def _stability_gate(ball: Ball) -> None:
     """End proxies must map injectively into the components four layers
-    deeper, otherwise boundary components misrepresent the ends."""
+    deeper, otherwise boundary components misrepresent the ends.  A proxy
+    is connected inside the skirt, which lies inside the deeper shell, so
+    its first vertex names its one deep component."""
     proxies = end_proxies(ball)
     deep = [
-        v for v in ball.graph.vertices if ball.depth_of(v) >= ball.radius - 7
+        v for v in ball.graph.vertices
+        if ball.depth_of(v) >= ball.radius - END_SKIRT - 4
     ]
-    deep_comps = components_within(ball.graph, deep)
-    owner = {}
-    for i, comp in enumerate(deep_comps):
-        for v in comp:
-            owner[v] = i
+    owner = {
+        v: i for i, comp in enumerate(components_within(ball.graph, deep)) for v in comp
+    }
     seen: dict[int, tuple] = {}
     for proxy in proxies:
-        ids = {owner[v] for v in proxy}
-        if len(ids) != 1:  # pragma: no cover - a connected set has one owner
-            raise RadiusTooSmallError(
-                "an end proxy spans several deep shell components",
-                suggested_radius=ball.radius * 2,
-            )
-        i = ids.pop()
+        i = owner[proxy[0]]
         if i in seen:
             raise RadiusTooSmallError(
                 f"end proxies {seen[i][:3]} and {proxy[:3]} merge four layers "
@@ -871,16 +830,16 @@ def _stability_gate(ball: Ball) -> None:
         seen[i] = proxy
 
 
-def _radius_gate(ball: Ball, dec: SeparatorDecomposition, margin: int = 5) -> None:
+def _radius_gate(ball: Ball, dec: SeparatorDecomposition) -> None:
     deepest = max(
         ball.depth_of(v)
         for v in list(dec.finite_component) + list(dec.separator)
     )
-    if deepest + margin > ball.radius:
+    if deepest + RADIUS_MARGIN > ball.radius:
         raise RadiusTooSmallError(
             f"the construction reached depth {deepest} of radius {ball.radius}; "
             "neighborhood computations are no longer faithful",
-            suggested_radius=deepest + margin + 4,
+            suggested_radius=deepest + RADIUS_MARGIN + 4,
         )
 
 
@@ -1043,6 +1002,34 @@ def _witness_cut(
     return frozenset(edges)
 
 
+def _proxy_chains(rounds: list[RoundRecord], proxies):
+    """Each end proxy's chain of host components, one 1-based index per
+    round, for the proxies that lie inside one infinite component in every
+    round; and for each other proxy, its first vertex, the index of the
+    first round where it does not, and the components it meets there.  One
+    owner map per round gives the hosts of a proxy in O(|proxy|)."""
+    chains: dict[int, list[int]] = {i: [] for i in range(len(proxies))}
+    ambiguous: dict[int, tuple] = {}
+    for record in rounds:
+        owner = {
+            v: j
+            for j, comp in enumerate(record.dec.infinite_components, start=1)
+            for v in comp
+        }
+        for i in list(chains):
+            hosts = {owner.get(v) for v in proxies[i]}
+            if len(hosts) == 1 and None not in hosts:
+                chains[i].append(hosts.pop())
+            else:
+                hosts.discard(None)
+                ambiguous[i] = (proxies[i][0], record.index, tuple(sorted(hosts)))
+                del chains[i]
+    return (
+        [(proxies[i], chain) for i, chain in chains.items()],
+        [ambiguous[i] for i in sorted(ambiguous)],
+    )
+
+
 def check_extraction_conditions(state: RunState) -> ExtractionReport:
     """Verify the five conditions on the generated prefix and collect the
     stable sets; failures are reported with witnesses, never raised."""
@@ -1076,28 +1063,8 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
     cond2 = ConditionReport(not w2, tuple(w2))
 
     # (iii) one nested chain per end proxy, shrinking away from the interior
-    proxies = end_proxies(state.ball)
+    chains, ambiguous = _proxy_chains(state.rounds, end_proxies(state.ball))
     w3 = []
-    ambiguous = []
-    chains: list[tuple[tuple[int, ...], list[int]]] = []
-    for proxy in proxies:
-        pset = set(proxy)
-        chain: list[int] = []
-        for record in state.rounds:
-            hosts = [
-                j
-                for j, compv in enumerate(record.dec.infinite_components, start=1)
-                if pset & set(compv)
-            ]
-            if len(hosts) != 1 or not pset <= set(
-                record.dec.infinite_components[hosts[0] - 1]
-            ):
-                ambiguous.append((proxy[0], record.index, tuple(hosts)))
-                chain = []
-                break
-            chain.append(hosts[0])
-        if chain:
-            chains.append((proxy, chain))
     for proxy, chain in chains:
         for i in range(1, len(state.rounds)):
             m_prev = state.rounds[i - 1].witness_sets[chain[i - 1]]
@@ -1113,8 +1080,9 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
                 w3.append(
                     ("not-shrinking", proxy[0], i + 1, tuple(sorted(m_next & shed))[:4])
                 )
+        on_boundary = bset.intersection(proxy)
         for record, j in zip(state.rounds, chain):
-            if not set(proxy) & set(state.ball.boundary) <= record.witness_sets[j]:
+            if not on_boundary <= record.witness_sets[j]:
                 w3.append(("proxy-escapes", proxy[0], record.index))
     cond3 = ConditionReport(not w3 and not ambiguous, tuple(w3))
 

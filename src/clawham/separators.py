@@ -32,7 +32,6 @@ from .graph import (
     VertexSet,
     bfs,
     components_within,
-    neighborhood_k,
 )
 
 
@@ -92,25 +91,6 @@ def separates(g: FiniteGraph, blocker, sources, targets) -> bool:
     return not any(v in tgs for v, _, _ in bfs(g, src, within=allowed))
 
 
-def shrink_to_minimal_ray_separator(
-    g: FiniteGraph, c: CycleEmbedding, boundary
-) -> VertexSet:
-    """The inclusion-minimal subset of X = N(V(c)) separating c from the
-    boundary layer: N(R), for R the vertices reached from the boundary in G - X.
-
-    N(R) lies in X (R misses the cycle, and a neighbor of R outside X is in
-    R), and every path from the boundary to the cycle leaves R through it, so
-    N(R) separates.  Each v in N(R) is on a path cycle - v - R - boundary that
-    meets X only at v, so every separating subset of X contains N(R).
-    """
-    bset = g.require_subset(boundary)
-    cset = c.vertex_set
-    if bset & cset:
-        raise DomainError("the cycle touches the boundary layer")
-    near = frozenset(neighborhood_k(g, cset, 1))
-    separator, _, _ = _beyond_neighborhood(g, near, bset)
-    return tuple(separator)
-
 @dataclass(frozen=True)
 class SeparatorDecomposition:
     """Separator split into per-end parts around one finite component.
@@ -145,49 +125,29 @@ class SeparatorDecomposition:
         }
 
 
-def decompose(
-    g: FiniteGraph, c: CycleEmbedding, separator, boundary
-) -> SeparatorDecomposition:
-    """Split a minimal ray separator into per-end parts.
-
-    The component containing the cycle is the finite one; every other
-    component must touch the boundary (otherwise the truncation radius is
-    too small to be faithful).  A separator vertex with neighbors in two
-    boundary-touching components yields an induced claw, which is impossible
-    in a claw-free graph and reported as an internal inconsistency.
-    """
-    sset = g.require_subset(separator)
-    bset = g.require_subset(boundary)
-    if sset & c.vertex_set:
-        raise DomainError("separator vertices must avoid the cycle")
-    finite = _cycle_component(g, c, sset)
-    comps, owner = _boundary_components(g, bset - finite, sset)
-    return _split(g, sset, bset, finite, comps, owner)
-
-
 def ray_decomposition(
     g: FiniteGraph, c: CycleEmbedding, near, boundary
 ) -> SeparatorDecomposition:
-    """``decompose(g, c, shrink_to_minimal_ray_separator(g, c, boundary),
-    boundary)`` from one search beyond the cycle neighborhood ``near``,
-    which must be N(V(c)); see the module docstring."""
+    """The minimal ray separator of the cycle ``c`` and its split into
+    per-end parts, from one search beyond ``near``, which must be N(V(c)).
+
+    The separator is the inclusion-minimal subset of N(V(c)) that meets
+    every path from the cycle to the ``boundary`` layer; see the module
+    docstring.  The component of G - S holding the cycle is the finite one,
+    and every other component must touch the boundary, otherwise the
+    truncation radius is too small to be faithful.  A separator vertex with
+    neighbors in two boundary-touching components yields an induced claw,
+    which is impossible in a claw-free graph and reported as an internal
+    inconsistency.
+    """
     bset = g.require_subset(boundary)
     if bset & c.vertex_set:
         raise DomainError("the cycle touches the boundary layer")
-    separator, comps, owner = _beyond_neighborhood(g, frozenset(near), bset)
-    sset = frozenset(separator)
-    return _split(g, sset, bset, _cycle_component(g, c, sset), comps, owner)
-
-
-def _beyond_neighborhood(g: FiniteGraph, near: frozenset[int], bset: frozenset[int]):
-    """The minimal ray separator S = N(R) ∩ X for X = ``near``, sorted, with
-    the components of g - X that meet the boundary and their owner map (see
-    ``_boundary_components``)."""
-    if bset & near:
+    if not bset.isdisjoint(near):
         raise DomainError("the boundary layer is adjacent to the cycle")
     comps, owner = _boundary_components(g, bset, near)
-    separator = [s for s in sorted(near) if any(u in owner for u in g.neighbors(s))]
-    return separator, comps, owner
+    sset = frozenset(s for s in near if any(u in owner for u in g.neighbors(s)))
+    return _split(g, sset, bset, _cycle_component(g, c, sset), comps, owner)
 
 
 def _boundary_components(
@@ -235,7 +195,7 @@ def _split(
         raise RadiusTooSmallError(
             "a component beyond the separator misses the boundary layer; "
             "enlarge the truncation radius",
-            suggested_radius=2 * _depth_bound(g, bset),
+            suggested_radius=2 * max(1, len(g) // max(1, len(bset))),
         )
     parts: list[list[int]] = [[] for _ in comps]
     for s in sorted(sset):
@@ -267,9 +227,6 @@ def _split(
         infinite_components=tuple(comps),
         parts=tuple(map(tuple, parts)),
     )
-
-def _depth_bound(g: FiniteGraph, bset) -> int:
-    return max(1, len(g) // max(1, len(bset)))
 
 
 def check_complete_neighborhood(g: FiniteGraph, s_vertex: int, component) -> bool:

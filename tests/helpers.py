@@ -1046,3 +1046,34 @@ def reference_extract_ball(pres, radius: int):
         depths=tuple(depth[label] for label in order),
         presentation_name=pres.name,
     )
+
+
+# -- reference host lookup of extraction condition (iii) --------------------------
+#
+# Each end proxy's host components as ``check_extraction_conditions`` found
+# them before one owner map per round: one set intersection per proxy, round
+# and infinite component.
+
+
+def reference_proxy_chains(rounds, proxies):
+    chains = []
+    ambiguous = []
+    for proxy in proxies:
+        pset = set(proxy)
+        chain: list[int] = []
+        for record in rounds:
+            hosts = [
+                j
+                for j, compv in enumerate(record.dec.infinite_components, start=1)
+                if pset & set(compv)
+            ]
+            if len(hosts) != 1 or not pset <= set(
+                record.dec.infinite_components[hosts[0] - 1]
+            ):
+                ambiguous.append((proxy[0], record.index, tuple(hosts)))
+                chain = []
+                break
+            chain.append(hosts[0])
+        if chain:
+            chains.append((proxy, chain))
+    return chains, ambiguous

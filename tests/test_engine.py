@@ -6,7 +6,6 @@ import pytest
 
 from clawham.constructions import complete_graph, cycle_graph
 from clawham.engine import (
-    GoodTuple,
     GoodTupleContext,
     RoundRecord,
     RunState,
@@ -14,7 +13,6 @@ from clawham.engine import (
     check_good_tuple,
     cut_lemma_round,
     end_proxies,
-    good_extend,
     run,
     stable_edge_set,
 )
@@ -27,11 +25,7 @@ from clawham.errors import (
 from clawham.extension import find_path_extension, truncate_extension
 from clawham.graph import CycleEmbedding, FiniteGraph, cut, neighborhood_k
 from clawham.presentations import Ball, GraphPresentation, preset
-from clawham.separators import (
-    SeparatorDecomposition,
-    decompose,
-    shrink_to_minimal_ray_separator,
-)
+from clawham.separators import SeparatorDecomposition, ray_decomposition
 from conftest import double_ray_square_truncation
 
 
@@ -52,16 +46,18 @@ def build_round_one_context():
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
     c, _ = extend_to_cover(g, seed, pool, target_pool=pool)
     boundary = [ids[i] for i in (-20, -19, 19, 20)]
-    sep = shrink_to_minimal_ray_separator(g, c, boundary)
-    dec = decompose(g, c, sep, boundary)
+    dec = ray_decomposition(g, c, neighborhood_k(g, c.order, 1), boundary)
     return g, c, dec, ids
 
 
 def test_empty_tuple_is_good_and_extends():
+    """The empty tuple is good, and so is the result of a capture step."""
+    from clawham.engine import _splice_step
+    from clawham.extension import _SpliceCycle
+
     g, c, dec, ids = build_round_one_context()
     ctx = GoodTupleContext.build(g, c, dec)
-    tup = GoodTuple(ctx, c, {})
-    assert tup.check() == []
+    assert check_good_tuple(ctx, c, {}) == []
     # acquire a separator vertex: the smallest one adjacent to the cycle
     target = min(set(dec.separator) & set(neighborhood_k(g, c.order, 1)))
     base = min(set(g.neighbors(target)) & c.vertex_set)
@@ -69,33 +65,36 @@ def test_empty_tuple_is_good_and_extends():
     unc = set(dec.separator)
     s = [p for p in ext.extension_path if p in unc][-1]
     ext = truncate_extension(g, c, ext, s)
-    new = good_extend(tup, ext)
-    assert new.check() == []
-    assert s in new.cycle
+    cycle = _SpliceCycle(c)
+    _, problems = _splice_step(ctx, cycle, {}, ext)
+    assert problems == []
+    assert check_good_tuple(ctx, cycle.freeze(), {}) == []
+    assert s in cycle
 
 
 def test_good_extend_untouched_witness_sets_stay():
+    """The round's cycle and witness sets form a good tuple for the
+    round's context, built afresh."""
     g, c, dec, ids = build_round_one_context()
     record = cut_lemma_round(g, c, dec)
-    # after the round, extend into fresh territory and watch a far set stay
     ctx = GoodTupleContext.build(g, c, dec)
-    tup = GoodTuple(ctx, record.cycle, record.witness_sets)
-    assert tup.check() == []
+    assert check_good_tuple(ctx, record.cycle, record.witness_sets) == []
 
 
 def test_good_extend_rejects_stray_footprint():
+    """A splice step refuses a footprint outside the allowed region."""
+    from clawham.engine import _splice_step
+    from clawham.extension import ExtensionCase, PathExtension, _SpliceCycle
+
     g, c, dec, ids = build_round_one_context()
     ctx = GoodTupleContext.build(g, c, dec)
-    tup = GoodTuple(ctx, c, {})
     # a target deep inside an infinite component is outside the allowed region
     deep = ids[12]
-    with pytest.raises(DomainError):
-        from clawham.extension import ExtensionCase, PathExtension
-
-        good_extend(
-            tup,
-            PathExtension(ExtensionCase.ONE, deep, ids[1], (deep, ids[2]), ()),
-        )
+    ext = PathExtension(ExtensionCase.ONE, deep, ids[1], (deep, ids[2]), ())
+    cycle = _SpliceCycle(c)
+    with pytest.raises(DomainError, match="leaves the allowed region"):
+        _splice_step(ctx, cycle, {}, ext)
+    assert cycle.freeze() == c
 
 
 def test_check_good_tuple_flags_violations():
@@ -139,8 +138,7 @@ def test_cut_lemma_requires_deep_vertex():
     g, ids = double_ray_square_truncation(-8, 8)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-8, -7, 7, 8)]
-    sep = shrink_to_minimal_ray_separator(g, c, boundary)
-    dec = decompose(g, c, sep, boundary)
+    dec = ray_decomposition(g, c, neighborhood_k(g, c.order, 1), boundary)
     with pytest.raises(DomainError):
         cut_lemma_round(g, c, dec)  # bare triangle: nothing 3 away from N(c)
 
@@ -750,7 +748,8 @@ def _part_state(held_by_older, eleven_on_cycle=False):
         + [(11, 0)] * eleven_on_cycle,
     )
     c = CycleEmbedding([0, 1, 2, 3])
-    dec = decompose(g, c, [4, 7, 8, 11, 12], [6, 9])
+    dec = ray_decomposition(g, c, neighborhood_k(g, c.order, 1), [6, 9])
+    assert dec.separator == (4, 7, 8, 11, 12)
     ctx = GoodTupleContext.build(g, c, dec)
     a, b = dec.part_of_vertex(4), dec.part_of_vertex(7)
     order = [0, 4, 5, 6, 12, 1, 2, 7, 8, 3] + [11] * eleven_on_cycle
@@ -1018,7 +1017,7 @@ def _round_run(name, radius, rounds, seed):
 def test_one_search_decomposition_matches_shrink_then_decompose(name, radius, rounds, seed):
     """Every round's decomposition, from one labelled search, equals the
     closed-form separator followed by the components of the whole ball
-    minus it, and so does ``decompose`` of ``shrink_to_minimal_ray_separator``."""
+    minus it."""
     from helpers import reference_decompose, reference_ray_separator
 
     state, _ = _round_run(name, radius, rounds, seed)
@@ -1026,8 +1025,6 @@ def test_one_search_decomposition_matches_shrink_then_decompose(name, radius, ro
     for cycle, record in zip(state.cycles(), state.rounds):
         want = reference_decompose(g, cycle, reference_ray_separator(g, cycle, boundary), boundary)
         assert record.dec == want
-        sep = shrink_to_minimal_ray_separator(g, cycle, boundary)
-        assert decompose(g, cycle, sep, boundary) == want
 
 
 def _witness_variants(rng, ctx, witness):
@@ -1105,6 +1102,99 @@ def test_extraction_cut_matches_graph_cut(name, radius, rounds, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_witness_cut", lambda g, dec, j, m: frozenset(cut(g, m)))
         assert check_extraction_conditions(state).to_json_obj() == report.to_json_obj()
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
+def test_proxy_chains_match_the_per_component_lookup(name, radius, rounds, seed):
+    """Condition (iii)'s host lookup, one owner map per round, gives the
+    chains and ambiguous ends of one set intersection per proxy, round and
+    component, and so the same extraction report."""
+    import clawham.engine as engine
+    from helpers import reference_proxy_chains
+
+    state, _ = _round_run(name, radius, rounds, seed)
+    proxies = end_proxies(state.ball)
+    chains, ambiguous = engine._proxy_chains(state.rounds, proxies)
+    assert (chains, ambiguous) == reference_proxy_chains(state.rounds, proxies)
+    assert len(chains) == len(proxies) and not ambiguous
+    if len(state.rounds) < 2:
+        return  # the extraction conditions need two rounds
+    report = check_extraction_conditions(state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_proxy_chains", reference_proxy_chains)
+        assert check_extraction_conditions(state).to_json_obj() == report.to_json_obj()
+
+
+def _proxy_variants(state):
+    """The run's rounds with one proxy moved in the decomposition of one
+    round: split across two components, a vertex put into the separator,
+    or taken out of every component."""
+    from dataclasses import replace
+
+    proxy = end_proxies(state.ball)[0]
+    half = set(proxy[: len(proxy) // 2 or 1])
+    for r, record in enumerate(state.rounds):
+        comps = record.dec.infinite_components
+        j = next(i for i, comp in enumerate(comps) if proxy[0] in comp)
+        host = comps[j]
+        split = (
+            comps[:j]
+            + (tuple(v for v in host if v not in half), tuple(sorted(half)))
+            + comps[j + 1:]
+        )
+        into_sep = comps[:j] + (tuple(v for v in host if v != proxy[-1]),) + comps[j + 1:]
+        dropped = comps[:j] + (tuple(v for v in host if v not in proxy),) + comps[j + 1:]
+        for new_comps, sep in (
+            (split, record.dec.separator),
+            (into_sep, tuple(sorted(record.dec.separator + (proxy[-1],)))),
+            (dropped, record.dec.separator),
+        ):
+            dec = replace(record.dec, infinite_components=new_comps, separator=sep)
+            rounds = list(state.rounds)
+            rounds[r] = replace(record, dec=dec)
+            yield replace(state, rounds=rounds)
+
+
+def test_proxy_chains_match_on_straddling_proxies():
+    """A proxy split between two components, touching the separator or
+    outside every component is ambiguous in the round where that happens,
+    by both host lookups, with the same extraction report."""
+    import clawham.engine as engine
+    from helpers import reference_proxy_chains
+
+    variants = 0
+    for state in _proxy_variants(small_run(rounds=3, radius=30)):
+        proxies = end_proxies(state.ball)
+        chains, ambiguous = engine._proxy_chains(state.rounds, proxies)
+        assert (chains, ambiguous) == reference_proxy_chains(state.rounds, proxies)
+        assert len(ambiguous) == 1 and len(chains) == len(proxies) - 1
+        report = check_extraction_conditions(state)
+        assert report.ambiguous_ends == tuple(ambiguous) and not report.all_pass()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_proxy_chains", reference_proxy_chains)
+            assert check_extraction_conditions(state).to_json_obj() == report.to_json_obj()
+        variants += 1
+    assert variants == 9
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("double-ray-square", 20), ("ray-square", 20), ("ladder-line-graph", 20),
+    ("custom-oracle", 20), ("tri-lattice-line", 13), ("tripod-line", 40),
+    ("cactus-line", 9),
+])
+def test_each_end_proxy_has_one_deep_component(name, radius):
+    """The stability gate reads a proxy's deep component off its first
+    vertex: every proxy lies inside one component of the deeper shell."""
+    from clawham.engine import END_SKIRT
+    from clawham.graph import components_within
+
+    ball = _presentation(name, radius).extract_ball(radius)
+    deep = [v for v in ball.graph.vertices if ball.depth_of(v) >= radius - END_SKIRT - 4]
+    owner = {v: i for i, comp in enumerate(components_within(ball.graph, deep)) for v in comp}
+    proxies = end_proxies(ball)
+    assert proxies
+    for proxy in proxies:
+        assert len({owner[v] for v in proxy}) == 1
 
 
 @pytest.mark.parametrize("rounds", [1, 3, 6])

@@ -13,22 +13,22 @@ from clawham.errors import (
     InternalConsistencyError,
     RadiusTooSmallError,
 )
-from clawham.graph import CycleEmbedding, FiniteGraph, components_within
+from clawham.graph import CycleEmbedding, FiniteGraph, components_within, neighborhood_k
 from clawham.predicates import is_claw_free
 from clawham.presentations import PRESET_NAMES, preset
 from clawham.separators import (
     check_complete_neighborhood,
-    decompose,
     is_minimal_separator,
     minimal_separator_components,
+    ray_decomposition,
     separates,
-    shrink_to_minimal_ray_separator,
 )
 from conftest import double_ray_square_truncation
 from helpers import (
     brute_minimal_separators,
     reference_is_minimal_separator,
     reference_minimal_separator_components,
+    reference_decompose,
     reference_separates,
     reference_shrink,
 )
@@ -40,6 +40,11 @@ def outcome(f, *args):
         return f(*args)
     except ClawhamError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def decomposition(g: FiniteGraph, c: CycleEmbedding, boundary):
+    """``ray_decomposition`` beyond the cycle neighborhood N(V(c))."""
+    return ray_decomposition(g, c, neighborhood_k(g, c.order, 1), boundary)
 
 
 def test_minimal_separator_components_paths_and_gluings():
@@ -79,7 +84,7 @@ def test_shrink_on_double_ray_square():
     g, ids = double_ray_square_truncation(-10, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-10, -9, 9, 10)]
-    sep = shrink_to_minimal_ray_separator(g, c, boundary)
+    sep = decomposition(g, c, boundary).separator
     assert sep == tuple(sorted(ids[i] for i in (-2, -1, 3, 4)))
     # oracle: every proper subset fails to separate
     sset = set(sep)
@@ -92,7 +97,7 @@ def test_shrink_on_ray_square():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[9], ids[10]]
-    sep = shrink_to_minimal_ray_separator(g, c, boundary)
+    sep = decomposition(g, c, boundary).separator
     assert sep == (ids[3], ids[4])
     for v in sep:
         assert not separates(g, set(sep) - {v}, c.order, boundary)
@@ -101,16 +106,15 @@ def test_shrink_on_ray_square():
 def test_shrink_rejects_cycle_touching_boundary():
     g, ids = double_ray_square_truncation(0, 4)
     c = CycleEmbedding([ids[2], ids[3], ids[4]])
-    with pytest.raises(DomainError):
-        shrink_to_minimal_ray_separator(g, c, [ids[4]])
+    with pytest.raises(DomainError, match="the cycle touches the boundary layer"):
+        decomposition(g, c, [ids[4]])
 
 
 def test_decompose_double_ray_square():
     g, ids = double_ray_square_truncation(-10, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-10, -9, 9, 10)]
-    sep = shrink_to_minimal_ray_separator(g, c, boundary)
-    dec = decompose(g, c, sep, boundary)
+    dec = decomposition(g, c, boundary)
     assert dec.k == 2
     assert dec.finite_component == tuple(sorted(ids[i] for i in (0, 1, 2)))
     assert dec.infinite_components == (
@@ -137,8 +141,7 @@ def test_decompose_double_ray_square():
 def test_decompose_ray_square():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
-    sep = shrink_to_minimal_ray_separator(g, c, [ids[9], ids[10]])
-    dec = decompose(g, c, sep, [ids[9], ids[10]])
+    dec = decomposition(g, c, [ids[9], ids[10]])
     assert dec.k == 1
     assert dec.finite_component == (ids[0], ids[1], ids[2])
     assert dec.parts == ((ids[3], ids[4]),)
@@ -159,7 +162,7 @@ def test_complete_neighborhood_examples():
 
 def test_decompose_two_sided_separator_vertex_reports_claw():
     """A separator vertex reaching two boundary components would give an
-    induced claw; decompose must refuse and exhibit it."""
+    induced claw; the decomposition must refuse and exhibit it."""
     from clawham.errors import InternalConsistencyError
 
     # triangle 0-1-2, stem 2-3, and two legs from 3 out to the boundary
@@ -169,7 +172,7 @@ def test_decompose_two_sided_separator_vertex_reports_claw():
     )
     c = CycleEmbedding([0, 1, 2])
     with pytest.raises(InternalConsistencyError) as exc:
-        decompose(g, c, [3], [6, 7])
+        decomposition(g, c, [6, 7])
     assert exc.value.exit_code == 3
     witness = exc.value.witness
     assert witness is not None
@@ -218,9 +221,13 @@ def test_separates_matches_reference_on_random_inputs():
 
 
 def test_shrink_matches_greedy_reference_on_random_triples():
-    """Empty boundaries, boundaries beyond N(c), some with vertices in
+    """On empty boundaries, boundaries beyond N(c), some with vertices in
     components the cycle cannot reach, and boundaries that break a
-    precondition."""
+    precondition, ``ray_decomposition`` raises the greedy reference's
+    error, or its separator is the reference's: it decomposes as the
+    whole-ball reference does with that separator, or fails as it does.
+    The one exception is a cycle stand-in that meets several components
+    of G - S, for which it reports that no component holds the cycle."""
     rng = random.Random(5)
     unreachable = nonempty = 0
     for i in range(1200):
@@ -238,9 +245,17 @@ def test_shrink_matches_greedy_reference_on_random_triples():
             unreachable += bool(set(boundary) - cycle_side)
         else:
             boundary = rng.sample(range(n), rng.randint(1, 3))
-        got = outcome(shrink_to_minimal_ray_separator, g, c, boundary)
-        assert got == outcome(reference_shrink, g, c, boundary)
-        nonempty += kind == 1 and bool(got)
+        sep = outcome(reference_shrink, g, c, boundary)
+        got = outcome(decomposition, g, c, boundary)
+        if sep and isinstance(sep[0], type):
+            assert got == sep
+            continue
+        if isinstance(got, tuple) and got[:2] == (DomainError, "no component contains the cycle"):
+            rest = components_within(g, [v for v in range(n) if v not in sep])
+            assert sum(not c.vertex_set.isdisjoint(comp) for comp in rest) > 1
+        else:
+            assert got == outcome(reference_decompose, g, c, sep, boundary)
+        nonempty += kind == 1 and bool(sep)
     assert unreachable > 50 and nonempty > 100
 
 
@@ -249,16 +264,16 @@ def test_shrink_matches_greedy_reference_on_every_round(name):
     state = run(preset(name), rounds=5, radius=70)
     boundary = state.ball.boundary
     for cycle, record in zip(state.cycles()[:-1], state.rounds):
-        sep = shrink_to_minimal_ray_separator(state.graph, cycle, boundary)
-        assert sep == reference_shrink(state.graph, cycle, boundary)
-        assert sep == record.dec.separator
+        dec = decomposition(state.graph, cycle, boundary)
+        assert dec == record.dec
+        assert dec.separator == reference_shrink(state.graph, cycle, boundary)
 
 
 def test_shrink_preconditions_raise_as_before():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[2], ids[3], ids[4]])
     for boundary in ([ids[4], ids[10]], [ids[5], ids[10]]):
-        got = outcome(shrink_to_minimal_ray_separator, g, c, boundary)
+        got = outcome(decomposition, g, c, boundary)
         assert got[0] is DomainError
         assert got == outcome(reference_shrink, g, c, boundary)
 
@@ -293,7 +308,7 @@ def full_outcome(f, *args):
 
 def connected_triple(rng: random.Random, g: FiniteGraph):
     """Three vertices inducing a connected subgraph, as a CycleEmbedding of
-    their ids (decompose reads only its vertex set), or None."""
+    their ids (the decomposition reads only its vertex set), or None."""
     v = rng.choice(g.vertices)
     near = list(g.neighbors(v))
     if not near:
@@ -304,19 +319,17 @@ def connected_triple(rng: random.Random, g: FiniteGraph):
 
 
 def test_decompose_matches_whole_ball_reference_on_random_inputs():
-    """``decompose`` and ``ray_decomposition`` give the reference's result,
-    or its error class, message, witness and suggested radius, on random
-    graphs, connected cycle stand-ins, boundaries and separators; stray
-    components, two-sided separator vertices and cycle components that
-    touch the boundary all occur."""
+    """``ray_decomposition`` gives the reference's result on the closed-form
+    separator, or its error class, message, witness and suggested radius,
+    on random graphs, connected cycle stand-ins and boundaries; stray
+    components and two-sided separator vertices both occur."""
     from collections import Counter
 
-    from clawham.separators import ray_decomposition
-    from helpers import neighborhood_oracle, reference_decompose, reference_ray_separator
+    from helpers import neighborhood_oracle, reference_ray_separator
 
     rng = random.Random(29)
     seen = Counter()
-    for i in range(1500):
+    for _ in range(1500):
         n = rng.randint(5, 30)
         g = random_graph(rng, n)
         c = connected_triple(rng, g)
@@ -325,47 +338,32 @@ def test_decompose_matches_whole_ball_reference_on_random_inputs():
         near = neighborhood_oracle(g, c.vertex_set, 1)
         far = [v for v in g.vertices if v not in near and v not in c]
         boundary = rng.sample(far, rng.randint(0, len(far)))
-        if i % 2:
-            sep = shrink_to_minimal_ray_separator(g, c, boundary)
-        else:
-            sep = rng.sample(far + sorted(near), min(rng.randint(0, 4), len(far) + len(near)))
-        want = full_outcome(reference_decompose, g, c, sep, boundary)
-        assert full_outcome(decompose, g, c, sep, boundary) == want
+        want = full_outcome(
+            reference_decompose, g, c, reference_ray_separator(g, c, boundary), boundary
+        )
+        assert full_outcome(ray_decomposition, g, c, near, boundary) == want
         if isinstance(want, tuple):
             seen[want[0]] += 1
             seen["two-sided"] += "reaches two" in want[1]
         else:
             seen["ok"] += 1
-            seen["touching"] += not set(want.finite_component).isdisjoint(boundary)
-        ref_sep = reference_ray_separator(g, c, boundary)
-        assert full_outcome(ray_decomposition, g, c, near, boundary) == full_outcome(
-            reference_decompose, g, c, ref_sep, boundary
-        )
     assert seen["ok"] > 100 and seen[RadiusTooSmallError] > 100
     assert seen[InternalConsistencyError] > 100 and seen["two-sided"] > 20
-    assert seen["touching"] > 20
 
 
 def test_stray_finite_component_means_the_radius_is_too_small():
     """Triangle 0-1-2 with separator {3}: beyond it the boundary path 4-5
     and the dead end 6, which meets neither the cycle nor the boundary."""
-    from clawham.separators import ray_decomposition
-    from helpers import reference_decompose
-
     g = FiniteGraph(range(7), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
     c = CycleEmbedding([0, 1, 2])
     want = full_outcome(reference_decompose, g, c, [3], [5])
     assert want[0] is RadiusTooSmallError
-    assert full_outcome(decompose, g, c, [3], [5]) == want
     assert full_outcome(ray_decomposition, g, c, {3}, [5]) == want
 
 
 def test_two_sided_separator_vertex_keeps_its_witness():
     """The claw of ``test_decompose_two_sided_separator_vertex_reports_claw``
-    is the witness of the reference, by both entry points."""
-    from clawham.separators import ray_decomposition
-    from helpers import reference_decompose
-
+    is the witness of the reference."""
     g = FiniteGraph(
         range(8),
         [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 6), (3, 5), (5, 7)],
@@ -373,5 +371,4 @@ def test_two_sided_separator_vertex_keeps_its_witness():
     c = CycleEmbedding([0, 1, 2])
     want = full_outcome(reference_decompose, g, c, [3], [6, 7])
     assert want[0] is InternalConsistencyError and want[2] == (2, 3, 4, 5)
-    assert full_outcome(decompose, g, c, [3], [6, 7]) == want
     assert full_outcome(ray_decomposition, g, c, {3}, [6, 7]) == want
