@@ -41,7 +41,6 @@ from .errors import (
     RadiusTooSmallError,
 )
 from .extension import (
-    ExtensionCase,
     PathExtension,
     _cover,
     _require_cycle,
@@ -49,6 +48,7 @@ from .extension import (
     apply_path_extension,  # noqa: F401 - bench/test_tracer.py checks this binding
     extend_to_cover,
     find_path_extension,
+    repath_extension,
     shortest_cycle_through,
     truncate_extension,
 )
@@ -57,9 +57,9 @@ from .graph import (
     Edge,
     FiniteGraph,
     bfs,
-    components_within,
     cut,
     edge_key,
+    label_components,
     neighborhood_k,
 )
 from .predicates import claw_at, locally_connected_at
@@ -645,15 +645,7 @@ def cut_lemma_round(
                 short = (t, z)
             else:
                 short = (t, after, z)
-        interior_on_cycle = tuple(sorted(p for p in short[1:-1] if p in cycle))
-        if ext2.case is ExtensionCase.ONE:
-            ext2 = PathExtension(ExtensionCase.ONE, t, s, short, interior_on_cycle)
-        else:
-            bridged = tuple(sorted(set(interior_on_cycle) | {s}))
-            ext2 = PathExtension(
-                ExtensionCase.TWO, t, s, short, bridged, ext2.reattach
-            )
-        good_splice(ext2)
+        good_splice(repath_extension(cycle, ext2, short))
         ext_count += 1
         if not g.has_edge(s, t) or (cycle.succ(s) != t and cycle.pred(s) != t):
             raise InternalConsistencyError(
@@ -800,9 +792,7 @@ def end_proxies(ball: Ball) -> tuple[tuple[int, ...], ...]:
     shell = [
         v for v in ball.graph.vertices if ball.depth_of(v) >= ball.radius - END_SKIRT
     ]
-    comps = components_within(ball.graph, shell)
-    bset = set(ball.boundary)
-    return tuple(c for c in comps if set(c) & bset)
+    return label_components(ball.graph, shell, ball.boundary)[0]
 
 
 def _stability_gate(ball: Ball) -> None:
@@ -815,9 +805,7 @@ def _stability_gate(ball: Ball) -> None:
         v for v in ball.graph.vertices
         if ball.depth_of(v) >= ball.radius - END_SKIRT - 4
     ]
-    owner = {
-        v: i for i, comp in enumerate(components_within(ball.graph, deep)) for v in comp
-    }
+    _, owner = label_components(ball.graph, deep)
     seen: dict[int, tuple] = {}
     for proxy in proxies:
         i = owner[proxy[0]]

@@ -21,7 +21,7 @@ cycle of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -87,14 +87,22 @@ class PathExtension:
         try:
             return cls(
                 case=ExtensionCase(obj["case"]),
-                target=int(obj["target"]),
-                base=int(obj["base"]),
-                extension_path=tuple(int(v) for v in obj["path"]),
-                bridged=tuple(int(v) for v in obj["bridged"]),
-                reattach=None if obj.get("reattach") is None else int(obj["reattach"]),
+                target=_vertex_id(obj["target"]),
+                base=_vertex_id(obj["base"]),
+                extension_path=tuple(map(_vertex_id, obj["path"])),
+                bridged=tuple(map(_vertex_id, obj["bridged"])),
+                reattach=None if obj.get("reattach") is None else _vertex_id(obj["reattach"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed extension record: {exc}") from exc
+
+
+def _vertex_id(v) -> int:
+    """A vertex id read from a record, under ``FiniteGraph``'s rule: an int
+    that is not a bool and is non-negative."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise DomainError(f"vertex ids must be non-negative integers, got {v!r}")
+    return v
 
 
 def validate_extension(g: FiniteGraph, c: CycleEmbedding, ext: PathExtension) -> list[str]:
@@ -250,15 +258,20 @@ def truncate_extension(
         raise DomainError(f"{new_target} is not an interior vertex of the path")
     if new_target in c:
         raise DomainError("the new target already lies on the cycle")
-    suffix = path[path.index(new_target):]
-    interior_on_cycle = tuple(sorted(v for v in suffix[1:-1] if v in c))
-    if ext.case is ExtensionCase.ONE:
-        return PathExtension(
-            ExtensionCase.ONE, new_target, ext.base, suffix, interior_on_cycle
-        )
-    bridged = tuple(sorted(set(interior_on_cycle) | {ext.base}))
-    return PathExtension(
-        ExtensionCase.TWO, new_target, ext.base, suffix, bridged, ext.reattach
+    return repath_extension(c, ext, path[path.index(new_target):])
+
+
+def repath_extension(
+    c: CycleEmbedding, ext: PathExtension, path: tuple[int, ...]
+) -> PathExtension:
+    """``ext`` along ``path``, a new path from a new target to its endvertex:
+    same case, base and reattach vertex, with the bridged vertices of ``c``
+    recomputed (the path's interior cycle vertices, and the base in case TWO)."""
+    bridged = {v for v in path[1:-1] if v in c}
+    if ext.case is ExtensionCase.TWO:
+        bridged.add(ext.base)
+    return replace(
+        ext, target=path[0], extension_path=tuple(path), bridged=tuple(sorted(bridged))
     )
 
 
@@ -512,11 +525,11 @@ class HamiltonCertificate:
     def from_json_obj(cls, obj: dict) -> "HamiltonCertificate":
         try:
             return cls(
-                initial_cycle=CycleEmbedding(obj["initial_cycle"]),
+                initial_cycle=CycleEmbedding(list(map(_vertex_id, obj["initial_cycle"]))),
                 extensions=tuple(
                     PathExtension.from_json_obj(e) for e in obj["extensions"]
                 ),
-                cycle=CycleEmbedding(obj["final_cycle"]),
+                cycle=CycleEmbedding(list(map(_vertex_id, obj["final_cycle"]))),
             )
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed certificate: {exc}") from exc

@@ -6,9 +6,11 @@ are deterministic and directly comparable in tests.
 
 All traversal goes through one primitive, ``bfs(g, sources, within)``: a
 breadth-first search in sorted-adjacency order, optionally confined to a
-vertex set.  Neighborhoods, distances, shortest paths and components
-(``components_within`` for the subgraph induced on a vertex set) are thin
-reads of it, so no connectivity question builds a throwaway ``FiniteGraph``.
+vertex set.  Neighborhoods, distances, shortest paths and components are
+thin reads of it, so no connectivity question builds a throwaway
+``FiniteGraph``.  ``label_components`` labels the components of the subgraph
+induced on a vertex set that meet some seeds, with an owner map, and
+``components_within`` reads its list.
 """
 
 from __future__ import annotations
@@ -176,18 +178,32 @@ def induced_subgraph(g: FiniteGraph, x: Iterable[int]) -> FiniteGraph:
     return FiniteGraph(xs, edges)
 
 
+def label_components(
+    g: FiniteGraph, allowed: Iterable[int], seeds: Iterable[int] | None = None
+) -> tuple[tuple[VertexSet, ...], dict[int, int]]:
+    """The components of the subgraph induced on ``allowed`` that meet
+    ``seeds`` (all of them when ``seeds`` is None), sorted by minimum id,
+    and a map from each of their vertices to the index of its component.
+    Seeds outside ``allowed`` are ignored."""
+    xs = g.require_subset(allowed)
+    starts = sorted(xs) if seeds is None else [s for s in seeds if s in xs]
+    comps: list[VertexSet] = []
+    seen: set[int] = set()
+    for start in starts:
+        if start not in seen:
+            comps.append(tuple(sorted(v for v, _, _ in bfs(g, [start], within=xs))))
+            seen.update(comps[-1])
+    comps.sort()
+    owner: dict[int, int] = {}
+    for i, comp in enumerate(comps):
+        owner.update(dict.fromkeys(comp, i))
+    return tuple(comps), owner
+
+
 def components_within(g: FiniteGraph, allowed: Iterable[int]) -> tuple[VertexSet, ...]:
     """Components of the subgraph induced on ``allowed``, sorted by minimum
     id, without building that subgraph."""
-    xs = g.require_subset(allowed)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(xs):
-        if start not in seen:
-            comp = sorted(v for v, _, _ in bfs(g, [start], within=xs))
-            seen.update(comp)
-            comps.append(tuple(comp))
-    return tuple(comps)
+    return label_components(g, allowed)[0]
 
 
 def components(g: FiniteGraph) -> tuple[VertexSet, ...]:

@@ -13,12 +13,12 @@ component of G - X that meets B lies in R, and its neighbors outside it lie
 in X, hence in S: it is a component of G - S.  Conversely a component of
 G - S that meets B holds a vertex of R and so is that vertex's component of
 G - X.  So the boundary components of G - S are exactly the components of
-G - X that meet B, and one search from B that avoids X and labels what it
-reaches yields both S and them (``ray_decomposition``).  What is left,
-V - R - S, must be the one component of G - S that holds C: a search from C
-avoiding S and the count |F| + |R| + |S| = |V| for its result F confirm it,
-and a failed count means some component misses both C and B, so the radius
-is too small.
+G - X that meet B, and one ``graph.label_components`` call, which labels
+the components of G - X seeded at B, yields both S and them
+(``ray_decomposition``).  What is left, V - R - S, must be the one
+component of G - S that holds C: a search from C avoiding S and the count
+|F| + |R| + |S| = |V| for its result F confirm it, and a failed count means
+some component misses both C and B, so the radius is too small.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ from .graph import (
     FiniteGraph,
     VertexSet,
     bfs,
-    components_within,
+    label_components,
 )
 
 
 def _minimal_split(g: FiniteGraph, ss: frozenset[int]) -> tuple[VertexSet, ...] | None:
     """Components of g - ss if ss is an inclusion-minimal separator, else None."""
-    comps = components_within(g, [v for v in g.vertices if v not in ss])
+    comps, owner = label_components(g, [v for v in g.vertices if v not in ss])
     if not ss or len(comps) < 2:
         return None
-    owner = {v: i for i, comp in enumerate(comps) for v in comp}
     for v in ss:
         if len({owner[u] for u in g.neighbors(v) if u in owner}) < len(comps):
             return None
@@ -133,8 +132,10 @@ def ray_decomposition(
 
     The separator is the inclusion-minimal subset of N(V(c)) that meets
     every path from the cycle to the ``boundary`` layer; see the module
-    docstring.  The component of G - S holding the cycle is the finite one,
-    and every other component must touch the boundary, otherwise the
+    docstring.  The boundary side is one ``label_components`` call: the
+    components of G - ``near`` that meet the boundary, with their owner
+    map.  The component of G - S holding the cycle is the finite one, and
+    every other component must touch the boundary, otherwise the
     truncation radius is too small to be faithful.  A separator vertex with
     neighbors in two boundary-touching components yields an induced claw,
     which is impossible in a claw-free graph and reported as an internal
@@ -145,29 +146,9 @@ def ray_decomposition(
         raise DomainError("the cycle touches the boundary layer")
     if not bset.isdisjoint(near):
         raise DomainError("the boundary layer is adjacent to the cycle")
-    comps, owner = _boundary_components(g, bset, near)
+    comps, owner = label_components(g, frozenset(g.vertices).difference(near), bset)
     sset = frozenset(s for s in near if any(u in owner for u in g.neighbors(s)))
     return _split(g, sset, bset, _cycle_component(g, c, sset), comps, owner)
-
-
-def _boundary_components(
-    g: FiniteGraph, bset, blocker
-) -> tuple[list[VertexSet], dict[int, int]]:
-    """The components of g - ``blocker`` that meet ``bset``, sorted by
-    minimum id as ``components_within`` sorts them, and a map from each of
-    their vertices to the index of its component."""
-    allowed = frozenset(g.vertices).difference(blocker)
-    comps: list[VertexSet] = []
-    seen: set[int] = set()
-    for b in bset:
-        if b not in seen and b in allowed:
-            comps.append(tuple(sorted(v for v, _, _ in bfs(g, [b], within=allowed))))
-            seen.update(comps[-1])
-    comps.sort()
-    owner: dict[int, int] = {}
-    for i, comp in enumerate(comps):
-        owner.update(dict.fromkeys(comp, i))
-    return comps, owner
 
 
 def _cycle_component(g: FiniteGraph, c: CycleEmbedding, sset) -> set[int]:
@@ -184,7 +165,7 @@ def _split(
     sset: frozenset[int],
     bset: frozenset[int],
     finite: set[int],
-    comps: list[VertexSet],
+    comps: tuple[VertexSet, ...],
     owner: dict[int, int],
 ) -> SeparatorDecomposition:
     """The decomposition of g - ``sset`` into the cycle's component
@@ -224,7 +205,7 @@ def _split(
     return SeparatorDecomposition(
         separator=tuple(sorted(sset)),
         finite_component=tuple(sorted(finite)),
-        infinite_components=tuple(comps),
+        infinite_components=comps,
         parts=tuple(map(tuple, parts)),
     )
 

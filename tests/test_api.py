@@ -1,7 +1,10 @@
 """The public names of the package, pinned: adding or removing one is a
-deliberate change to this list."""
+deliberate change to this list.  Also: no module keeps a stale import."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +79,27 @@ RETIRED = ["GoodTuple", "good_extend", "decompose", "shrink_to_minimal_ray_separ
 @pytest.mark.parametrize("module", [clawham, clawham.engine, clawham.separators])
 def test_retired_entry_points_are_gone(module):
     assert [name for name in RETIRED if hasattr(module, name)] == []
+
+
+# ``bench/test_tracer.py`` asserts that ``clawham.engine`` binds this name.
+UNUSED_IMPORTS_KEPT = {("engine", "apply_path_extension")}
+MODULES = sorted(Path(clawham.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_imported_name_is_used(path):
+    """A name a module imports is read somewhere in it, or listed in its
+    ``__all__``, so a refactor leaves no stale import behind."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if [getattr(t, "id", None) for t in getattr(node, "targets", ())] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
+    stale = {name for name in imported - used if (path.stem, name) not in UNUSED_IMPORTS_KEPT}
+    assert sorted(stale) == []

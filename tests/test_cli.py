@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -101,6 +102,54 @@ def test_verify_detects_tampering(tmp_path, capsys):
         capsys, "verify-certificate", str(graph_path), "--certificate", str(bad_path)
     )
     assert code in (1, 2)
+
+
+K4_CERTIFICATE = {
+    "initial_cycle": [0, 1, 2],
+    "extensions": [{"case": "one", "target": 3, "base": 0, "path": [3, 1],
+                    "bridged": [], "reattach": None}],
+    "final_cycle": [0, 2, 1, 3],
+}
+
+
+# Vertex ids that are not non-negative ints: a string, and bools, floats and
+# digit strings that ``int()`` would truncate to valid ids.  "path" edits the
+# one extension's path.
+NON_ID_EDITS = [
+    pytest.param({"initial_cycle": ["a", 1, 2]}, id="string"),
+    pytest.param({"initial_cycle": [False, True, "2"]}, id="bool"),
+    pytest.param({"path": [3.5, "1"]}, id="float-path"),
+    pytest.param({"final_cycle": [0.9, 2.2, "1", 3.0]}, id="float-final"),
+    pytest.param({"final_cycle": [0, 2, 1, -3]}, id="negative"),
+    pytest.param({"initial_cycle": [False, True, "2"], "path": [3.5, "1"],
+                  "final_cycle": [0.9, 2.2, "1", 3.0]}, id="all"),
+]
+
+
+@pytest.mark.parametrize("edit", NON_ID_EDITS)
+def test_verify_rejects_non_integer_vertex_ids(tmp_path, capsys, edit):
+    graph_path = tmp_path / "k4.json"
+    graph_path.write_text(graph_to_json(complete_graph(4)))
+    cert = copy.deepcopy(K4_CERTIFICATE)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(
+        capsys, "verify-certificate", str(graph_path), "--certificate", str(cert_path)
+    )
+    assert (code, json.loads(out)["ok"]) == (0, True)
+    edit = dict(edit)
+    if "path" in edit:
+        cert["extensions"][0]["path"] = edit.pop("path")
+    cert.update(edit)
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(
+        capsys, "verify-certificate", str(graph_path), "--certificate", str(cert_path)
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "vertex ids must be non-negative integers" in payload["message"]
 
 
 def test_malformed_graph_is_status_2(tmp_path, capsys):

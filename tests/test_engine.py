@@ -1199,14 +1199,15 @@ def test_each_end_proxy_has_one_deep_component(name, radius):
 
 @pytest.mark.parametrize("rounds", [1, 3, 6])
 def test_run_searches_components_only_in_the_stability_gate(monkeypatch, rounds):
-    """A round takes no ``components_within``: the one labelled search of
-    the separator module replaces it.  The stability gate's two calls, once
-    per run, are all that remain, whatever the number of rounds."""
+    """Every component labelling goes through ``label_components``.  Besides
+    the stability gate's two calls, once per run, a round makes one: the
+    boundary side of ``ray_decomposition``.  An extra whole-ball search in
+    a round would add a call per round."""
     import sys
 
     from clawham import graph
 
-    original = graph.components_within
+    original = graph.label_components
     calls = []
 
     def counted(*args):
@@ -1214,11 +1215,11 @@ def test_run_searches_components_only_in_the_stability_gate(monkeypatch, rounds)
         return original(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("clawham") and getattr(module, "components_within", None) is original:
-            monkeypatch.setattr(module, "components_within", counted)
+        if name.startswith("clawham") and getattr(module, "label_components", None) is original:
+            monkeypatch.setattr(module, "label_components", counted)
     state = run(preset("double-ray-square"), rounds, 70)
     assert len(state.rounds) == rounds
-    assert len(calls) == 2
+    assert len(calls) == 2 + rounds
 
 
 # -- pinned run logs ------------------------------------------------------------

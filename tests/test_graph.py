@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from clawham.graph import (
     components_within,
     cut,
     induced_subgraph,
+    label_components,
     neighborhood_k,
     shortest_path,
     validate_cycle,
@@ -227,6 +229,34 @@ def test_components_within_matches_reference():
 def test_components_within_rejects_unknown_vertices():
     with pytest.raises(DomainError):
         components_within(path_graph(3), [0, 9])
+    with pytest.raises(DomainError):
+        label_components(path_graph(3), [0, 9], [0])
+
+
+def test_label_components_matches_reference():
+    """The labelled components are the reference components of G[allowed]
+    that meet ``seeds`` (all of them for None), in the same order; seeds
+    outside ``allowed`` are ignored, and the owner map names each labelled
+    vertex's component and no other vertex."""
+    rng = random.Random(12)
+    nonempty = Counter()
+    for g in seeded_random_graphs():
+        vs = list(g.vertices)
+        for _ in range(4):
+            allowed = _random_subset(rng, vs)
+            inside = [v for v in allowed if rng.random() < 0.2]
+            outside = [v for v in vs if v not in allowed and rng.random() < 0.5]
+            straddling = rng.sample(inside + outside, len(inside + outside))
+            for kind, seeds in (("none", None), ("inside", inside),
+                                ("straddling", straddling), ("empty", [])):
+                comps, owner = label_components(g, allowed, seeds)
+                hit = set(allowed) if seeds is None else set(seeds) & set(allowed)
+                want = tuple(c for c in reference_components_within(g, allowed)
+                             if hit.intersection(c))
+                assert comps == want, (g.edges(), allowed, seeds)
+                assert owner == {v: i for i, c in enumerate(want) for v in c}
+                nonempty[kind] += bool(comps)
+    assert min(nonempty["none"], nonempty["inside"], nonempty["straddling"]) > 100, nonempty
 
 
 def test_paths_and_distances_match_reference(small_graphs):
