@@ -18,13 +18,17 @@ class ClawhamError(Exception):
 
 
 class GraphInputError(ClawhamError):
-    """Malformed graph/certificate input (bad ids, loops, unknown vertices)."""
+    """Malformed graph input (bad ids, loops, unknown vertices, bad
+    command-line graph parameters), and files that cannot be read or written
+    or are not JSON, certificates included."""
 
     exit_code = 2
 
 
 class DomainError(ClawhamError):
-    """A caller violated a documented precondition."""
+    """A caller violated a documented precondition, or a record broke a
+    rule: a certificate or path extension with a missing field or a bad
+    vertex id, or a cycle that is not one of the graph."""
 
     exit_code = 2
 

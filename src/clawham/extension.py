@@ -490,12 +490,17 @@ def _cover(g, cycle: _SpliceCycle, goal, targets=None, bases=None, splice=None):
 
 def shortest_cycle_through(g: FiniteGraph, v: int) -> CycleEmbedding:
     """Shortest cycle through v: two internally disjoint legs between a
-    neighbor pair, found by BFS in g - v."""
+    neighbor pair, found by BFS in g - v.  Pairs are tried in order and the
+    first strictly shortest path is kept, so the first adjacent pair, a
+    triangle, is returned at once: no cycle is shorter."""
     nbrs = g.neighbors(v)
     best: list[int] | None = None
     others = frozenset(u for u in g.vertices if u != v)
     for i, a in enumerate(nbrs):
+        na = g.neighbor_set(a)
         for b in nbrs[i + 1 :]:
+            if b in na:
+                return CycleEmbedding([v, a, b])
             path = shortest_path(g, a, {b}, allowed=others)
             if path is None:
                 continue
@@ -525,11 +530,11 @@ class HamiltonCertificate:
     def from_json_obj(cls, obj: dict) -> "HamiltonCertificate":
         try:
             return cls(
-                initial_cycle=CycleEmbedding(list(map(_vertex_id, obj["initial_cycle"]))),
+                initial_cycle=CycleEmbedding(obj["initial_cycle"]),
                 extensions=tuple(
                     PathExtension.from_json_obj(e) for e in obj["extensions"]
                 ),
-                cycle=CycleEmbedding(list(map(_vertex_id, obj["final_cycle"]))),
+                cycle=CycleEmbedding(obj["final_cycle"]),
             )
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed certificate: {exc}") from exc

@@ -66,13 +66,21 @@ class FiniteGraph:
     def __contains__(self, v: int) -> bool:
         return v in self._adj
 
+    # The accessors are the hottest calls in the package: one dict lookup
+    # when v is present, and ``_require``'s DomainError on a miss.
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._require(v)
-        return self._adj[v]
+        try:
+            return self._adj[v]
+        except KeyError:
+            self._require(v)
+            raise
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        self._require(v)
-        return self._sets[v]
+        try:
+            return self._sets[v]
+        except KeyError:
+            self._require(v)
+            raise
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -89,7 +97,7 @@ class FiniteGraph:
 
     def _require(self, v: int) -> None:
         if v not in self._adj:
-            raise DomainError(f"vertex {v} is not in the graph")
+            raise DomainError(f"vertex {v} is not in the graph") from None
 
     def require_subset(self, x: Iterable[int]) -> frozenset[int]:
         xs = frozenset(x)
@@ -253,18 +261,27 @@ class CycleEmbedding:
     The stored order starts at the minimum id and proceeds toward the
     smaller of that vertex's two cycle-neighbors, which pins down the
     successor/predecessor maps.  The cycle is immutable, so its edge set is
-    built on first use and kept.
+    built on first use and kept.  Vertex ids follow ``FiniteGraph``'s rule:
+    non-negative ints that are not bools.
     """
 
     __slots__ = ("_order", "_index", "_edges")
 
     def __init__(self, order: Sequence[int]):
-        seq = [int(v) for v in order]
+        seq = list(order)
+        if set(map(type, seq)) != {int}:  # rare: name the first id that is not an int
+            for v in seq:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise DomainError(f"vertex ids must be non-negative integers, got {v!r}")
         if len(seq) < 3:
             raise DomainError(f"a cycle needs at least 3 vertices, got {len(seq)}")
         if len(set(seq)) != len(seq):
             raise DomainError("cycle order contains duplicate vertices")
         self._order = _canonical_rotation(seq)
+        if self._order[0] < 0:
+            raise DomainError(
+                f"vertex ids must be non-negative integers, got {self._order[0]!r}"
+            )
         self._index = {v: i for i, v in enumerate(self._order)}
         self._edges: frozenset[Edge] | None = None
 

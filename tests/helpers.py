@@ -1077,3 +1077,107 @@ def reference_proxy_chains(rounds, proxies):
         if chain:
             chains.append((proxy, chain))
     return chains, ambiguous
+
+
+# -- the per-vertex checks before their early exits -------------------------------
+#
+# ``claw_at``, ``locally_connected_at`` and ``shortest_cycle_through`` as they
+# were before they stopped once their answer was known: the claw scan filters
+# each neighbor's later non-neighbors in Python, the flood fill pops every
+# neighbor it reaches, and the seed-cycle search runs one BFS per neighbor pair.
+
+
+def reference_claw_scan(g: FiniteGraph, v: int):
+    nbrs = g.neighbors(v)
+    for i in range(len(nbrs) - 2):
+        a = nbrs[i]
+        na = g.neighbor_set(a)
+        rest = [b for b in nbrs[i + 1 :] if b not in na]
+        while len(rest) > 1:
+            b = rest.pop(0)
+            nb = g.neighbor_set(b)
+            if not nb.issuperset(rest):
+                return (a, b, next(c for c in rest if c not in nb))
+    return None
+
+
+def reference_locally_connected_at(g: FiniteGraph, v: int) -> bool:
+    nbrs = g.neighbor_set(v)
+    if not nbrs:
+        return True
+    start = g.neighbors(v)[0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in g.neighbor_set(stack.pop()) & nbrs:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nbrs)
+
+
+def reference_shortest_cycle_through(g: FiniteGraph, v: int) -> CycleEmbedding:
+    from clawham.graph import shortest_path
+
+    nbrs = g.neighbors(v)
+    best = None
+    others = frozenset(u for u in g.vertices if u != v)
+    for i, a in enumerate(nbrs):
+        for b in nbrs[i + 1 :]:
+            path = shortest_path(g, a, {b}, allowed=others)
+            if path is None:
+                continue
+            if best is None or len(path) < len(best):
+                best = path
+    if best is None:
+        raise DomainError(f"no cycle passes through vertex {v}")
+    return CycleEmbedding([v] + best)
+
+
+def finite_family_instances(seed: int = 7) -> list[FiniteGraph]:
+    """The finite-families benchmark inputs: P_n^2, L(K_n) and triangular
+    ladders at three doubling sizes each, each relabelled by a seeded
+    permutation in the order ``bench/workloads.py`` draws them."""
+    import random
+
+    from clawham.constructions import (
+        complete_graph,
+        graph_power,
+        line_graph,
+        path_graph,
+        triangular_ladder,
+    )
+
+    rng = random.Random(seed)
+    bases = (
+        [graph_power(path_graph(n), 2) for n in (64, 128, 256)]
+        + [line_graph(complete_graph(n)).graph for n in (8, 12, 16)]
+        + [triangular_ladder(rungs) for rungs in (32, 64, 128)]
+    )
+    out = []
+    for g in bases:
+        perm = list(range(len(g)))
+        rng.shuffle(perm)
+        out.append(FiniteGraph(range(len(g)), [(perm[u], perm[v]) for u, v in g.edges()]))
+    return out
+
+
+def dense_neighborhood_graphs() -> list[FiniteGraph]:
+    """Graphs whose neighborhoods are large and mostly adjacent, where the
+    early exits fire at once: L(K_n) for n = 4..16, K_n, complete
+    multipartite graphs, G(n, 0.9) up to n = 60 and the finite-families
+    benchmark inputs."""
+    import random
+
+    from clawham.constructions import complete_graph, complete_multipartite, line_graph
+
+    rng = random.Random(90)
+    out = [line_graph(complete_graph(n)).graph for n in range(4, 17)]
+    out += [complete_graph(n) for n in range(1, 17)]
+    out += [complete_multipartite(*sizes) for sizes in (
+        (1, 1, 1), (2, 2, 2), (3, 3), (1, 5), (1, 2, 3), (2, 3, 4, 5), (4, 4, 4, 4),
+        (1, 1, 1, 1, 6), (5, 5, 5, 5, 5))]
+    for n in (10, 20, 30, 40, 50, 60):
+        out.append(FiniteGraph(range(n), [
+            (i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.9]))
+    return out + finite_family_instances()

@@ -152,6 +152,24 @@ def test_verify_rejects_non_integer_vertex_ids(tmp_path, capsys, edit):
     assert "vertex ids must be non-negative integers" in payload["message"]
 
 
+@pytest.mark.parametrize("text, error", [
+    ("{this is not json", "GraphInputError"),
+    (json.dumps({**K4_CERTIFICATE, "initial_cycle": [0, 1.5, 2]}), "DomainError"),
+])
+def test_bad_certificate_error_names(tmp_path, capsys, text, error):
+    # a file that is not JSON is bad input; a JSON record that breaks a rule
+    # is a domain error; both exit 2
+    graph_path = tmp_path / "k4.json"
+    graph_path.write_text(graph_to_json(complete_graph(4)))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "verify-certificate", str(graph_path), "--certificate", str(cert_path)
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+
+
 def test_malformed_graph_is_status_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{this is not json")

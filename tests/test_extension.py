@@ -27,7 +27,12 @@ from clawham.extension import (
     validate_extension,
 )
 from clawham.graph import CycleEmbedding, FiniteGraph, neighborhood_k, validate_cycle
-from helpers import hamilton_cycle_oracle
+from helpers import (
+    dense_neighborhood_graphs,
+    hamilton_cycle_oracle,
+    reference_shortest_cycle_through,
+    seeded_random_graphs,
+)
 
 
 def case_two_witness_graph() -> tuple[FiniteGraph, CycleEmbedding, int, int]:
@@ -203,6 +208,46 @@ def test_shortest_cycle_through():
     assert len(c) == 3 and 0 in c
     with pytest.raises(DomainError):
         shortest_cycle_through(path_graph(4), 1)
+
+
+def _seed_cycle(search, g, v):
+    try:
+        return search(g, v).order
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def assert_seed_cycles_match_previous_search(g):
+    # The previous search runs one BFS per neighbor pair, so graphs past 30
+    # vertices are checked at about ten spread-out vertices only.
+    step = len(g) // 10 if len(g) > 30 else 1
+    for v in g.vertices[::step]:
+        got = _seed_cycle(shortest_cycle_through, g, v)
+        assert got == _seed_cycle(reference_shortest_cycle_through, g, v), (v, g.edges())
+
+
+def test_seed_cycles_match_previous_search(small_graphs):
+    """The first triangle returned at once is the cycle the all-pairs search
+    kept: on dense graphs, every graph with n <= 7 and the seeded graphs."""
+    graphs = dense_neighborhood_graphs() + seeded_random_graphs()
+    graphs += [g for n in range(1, 8) for g in small_graphs[n]]
+    for g in graphs:
+        assert_seed_cycles_match_previous_search(g)
+
+
+def test_seed_cycle_only_adjacent_pair_comes_last():
+    # N(0) = {1, 2, 3, 4}; of its pairs only the last, 3-4, is an edge, and
+    # the earlier pairs meet through 5, 6 and 7.
+    g = FiniteGraph(range(8), [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4),
+                               (1, 5), (5, 2), (2, 6), (6, 3), (1, 7), (7, 4)])
+    assert shortest_cycle_through(g, 0).order == (0, 3, 4)
+    assert_seed_cycles_match_previous_search(g)
+
+
+def test_seed_cycle_without_a_triangle():
+    g = cycle_graph(12)
+    assert shortest_cycle_through(g, 3) == CycleEmbedding(range(12))
+    assert_seed_cycles_match_previous_search(g)
 
 
 def test_finite_hamilton_small_named():

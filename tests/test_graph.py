@@ -55,6 +55,25 @@ def test_adjacency_is_symmetric_and_sorted():
     assert g.has_edge(3, 1) and g.has_edge(1, 3)
 
 
+@pytest.mark.parametrize("accessor", ["neighbors", "neighbor_set", "degree"])
+def test_accessor_contract(accessor):
+    g = FiniteGraph([0, 1, 2], [(0, 1), (1, 2)])
+    read = getattr(g, accessor)
+    # True and 1.0 hash and compare equal to 1, so they read vertex 1
+    assert read(True) == read(1.0) == read(1)
+    without_one = getattr(FiniteGraph([0, 2], [(0, 2)]), accessor)
+    for v in (9, True, 1.0, "1", None, -1):
+        reader = without_one if v in (True, 1.0) else read
+        with pytest.raises(DomainError) as exc:
+            reader(v)
+        assert str(exc.value) == f"vertex {v} is not in the graph"
+        # a miss shows only the DomainError, not the failed lookup behind it
+        assert exc.value.__cause__ is None
+        assert exc.value.__suppress_context__ or exc.value.__context__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        read([1])
+
+
 def test_neighborhood_path():
     g = path_graph(3)  # a-b-c as 0-1-2
     assert neighborhood_k(g, [0], 1) == (1,)
@@ -137,6 +156,20 @@ def test_cycle_embedding_canonical_orientation():
         rot = seq[i:] + seq[:i]
         assert CycleEmbedding(rot) == base
         assert CycleEmbedding(rot[::-1]) == base
+
+
+@pytest.mark.parametrize("order, bad", [
+    ([0.9, 2.2, "1", 3.0], 0.9),
+    ([True, 2.5, 3], True),
+    (["a", 1, 2], "a"),
+    ([0, 2, 1, -3], -3),
+])
+def test_cycle_embedding_takes_only_vertex_ids(order, bad):
+    # FiniteGraph's rule: a non-negative int that is not a bool; nothing is
+    # truncated by int()
+    with pytest.raises(DomainError) as exc:
+        CycleEmbedding(order)
+    assert str(exc.value) == f"vertex ids must be non-negative integers, got {bad!r}"
 
 
 def test_validate_cycle_reports():

@@ -15,6 +15,7 @@ from clawham.constructions import (
 from clawham.errors import DomainError
 from clawham.graph import FiniteGraph, is_connected
 from clawham.predicates import (
+    check_all,
     claw_at,
     is_chordal,
     is_claw_free,
@@ -28,13 +29,17 @@ from helpers import (
     check_claw_witness,
     check_hole_witness,
     check_local_connectivity_witness,
+    dense_neighborhood_graphs,
     has_induced_claw_oracle,
     locally_connected_oracle,
     reference_claw_at,
+    reference_claw_scan,
+    reference_components,
     reference_is_chordal,
     reference_is_claw_free,
     reference_is_locally_connected,
     reference_is_two_connected,
+    reference_locally_connected_at,
     reference_neighborhood_components,
     seeded_random_graphs,
     two_connected_oracle,
@@ -167,13 +172,26 @@ def _report(fn, g):
 
 
 def assert_matches_references(g):
-    for name, (live, ref) in REFERENCES.items():
-        assert _report(live, g) == _report(ref, g), (name, g.edges())
+    """Every report, ``check_all``'s included, equals the reference one, and
+    each vertex's claw and flood fill equal both the definition and the scans
+    they replaced."""
+    expected = {name: _report(ref, g) for name, (_, ref) in REFERENCES.items()}
+    for name, (live, _) in REFERENCES.items():
+        assert _report(live, g) == expected[name], (name, g.edges())
+    if len(g) < 3:
+        expected["two_connected"] = None
+    expected["connected"] = {
+        "holds": len(reference_components(g)) <= 1, "witness": None, "note": ""}
+    reports = {name: rep if rep is None else rep.to_json_obj()
+               for name, rep in check_all(g).items()}
+    assert reports == expected, g.edges()
     for v in g.vertices:
-        assert claw_at(g, v) == reference_claw_at(g, v), (v, g.edges())
+        triple = claw_at(g, v)
+        assert triple == reference_claw_at(g, v) == reference_claw_scan(g, v), (v, g.edges())
         comps = reference_neighborhood_components(g, v)
         assert neighborhood_components(g, v) == comps
-        assert locally_connected_at(g, v) == (len(comps) <= 1), (v, g.edges())
+        flood = locally_connected_at(g, v)
+        assert flood == reference_locally_connected_at(g, v) == (len(comps) <= 1), (v, g.edges())
 
 
 def test_reports_match_references_exhaustive(small_graphs):
@@ -190,6 +208,49 @@ def test_reports_match_references_random():
     assert any(is_claw_free(g).holds and g.edge_count() > len(g) for g in graphs)
     for g in graphs:
         assert_matches_references(g)
+
+
+def test_reports_match_references_dense():
+    """L(K_n), K_n, complete multipartite graphs, G(n, 0.9) and the
+    finite-families benchmark inputs: the early exits fire at once."""
+    for g in dense_neighborhood_graphs():
+        assert_matches_references(g)
+
+
+def _neighborhood_graph(n_nbrs: int, nbr_edges) -> FiniteGraph:
+    """Vertex 0 joined to 1..n_nbrs, plus ``nbr_edges`` among them."""
+    return FiniteGraph(range(n_nbrs + 1),
+                       [(0, u) for u in range(1, n_nbrs + 1)] + list(nbr_edges))
+
+
+def test_flood_connects_at_the_last_neighbor_it_reaches():
+    # N(0) is the path 1-2-...-8: the flood from 1 covers N(0) only when it
+    # reaches 8.
+    g = _neighborhood_graph(8, [(u, u + 1) for u in range(1, 8)])
+    assert locally_connected_at(g, 0)
+    assert is_locally_connected(g).to_json_obj() == {"holds": True, "witness": None, "note": ""}
+    assert_matches_references(g)
+
+
+@pytest.mark.parametrize("loner", [1, 5, 8])
+def test_flood_splits_after_almost_all_is_reached(loner):
+    # N(0) is a path through all of 1..8 but ``loner``, which touches only 0.
+    rest = [u for u in range(1, 9) if u != loner]
+    g = _neighborhood_graph(8, zip(rest, rest[1:]))
+    assert not locally_connected_at(g, 0)
+    assert is_locally_connected(g).to_json_obj() == {
+        "holds": False, "witness": list(range(9)), "note": "neighborhood of 0 splits into 2 parts"}
+    assert_matches_references(g)
+
+
+def test_claw_only_the_last_a_starts():
+    # 1, 2 and 3 see all of N(0) = 1..6, and 4, 5, 6 see none of each other:
+    # the only claw at 0 starts at the third-last neighbor.
+    g = _neighborhood_graph(6, [(a, b) for a in (1, 2, 3) for b in range(a + 1, 7)])
+    assert claw_at(g, 0) == (4, 5, 6)
+    assert is_claw_free(g).to_json_obj() == {
+        "holds": False, "witness": [0, 4, 5, 6], "note": "induced claw centered at 0"}
+    assert_matches_references(g)
 
 
 def test_two_connected_root_is_the_cut_vertex():
