@@ -22,10 +22,19 @@ with relabeling.  No class is lost: every graph has a vertex v in its last
 cell, the graph minus v is a parent, and the attachment orbit
 representative's child is isomorphic to that child by a map fixing the new
 vertex.
+
+Each child's search starts with the parent automorphisms that map its
+attachment set S onto itself.  Such a g, extended by n-1 -> n-1, is an
+automorphism of the child: it keeps the parent's edges, and it maps an edge
+{u, n-1} with u in S to {g(u), n-1} with g(u) in S.  The pruning needs only
+automorphisms fixing the prefix, so the seeded search returns the same key;
+it skips sibling subtrees the unseeded search would explore before it
+finds the swap.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -240,9 +249,31 @@ def canonical_key(
     nbrs = _neighbor_lists(n, adj_masks)
     if n <= 1:
         return 0
+    key, found = _search(n, adj_masks, nbrs, _refine(n, nbrs, (0,) * n, 1), ())
+    if automorphisms is not None:
+        automorphisms.extend(found)
+    return key
+
+
+def _search(
+    n: int,
+    adj_masks: list[int],
+    nbrs: list[tuple[int, ...]],
+    root: tuple[tuple[int, ...], int],
+    known: Sequence[tuple[int, ...]],
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The search of ``canonical_key`` on valid masks with n >= 2, started
+    from ``root = _refine(n, nbrs, (0,) * n, 1)``.
+
+    ``known`` holds automorphisms of the graph, as image tuples; the pruning
+    uses them as if the search had found them.  Its argument needs only that
+    each is an automorphism, so the key is the same for every ``known``.
+    Returns the key and the known and found automorphisms, relabeled onto
+    ``_graph_from_key(n, key)``.
+    """
     best = -1
     best_perm: list[int] = []
-    found: list[tuple[int, ...]] = []
+    found = list(known)
 
     def leaf_value(perm: list[int]) -> int:
         bits = 0
@@ -267,8 +298,8 @@ def canonical_key(
             return
         cell_color = min(c for c in set(colors) if colors.count(c) > 1)
         target = [v for v in range(n) if colors[v] == cell_color]
-        # explored children and their images under the found automorphisms
-        # that fix the prefix
+        # explored children and their images under the known and found
+        # automorphisms that fix the prefix
         covered: set[int] = set()
         for v in target:
             if v in covered:
@@ -285,13 +316,11 @@ def canonical_key(
                         covered.add(g[u])
                         stack.append(g[u])
 
-    descend(*_refine(n, nbrs, (0,) * n, 1), ())
-    if automorphisms is not None:
-        position = [0] * n
-        for i, u in enumerate(best_perm):
-            position[u] = i
-        automorphisms.extend(tuple(position[g[u]] for u in best_perm) for g in found)
-    return best
+    descend(*root, ())
+    position = [0] * n
+    for i, u in enumerate(best_perm):
+        position[u] = i
+    return best, [tuple(position[g[u]] for u in best_perm) for g in found]
 
 
 def _graph_from_key(n: int, key: int) -> FiniteGraph:
@@ -358,6 +387,15 @@ def _keys_for(n: int) -> list[int]:
     its last cell too.  The first refinement pass ranks vertices by degree,
     so a child whose new vertex has less than the largest degree is dropped
     before any refinement.
+
+    The search of a child with attachment set S is seeded with the parent's
+    stored automorphisms g with g(S) = S, extended by n - 1 -> n - 1.  g
+    maps the parent's edges onto themselves and the new vertex's edges
+    {u, n - 1}, u in S, onto {g(u), n - 1} with g(u) in S, so it is an
+    automorphism of the child.  ``canonical_key``'s pruning argument asks
+    only that, so the key does not change.  The child's neighbor tuples
+    extend the parent's, and its root refinement, already computed for the
+    last-cell filter, starts the search.
     """
     if n in _KEY_CACHE:
         return _KEY_CACHE[n]
@@ -370,19 +408,24 @@ def _keys_for(n: int) -> list[int]:
         for u, v in base.edges():
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        for attach in _attachment_orbits(n - 1, parent_autos.get(key, [])):
+        base_nbrs = [base.neighbors(u) for u in range(n - 1)]
+        gens = parent_autos.get(key, [])
+        for attach in _attachment_orbits(n - 1, gens):
             masks2 = list(masks)
             masks2[n - 1] = attach
-            for u in range(n - 1):
-                if attach >> u & 1:
-                    masks2[u] |= 1 << (n - 1)
-            if max(map(int.bit_count, masks2)) > attach.bit_count():
+            attached = [u for u in range(n - 1) if attach >> u & 1]
+            for u in attached:
+                masks2[u] |= 1 << (n - 1)
+            if max(map(int.bit_count, masks2)) > len(attached):
                 continue
-            colors, _ = _refine(n, _neighbor_lists(n, masks2), (0,) * n, 1)
-            if colors[n - 1] != max(colors):
+            nbrs = [row + (n - 1,) if attach >> u & 1 else row for u, row in enumerate(base_nbrs)]
+            nbrs.append(tuple(attached))
+            root = _refine(n, nbrs, (0,) * n, 1)
+            if root[0][n - 1] != max(root[0]):
                 continue
-            autos: list[tuple[int, ...]] = []
-            found.setdefault(canonical_key(n, masks2, autos), autos)
+            seeds = [g + (n - 1,) for g in gens if sum(1 << g[u] for u in attached) == attach]
+            child_key, autos = _search(n, masks2, nbrs, root, seeds)
+            found.setdefault(child_key, autos)
     keys = sorted(found)
     _KEY_CACHE[n] = keys
     _AUTOMORPHISMS[n] = found

@@ -6,6 +6,8 @@ lines as they complete.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -83,6 +85,22 @@ def test_criterion_1_finite_theorem_exhaustive():
             assert hamilton_cycle_oracle(g) is not None
     _report(1, instances > 400, f"{instances} hypothesis-class graphs on 3..8 vertices, "
             "100% constructed, replayed and oracle-confirmed")
+
+
+def test_small_graph_certificates_are_pinned():
+    """SHA-256 of the certificates of the 95 hypothesis-class graphs on 3..7
+    vertices, one sorted-key JSON line each, in enumeration order.  It pins
+    the enumeration order, the canonical labels and the certificates."""
+    h = hashlib.sha256()
+    instances = 0
+    for n in range(3, 8):
+        for g in enumerate_connected_graphs(n):
+            if is_claw_free(g).holds and is_locally_connected(g).holds:
+                instances += 1
+                line = json.dumps(finite_hamilton(g).to_json_obj(), sort_keys=True) + "\n"
+                h.update(line.encode())
+    assert instances == 95
+    assert h.hexdigest() == "244193d7bf1a1ac3f67dfc584f8f484fc36c4e7ac5ae7c5de1f2b765b6c7007d"
 
 
 def test_criterion_2_separator_facts_exhaustive():

@@ -128,18 +128,61 @@ def test_last_root_cell_is_invariant_under_relabeling(small_graphs):
                 assert _last_root_cell(n, masks_of(g, perm)) == {perm[v] for v in cell}
 
 
-def test_keys_for_searches_about_once_per_class(monkeypatch):
+def _cold_sweep(monkeypatch):
+    """Build the keys for n <= 7 from empty caches, recording every search
+    ``_keys_for`` makes as (n, masks, seeds, key), the number of ``_refine``
+    calls, and the automorphisms stored for each n before the next level
+    consumes them."""
     monkeypatch.setattr(constructions, "_KEY_CACHE", {1: [0]})
     monkeypatch.setattr(constructions, "_AUTOMORPHISMS", {})
-    calls = []
-    search = constructions.canonical_key
-    monkeypatch.setattr(
-        constructions, "canonical_key", lambda *args: calls.append(1) or search(*args)
-    )
+    searches = []
+    search = constructions._search
+
+    def recording_search(n, adj_masks, nbrs, root, known):
+        key, autos = search(n, adj_masks, nbrs, root, known)
+        searches.append((n, list(adj_masks), list(known), key))
+        return key, autos
+
+    refines = []
+    refine = constructions._refine
+    monkeypatch.setattr(constructions, "_search", recording_search)
+    monkeypatch.setattr(constructions, "_refine", lambda *args: refines.append(1) or refine(*args))
+    stored = {}
+    for n in range(2, 8):
+        constructions._keys_for(n)
+        stored[n] = dict(constructions._AUTOMORPHISMS[n])
+    monkeypatch.undo()
+    return searches, len(refines), stored
+
+
+def test_keys_for_searches_about_once_per_class(monkeypatch):
+    searches, refines, _ = _cold_sweep(monkeypatch)
     classes = sum(len(constructions._keys_for(n)) for n in range(1, 8))
     assert classes == 1252
-    # keying every attachment orbit representative takes 5758 searches
-    assert len(calls) <= 1.05 * classes
+    # of the 5758 attachment orbit representatives, the last-cell filter
+    # keeps 1253 for a search
+    assert len(searches) == 1253
+    # 9838 calls when the searches start without the parent's automorphisms
+    # and refine the root again
+    assert refines <= 5000
+
+
+def test_seeded_searches_keep_keys(monkeypatch):
+    searches, _, stored = _cold_sweep(monkeypatch)
+    for n, found in stored.items():
+        assert sorted(found) == constructions._keys_for(n)
+        for key, autos in found.items():
+            edges = set(constructions._graph_from_key(n, key).edges())
+            for a in autos:
+                assert sorted(a) == list(range(n))
+                assert {tuple(sorted((a[u], a[v]))) for u, v in edges} == edges
+    assert any(seeds for _, _, seeds, _ in searches)
+    for n, masks, seeds, key in searches:
+        for g in seeds:
+            assert g[n - 1] == n - 1
+            assert [sum(1 << g[u] for u in range(n) if masks[v] >> u & 1)
+                    for v in range(n)] == [masks[g[v]] for v in range(n)]
+        assert key == canonical_key(n, masks), (n, masks)
 
 
 def test_enumeration_is_isomorphism_free(small_graphs):
