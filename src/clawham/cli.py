@@ -91,16 +91,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_infinite_run(args) -> int:
-    if args.preset == "custom-oracle":
+    if args.offsets is None:
+        pres = preset(args.preset)
+    elif args.preset != "custom-oracle":
+        raise GraphInputError(f"--offsets only applies to custom-oracle, not {args.preset}")
+    else:
         try:
-            offsets = tuple(int(x) for x in args.offsets.split(",")) if args.offsets else (1, 2)
+            offsets = tuple(int(x) for x in args.offsets.split(","))
         except ValueError:
             raise GraphInputError(
                 f"--offsets must be comma-separated integers, got {args.offsets!r}"
             ) from None
         pres = preset("custom-oracle", offsets=offsets)
-    else:
-        pres = preset(args.preset)
     state = run(pres, rounds=args.rounds, radius=args.radius)
     report = check_extraction_conditions(state) if len(state.rounds) >= 2 else None
     if args.log_out:

@@ -1,6 +1,12 @@
 """Finite graph constructions: powers, line graphs, named families, and an
 exhaustive isomorphism-free generator for small graphs.
 
+``line_graph_of`` is the one line-graph adjacency rule.  It maps a neighbor
+function to the line graph's neighbor function, labelling each line-graph
+vertex by the sorted pair of its end labels, so it serves finite graphs
+(``line_graph`` reads its adjacency from it) and neighbor-oracle
+presentations alike (``presentations``' ``ladder-line-graph``).
+
 The generator grows graphs one vertex at a time and deduplicates through a
 canonical adjacency form (color refinement plus individualization search),
 so each isomorphism class appears exactly once and in a stable order.
@@ -34,12 +40,12 @@ finds the swap.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graph import Edge, FiniteGraph, edge_key, is_connected, neighborhood_k
+from .graph import Edge, FiniteGraph, is_connected, neighborhood_k
 
 
 def graph_power(g: FiniteGraph, k: int) -> FiniteGraph:
@@ -65,18 +71,29 @@ class LineGraph:
         return tuple(self.edge_labels[v] for v in order)
 
 
+def line_graph_of(neighbors: Callable[[Hashable], Iterable]) -> Callable[[tuple], tuple]:
+    """The neighbor function of the line graph of the graph ``neighbors``
+    describes.  A line-graph vertex is the sorted pair of its end labels,
+    and two are adjacent when they share an end."""
+
+    def line_neighbors(edge: tuple) -> tuple:
+        u, v = edge
+        out = {tuple(sorted((u, w))) for w in neighbors(u) if w != v}
+        out |= {tuple(sorted((v, w))) for w in neighbors(v) if w != u}
+        return tuple(sorted(out))
+
+    return line_neighbors
+
+
 def line_graph(g: FiniteGraph) -> LineGraph:
     """Vertices are the edges of g, adjacency is sharing an endpoint."""
     base_edges = g.edges()
     if not base_edges:
         raise DomainError("line graph of an edgeless graph is undefined here")
     index = {e: i for i, e in enumerate(base_edges)}
-    edges = []
-    for v in g.vertices:
-        incident = [edge_key(v, w) for w in g.neighbors(v)]
-        for e, f in combinations(sorted(incident), 2):
-            edges.append((index[e], index[f]))
-    return LineGraph(FiniteGraph(range(len(base_edges)), set(edges)), base_edges)
+    line_neighbors = line_graph_of(g.neighbors)
+    edges = [(i, index[f]) for i, e in enumerate(base_edges) for f in line_neighbors(e)]
+    return LineGraph(FiniteGraph(range(len(base_edges)), edges), base_edges)
 
 
 # -- named graphs ------------------------------------------------------------

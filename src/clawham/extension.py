@@ -423,23 +423,20 @@ def extend_to_cover(
     c: CycleEmbedding,
     goal,
     target_pool=None,
-    base_pool=None,
 ) -> tuple[CycleEmbedding, list[PathExtension]]:
     """Grow the cycle by path extensions until it covers ``goal``.
 
-    Targets are restricted to ``target_pool`` and bases to ``base_pool``
-    (None means unrestricted).  Among admissible targets, vertices adjacent
-    to the current cycle are taken smallest id first; the base is the
-    smallest admissible neighbor on the cycle.  Admissible targets wait in a
-    min-heap; a target stays admissible until it joins the cycle, because
-    splices never drop a cycle vertex.
+    Targets are restricted to ``target_pool`` (None means unrestricted).
+    Among admissible targets, vertices adjacent to the current cycle are
+    taken smallest id first; the base is the smallest neighbor on the cycle.
+    Admissible targets wait in a min-heap; a target stays admissible until
+    it joins the cycle, because splices never drop a cycle vertex.
     """
     goalset = g.require_subset(goal)
     targets = g.require_subset(target_pool) if target_pool is not None else None
-    bases = g.require_subset(base_pool) if base_pool is not None else None
     _require_cycle(g, c)
     cycle = _SpliceCycle(c)
-    log = _cover(g, cycle, goalset, targets, bases)
+    log = _cover(g, cycle, goalset, targets)
     return cycle.freeze(), log
 
 

@@ -84,12 +84,11 @@ def graph_to_dot(
     g: FiniteGraph,
     highlight_edges: Iterable[Edge] = (),
     dashed_edges: Iterable[Edge] = (),
-    name: str = "G",
 ) -> str:
     """Undirected DOT output; highlighted edges are drawn bold, dashed dashed."""
     bold = set(highlight_edges)
     dashed = set(dashed_edges)
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     seen_in_edges = set()
     for u, v in g.edges():
         seen_in_edges.update((u, v))

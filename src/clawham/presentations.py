@@ -7,6 +7,12 @@ all vertices within a given graph distance of the root, relabeled to dense
 non-negative ids in BFS discovery order.  The last BFS layer is the
 boundary; components of the boundary act as stand-ins for the ends of the
 infinite graph.
+
+The built-in presets are squares of the double ray and the ray, integer
+lattices with custom offsets, and ``ladder-line-graph``: the line graph of
+the two-way triangular ladder, built by ``constructions.line_graph_of``.
+Its labels are sorted pairs of ladder vertices (i, s), and its root is
+rung 0, ((0, 0), (0, 1)).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
+from .constructions import line_graph_of
 from .errors import DomainError, GraphInputError
 from .graph import FiniteGraph, VertexSet
 
@@ -117,7 +124,10 @@ class Ball:
 
 
 def _integer_lattice(offsets: tuple[int, ...], one_way: bool) -> Callable:
-    offs = tuple(sorted(set(abs(int(d)) for d in offsets) - {0}))
+    for d in offsets:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise DomainError(f"offsets must be integers, got {d!r}")
+    offs = tuple(sorted({abs(d) for d in offsets} - {0}))
     if not offs:
         raise DomainError("offsets must contain a non-zero value")
 
@@ -133,39 +143,12 @@ def _integer_lattice(offsets: tuple[int, ...], one_way: bool) -> Callable:
     return nbrs
 
 
-def _ladder_line_graph_neighbors(vertex):
-    """Line graph of the two-way triangular ladder.
-
-    Ladder vertices are (i, 0) and (i, 1); edges are the rungs, the two
-    rails and a diagonal per square, so every ladder edge lies in a
-    triangle and the line graph is locally connected.  Line-graph vertices:
-    ('g', i) rung i, ('a', i, s) rail from (i,s) to (i+1,s), ('d', i)
-    diagonal from (i,1) to (i+1,0).
-    """
-    kind = vertex[0]
-    if kind == "g":
-        _, i = vertex
-        ends = ((i, 0), (i, 1))
-    elif kind == "a":
-        _, i, s = vertex
-        ends = ((i, s), (i + 1, s))
-    elif kind == "d":
-        _, i = vertex
-        ends = ((i, 1), (i + 1, 0))
-    else:
-        raise DomainError(f"unknown ladder edge {vertex!r}")
-    out = set()
-    for i, s in ends:
-        # all ladder edges incident to (i, s)
-        out.add(("g", i))
-        out.add(("a", i, s))
-        out.add(("a", i - 1, s))
-        if s == 1:
-            out.add(("d", i))
-        else:
-            out.add(("d", i - 1))
-    out.discard(vertex)
-    return tuple(sorted(out))
+def _ladder_neighbors(v):
+    """The two-way triangular ladder: vertices (i, 0) and (i, 1), joined by
+    rung i, the two rails and one diagonal (i, 1)-(i + 1, 0) per square, so
+    every edge lies in a triangle and the line graph is locally connected."""
+    i, s = v
+    return ((i, 1 - s), (i - 1, s), (i + 1, s), (i + 1, 0) if s else (i - 1, 1))
 
 
 PRESET_NAMES = ("double-ray-square", "ray-square", "ladder-line-graph", "custom-oracle")
@@ -178,7 +161,7 @@ def preset(name: str, offsets: Iterable[int] = (1, 2)) -> GraphPresentation:
     if name == "ray-square":
         return GraphPresentation(name, _integer_lattice((1, 2), one_way=True), 0)
     if name == "ladder-line-graph":
-        return GraphPresentation(name, _ladder_line_graph_neighbors, ("g", 0))
+        return GraphPresentation(name, line_graph_of(_ladder_neighbors), ((0, 0), (0, 1)))
     if name == "custom-oracle":
         return GraphPresentation(name, _integer_lattice(tuple(offsets), one_way=False), 0)
     raise DomainError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")

@@ -361,17 +361,15 @@ def reference_apply(g: FiniteGraph, c: CycleEmbedding, ext) -> CycleEmbedding:
     return new_cycle
 
 
-def reference_extend_to_cover(g, c, goal, target_pool=None, base_pool=None):
+def reference_extend_to_cover(g, c, goal, target_pool=None):
     """The sorted-scan covering loop over ``reference_apply``."""
     goalset = frozenset(goal)
     pool = frozenset(g.vertices if target_pool is None else target_pool)
-    bases = None if base_pool is None else frozenset(base_pool)
     log, cycle = [], c
     while not goalset <= cycle.vertex_set:
         step = None
         for t in sorted(pool - cycle.vertex_set):
-            choices = [b for b in g.neighbors(t)
-                       if b in cycle and (bases is None or b in bases)]
+            choices = [b for b in g.neighbors(t) if b in cycle]
             if choices:
                 step = (t, min(choices))
                 break
@@ -842,20 +840,77 @@ def _cactus_neighbors(v):
     return {w for tri in _cactus_triangles(v) for w in tri} - {v}
 
 
-def _cactus_line_neighbors(edge):
-    u, v = edge
-    out = {tuple(sorted((u, w))) for w in _cactus_neighbors(u) if w != v}
-    out |= {tuple(sorted((v, w))) for w in _cactus_neighbors(v) if w != u}
-    return tuple(sorted(out))
-
-
 def cactus_line_presentation():
     """The line graph of the 4-regular triangle cactus: every vertex lies in
     exactly two triangles, so the line graph is claw-free, locally connected
     and 6-regular, and it has infinitely many ends."""
+    from clawham.constructions import line_graph_of
     from clawham.presentations import GraphPresentation
 
-    return GraphPresentation("cactus-line", _cactus_line_neighbors, ((), (0,)))
+    return GraphPresentation("cactus-line", line_graph_of(_cactus_neighbors), ((), (0,)))
+
+
+# -- reference line graphs ---------------------------------------------------------
+#
+# The line-graph rules the package had before ``constructions.line_graph_of``:
+# the finite construction from pairs of incident edges at each vertex, and the
+# hand-derived table of the ``ladder-line-graph`` preset with its own labels.
+
+
+def reference_line_graph(g: FiniteGraph):
+    from clawham.constructions import LineGraph
+
+    base_edges = g.edges()
+    if not base_edges:
+        raise DomainError("line graph of an edgeless graph is undefined here")
+    index = {e: i for i, e in enumerate(base_edges)}
+    edges = []
+    for v in g.vertices:
+        incident = [edge_key(v, w) for w in g.neighbors(v)]
+        for e, f in combinations(sorted(incident), 2):
+            edges.append((index[e], index[f]))
+    return LineGraph(FiniteGraph(range(len(base_edges)), set(edges)), base_edges)
+
+
+def reference_ladder_line_graph_neighbors(vertex):
+    """Line graph of the two-way triangular ladder.  Line-graph vertices:
+    ('g', i) rung i, ('a', i, s) rail from (i,s) to (i+1,s), ('d', i)
+    diagonal from (i,1) to (i+1,0)."""
+    kind = vertex[0]
+    if kind == "g":
+        _, i = vertex
+        ends = ((i, 0), (i, 1))
+    elif kind == "a":
+        _, i, s = vertex
+        ends = ((i, s), (i + 1, s))
+    elif kind == "d":
+        _, i = vertex
+        ends = ((i, 1), (i + 1, 0))
+    else:
+        raise DomainError(f"unknown ladder edge {vertex!r}")
+    out = set()
+    for i, s in ends:
+        # all ladder edges incident to (i, s)
+        out.add(("g", i))
+        out.add(("a", i, s))
+        out.add(("a", i - 1, s))
+        if s == 1:
+            out.add(("d", i))
+        else:
+            out.add(("d", i - 1))
+    out.discard(vertex)
+    return tuple(sorted(out))
+
+
+def ladder_edge_of(label):
+    """The ladder edge, as a sorted pair of ends, that a label of
+    ``reference_ladder_line_graph_neighbors`` names."""
+    if label[0] == "g":
+        return ((label[1], 0), (label[1], 1))
+    if label[0] == "a":
+        _, i, s = label
+        return ((i, s), (i + 1, s))
+    return ((label[1], 1), (label[1] + 1, 0))
 
 
 # -- reference ray separator and decomposition ------------------------------------

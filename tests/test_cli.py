@@ -289,6 +289,19 @@ def test_infinite_run_rejects_non_integer_offsets(capsys):
     assert payload["error"] == "GraphInputError" and "1,x" in payload["message"]
 
 
+@pytest.mark.parametrize("preset_name, offsets", [
+    ("double-ray-square", "1,5"),  # offsets apply only to custom-oracle
+    ("custom-oracle", ""),  # an empty list is not the default 1,2
+])
+def test_infinite_run_rejects_offsets_it_would_ignore(capsys, preset_name, offsets):
+    code, out, err = run_cli(
+        capsys, "infinite", "run", "--preset", preset_name,
+        "--offsets", offsets, "--rounds", "0", "--radius", "5",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GraphInputError"
+
+
 def test_gen_rejects_negative_size(capsys):
     code, out, err = run_cli(capsys, "gen", "path", "-5")
     assert code == 2 and out == ""

@@ -15,6 +15,7 @@ from clawham.constructions import (
     enumerate_graphs,
     graph_power,
     line_graph,
+    line_graph_of,
     path_graph,
     petersen_graph,
     star_graph,
@@ -81,6 +82,62 @@ def test_line_graph_labels_read_back():
     assert len(lg.graph) == 5
     labels = lg.edges_of_cycle(lg.graph.vertices)
     assert sorted(labels) == sorted(cycle_graph(5).edges())
+
+
+def _line_graph_outcome(build, g):
+    try:
+        return build(g)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_line_graph_matches_reference():
+    """``line_graph`` reads its adjacency from ``line_graph_of`` and builds
+    the graph and edge labels of the construction from incident edge pairs."""
+    from helpers import reference_line_graph, seeded_random_graphs
+
+    fixed = ("petersen", "octahedron", "cube", "glued-triangles")
+    families = constructions.NAMED_GRAPHS
+    graphs = seeded_random_graphs() + [families[name]() for name in fixed] + [
+        family(n) for name, family in sorted(families.items()) if name not in fixed
+        for n in (3, 4, 7)
+    ]
+    assert any(g.edge_count() == 0 for g in graphs)
+    for g in graphs:
+        want = _line_graph_outcome(reference_line_graph, g)
+        assert _line_graph_outcome(line_graph, g) == want
+
+
+def test_line_graph_of_reproduces_the_bench_oracles():
+    """Over their base graphs, ``line_graph_of`` answers as the two
+    line-graph oracles of the benchmark: ``tripod-line`` with the same
+    labels, ``tri-lattice-line`` under its (x, y, k) edge labels."""
+    from helpers import bench_oracles
+
+    from clawham.presentations import GraphPresentation
+
+    bench = bench_oracles()
+    tripod = line_graph_of(bench._tripod_neighbors)
+    root = ((0, 0, 0), (1, 0, 0))
+    ref = GraphPresentation("tripod-line", bench._tripod_line_neighbors, root)
+    for label in ref.extract_ball(40).labels:
+        assert tripod(label) == bench._tripod_line_neighbors(label)
+
+    steps = bench._TRI_STEPS
+
+    def lattice(p):
+        return tuple((p[0] + dx, p[1] + dy) for dx, dy in steps)
+
+    def edge_of(label):
+        x, y, k = label
+        dx, dy = steps[k]
+        return tuple(sorted(((x, y), (x + dx, y + dy))))
+
+    tri = line_graph_of(lattice)
+    ref = GraphPresentation("tri-lattice-line", bench._tri_lattice_line_neighbors, (0, 0, 0))
+    for label in ref.extract_ball(13).labels:
+        want = tuple(sorted(map(edge_of, bench._tri_lattice_line_neighbors(label))))
+        assert tri(edge_of(label)) == want
 
 
 def test_line_graph_rejects_edgeless():

@@ -1227,7 +1227,7 @@ def test_run_searches_components_only_in_the_stability_gate(monkeypatch, rounds)
 PINNED_RUN_DIGESTS = {
     "double-ray-square": "2cf8c7e63bbd452cf71159b383a78718fed4b609703b981fa1b402e6e067a5fb",
     "ray-square": "2d3a240fb1d817917c5eaf00a493684b742184a658bdcb1a2f5c07deaadce5e2",
-    "ladder-line-graph": "2e22c4b0c0ea72136eda697650d16ad20509453fc4acff48145bc78e449ce048",
+    "ladder-line-graph": "65b934142751d0cbf53a097c2485bf817176666aa516d9486439314435de69ba",
     "custom-oracle": "f1c601a6369037c5a8daa33ba331acb6bafaa10f67bc69b1840ac55a97dbb5a5",
 }
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from clawham import presentations
@@ -51,6 +53,40 @@ def test_custom_oracle_offsets():
     g = ball.graph
     root_nbrs = sorted(ball.label_of(v) for v in g.neighbors(0))
     assert root_nbrs == [-3, -1, 1, 3]
+    # offsets are read by magnitude, and 0 is dropped
+    assert preset("custom-oracle", offsets=(-3, 1, 0)).neighbors(0) == (-3, -1, 1, 3)
+
+
+@pytest.mark.parametrize("offsets, offender", [
+    ((0.5, 2.9), "0.5"),  # no longer truncated to (2,)
+    ((1, 2.9), "2.9"),
+    ((True, "3"), "True"),  # no longer read as (1, 3)
+    ((2, "3"), "'3'"),
+    ((1, None), "None"),
+])
+def test_custom_oracle_rejects_non_integer_offsets(offsets, offender):
+    with pytest.raises(DomainError, match=f"got {re.escape(offender)}$"):
+        preset("custom-oracle", offsets=offsets)
+
+
+def test_ladder_line_graph_is_the_reference_table_relabelled():
+    """The preset is ``line_graph_of`` over the ladder; the hand-derived
+    table it replaced gives the same neighbors under ('g', i) -> rung i,
+    ('a', i, s) -> rail and ('d', i) -> diagonal, and the same balls."""
+    from helpers import ladder_edge_of, reference_ladder_line_graph_neighbors
+
+    new = preset("ladder-line-graph")
+    old = GraphPresentation("ladder-line-graph", reference_ladder_line_graph_neighbors, ("g", 0))
+    assert new.root == ladder_edge_of(old.root) == ((0, 0), (0, 1))
+    for label in old.extract_ball(30).labels:
+        want = tuple(sorted(map(ladder_edge_of, old.neighbors(label))))
+        assert new.neighbors(ladder_edge_of(label)) == want
+    for radius, size in ((5, 39), (30, 239), (100, 799)):
+        a, b = old.extract_ball(radius), new.extract_ball(radius)
+        assert len(a.graph) == len(b.graph) == size
+        assert sorted(map(a.graph.degree, a.graph.vertices)) == sorted(
+            map(b.graph.degree, b.graph.vertices))
+        assert set(map(ladder_edge_of, a.labels)) == set(b.labels)
 
 
 def test_oracle_symmetry_enforced():
