@@ -9,7 +9,7 @@ triangle from them, and splits it into per-end parts around the one finite
 component (``ray_decomposition``).
 """
 
-from clawham import CycleEmbedding, FiniteGraph, neighborhood_k
+from clawham import CycleEmbedding, FiniteGraph
 from clawham.separators import check_complete_neighborhood, ray_decomposition, separates
 
 LO, HI = -10, 10
@@ -22,7 +22,7 @@ cycle = CycleEmbedding([ids[0], ids[1], ids[2]])
 boundary = [ids[i] for i in (LO, LO + 1, HI - 1, HI)]
 print(f"strip {LO}..{HI}, cycle on {{0, 1, 2}}, boundary = ends of the strip")
 
-dec = ray_decomposition(g, cycle, neighborhood_k(g, cycle.order, 1), boundary)
+dec = ray_decomposition(g, cycle, boundary)
 sep = dec.separator
 print("minimal separator:", sorted(back[v] for v in sep))
 for v in sep:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     DomainError,
@@ -79,6 +80,7 @@ class GoodTupleContext:
     dec: SeparatorDecomposition
     near_cycle_2: frozenset[int]
     around_finite_4: frozenset[int]
+    component_sets: tuple[frozenset[int], ...]
     part_zones: tuple[frozenset[int], ...]
 
     @classmethod
@@ -95,9 +97,7 @@ class GoodTupleContext:
             comp.intersection(neighborhood_k(g, part, 3))
             for part, comp in zip(dec.parts, comps)
         )
-        ctx = cls(g, c, dec, near2, around4, zones)
-        ctx.__dict__["component_sets"] = comps  # the cached property, built once
-        return ctx
+        return cls(g, c, dec, near2, around4, comps, zones)
 
     @cached_property
     def deep_base(self) -> frozenset[int]:
@@ -105,10 +105,6 @@ class GoodTupleContext:
         neighborhood.  Witness sets may lie anywhere else: x is in their
         room exactly when x is off the base cycle or in ``near_cycle_2``."""
         return self.base_cycle.vertex_set - self.near_cycle_2
-
-    @cached_property
-    def component_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(c) for c in self.dec.infinite_components)
 
     @cached_property
     def finite_set(self) -> frozenset[int]:
@@ -780,10 +776,12 @@ class RunState:
         return [head] + [r.to_json_obj() for r in self.rounds]
 
 
-# End proxies are read in the outermost END_SKIRT + 1 layers of the ball, and
-# the construction must stay RADIUS_MARGIN layers inside it.
+# End proxies are read in the outermost END_SKIRT + 1 layers of the ball.  Every
+# vertex a round reads lies RADIUS_MARGIN layers inside it, and each round
+# reads ROUND_DEPTH (the separator gap) layers deeper than the one before.
 END_SKIRT = 3
 RADIUS_MARGIN = 5
+ROUND_DEPTH = 4
 
 
 def end_proxies(ball: Ball) -> tuple[tuple[int, ...], ...]:
@@ -795,11 +793,17 @@ def end_proxies(ball: Ball) -> tuple[tuple[int, ...], ...]:
     return label_components(ball.graph, shell, ball.boundary)[0]
 
 
-def _stability_gate(ball: Ball) -> None:
+def _suggested_radius(deepest: int, rounds_left: int) -> int:
+    """The radius for a round that reads depth ``deepest`` and the rounds after it."""
+    return deepest + RADIUS_MARGIN + ROUND_DEPTH * rounds_left
+
+
+def _stability_gate(ball: Ball, least: int) -> None:
     """End proxies must map injectively into the components four layers
     deeper, otherwise boundary components misrepresent the ends.  A proxy
     is connected inside the skirt, which lies inside the deeper shell, so
-    its first vertex names its one deep component."""
+    its first vertex names its one deep component.  It suggests 2R, or
+    ``least`` if larger."""
     proxies = end_proxies(ball)
     deep = [
         v for v in ball.graph.vertices
@@ -813,28 +817,29 @@ def _stability_gate(ball: Ball) -> None:
             raise RadiusTooSmallError(
                 f"end proxies {seen[i][:3]} and {proxy[:3]} merge four layers "
                 "deeper; the radius cannot distinguish the ends yet",
-                suggested_radius=ball.radius * 2,
+                suggested_radius=max(ball.radius * 2, least),
             )
         seen[i] = proxy
 
 
-def _radius_gate(ball: Ball, dec: SeparatorDecomposition) -> None:
-    deepest = max(
-        ball.depth_of(v)
-        for v in list(dec.finite_component) + list(dec.separator)
-    )
+def _radius_gate(ball: Ball, deepest: int, m: int, rounds: int) -> None:
+    """The one depth check of a round: ``deepest``, the depth round ``m``
+    reads, lies RADIUS_MARGIN layers inside the ball."""
     if deepest + RADIUS_MARGIN > ball.radius:
         raise RadiusTooSmallError(
-            f"the construction reached depth {deepest} of radius {ball.radius}; "
-            "neighborhood computations are no longer faithful",
-            suggested_radius=deepest + RADIUS_MARGIN + 4,
+            f"round {m}: the construction reached depth {deepest} of radius "
+            f"{ball.radius}; neighborhood computations are no longer faithful",
+            suggested_radius=_suggested_radius(deepest, rounds - m),
         )
 
 
 def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     """Extract a ball, verify the hypotheses on its interior, build the
     initial cycle covering its own 2-neighborhood, then run the requested
-    number of enlargement rounds."""
+    number of enlargement rounds.  The depth rule is checked on N[C]
+    before ``ray_decomposition`` and on F ∪ S after it.  A round m too deep
+    suggests deepest + RADIUS_MARGIN + ROUND_DEPTH·(rounds − m), so k
+    rounds need R ≥ 4k + 5 on every preset."""
     if rounds < 0:
         raise DomainError("rounds must be >= 0")
     ball = pres.extract_ball(radius)
@@ -858,34 +863,21 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     c0, _ = extend_to_cover(g, seed, pool, target_pool=pool)
     state = RunState(ball, c0, [])
     cycle = c0
-    prev: RoundRecord | None = None
-    if rounds >= 1:
-        _stability_gate(ball)
     for m in range(1, rounds + 1):
-        near: set[int] = set()  # N(C), the first layer of the fringe search
-        fringe: set[int] = set()
-        for v, _, d in bfs(g, cycle.order):
-            if d > 2:
-                break
-            fringe.add(v)
-            if d == 1:
-                near.add(v)
-        if not fringe.isdisjoint(ball.boundary):
-            deepest = max(ball.depth_of(v) for v in cycle.order)
-            raise RadiusTooSmallError(
-                f"round {m}: the cycle reached within two steps of the "
-                "boundary; the ball interior is exhausted",
-                suggested_radius=deepest + 9 * (rounds - m + 1),
-            )
-        dec = ray_decomposition(g, cycle, near, ball.boundary)
-        _radius_gate(ball, dec)
+        deepest = max(ball.depths[w] for v in cycle.order for w in g.neighbors(v))  # N[C]
+        if m == 1:
+            _stability_gate(ball, _suggested_radius(deepest, rounds - 1))
+        _radius_gate(ball, deepest, m, rounds)
+        dec = ray_decomposition(g, cycle, ball.boundary)
+        deepest = max(map(ball.depth_of, chain(dec.finite_component, dec.separator)))
+        _radius_gate(ball, deepest, m, rounds)
         record = cut_lemma_round(g, cycle, dec, index=m)
         if not cycle.vertex_set <= record.cycle.vertex_set:
             raise InternalConsistencyError(
                 f"round {m} lost vertices of the previous cycle"
             )
         record.checks["separator_gap"] = (
-            prev is None or prev.separator_reach.isdisjoint(dec.separator)
+            not state.rounds or state.rounds[-1].separator_reach.isdisjoint(dec.separator)
         )
         if not all(record.checks.values()):
             bad = sorted(k for k, v in record.checks.items() if not v)
@@ -894,7 +886,6 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
             )
         state.rounds.append(record)
         cycle = record.cycle
-        prev = record
     return state
 
 
@@ -960,13 +951,12 @@ class ExtractionReport:
 def stable_edge_set(cycles: list[CycleEmbedding]) -> frozenset[Edge]:
     """Edges on at least two of the cycles (with edge persistence these are
     exactly the edges of every late cycle)."""
-    seen: dict[Edge, int] = {}
-    stable = set()
+    earlier: set[Edge] = set()  # the edges of the cycles before c
+    stable: set[Edge] = set()
     for c in cycles:
-        for e in c.edge_set():
-            seen[e] = seen.get(e, 0) + 1
-            if seen[e] >= 2:
-                stable.add(e)
+        edges = c.edge_set()
+        stable |= edges & earlier
+        earlier |= edges
     return frozenset(stable)
 
 
@@ -1074,14 +1064,18 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
                 w3.append(("proxy-escapes", proxy[0], record.index))
     cond3 = ConditionReport(not w3 and not ambiguous, tuple(w3))
 
-    # (iv) settled edges stay
+    # (iv) settled edges stay: an edge of cycle j that an earlier cycle has
+    # is settled, and the pairs (i, j) are listed only for a j that loses one
     w4 = []
+    earlier = set(cycles[0].edge_set())
     for j in range(1, last):
-        for i in range(j):
-            settled = cycles[i].edge_set() & cycles[j].edge_set()
-            lost = settled - cycles[j + 1].edge_set()
-            if lost:
-                w4.append((i, j, tuple(sorted(lost))))
+        edges, after = cycles[j].edge_set(), cycles[j + 1].edge_set()
+        if (edges & earlier) - after:
+            for i in range(j):
+                lost = (cycles[i].edge_set() & edges) - after
+                if lost:
+                    w4.append((i, j, tuple(sorted(lost))))
+        earlier |= edges
     cond4 = ConditionReport(not w4, tuple(w4))
 
     # (v) every later cycle meets every recorded cut in the same two edges

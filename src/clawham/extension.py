@@ -464,7 +464,7 @@ def _cover(g, cycle: _SpliceCycle, goal, targets=None, bases=None, splice=None):
                     queued.add(t)
                     heappush(frontier, t)
 
-    admit(cycle)
+    admit(cycle if bases is None else cycle.on_cycle(bases))
     log: list[PathExtension] = []
     while missing:
         while frontier and frontier[0] in cycle:

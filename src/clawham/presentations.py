@@ -123,24 +123,17 @@ class Ball:
 # -- built-in presentations ---------------------------------------------------
 
 
-def _integer_lattice(offsets: tuple[int, ...], one_way: bool) -> Callable:
-    for d in offsets:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise DomainError(f"offsets must be integers, got {d!r}")
-    offs = tuple(sorted({abs(d) for d in offsets} - {0}))
-    if not offs:
-        raise DomainError("offsets must contain a non-zero value")
+@dataclass(frozen=True)
+class _IntegerLattice:
+    """Neighbors v ± d for each offset d, kept ≥ 0 when ``one_way``; data,
+    so that equal rules compare and hash equal."""
 
-    def nbrs(v):
-        out = []
-        for d in offs:
-            for w in (v - d, v + d):
-                if one_way and w < 0:
-                    continue
-                out.append(w)
-        return tuple(sorted(set(out)))
+    offsets: tuple[int, ...]
+    one_way: bool = False
 
-    return nbrs
+    def __call__(self, v) -> tuple:
+        out = {w for d in self.offsets for w in (v - d, v + d)}
+        return tuple(sorted(w for w in out if w >= 0 or not self.one_way))
 
 
 def _ladder_neighbors(v):
@@ -151,17 +144,27 @@ def _ladder_neighbors(v):
     return ((i, 1 - s), (i - 1, s), (i + 1, s), (i + 1, 0) if s else (i - 1, 1))
 
 
+_ladder_line_neighbors = line_graph_of(_ladder_neighbors)
+
 PRESET_NAMES = ("double-ray-square", "ray-square", "ladder-line-graph", "custom-oracle")
 
 
 def preset(name: str, offsets: Iterable[int] = (1, 2)) -> GraphPresentation:
-    """Built-in presentations; ``offsets`` only applies to custom-oracle."""
+    """Built-in presentations, equal when built alike; ``offsets`` only
+    applies to custom-oracle."""
     if name == "double-ray-square":
-        return GraphPresentation(name, _integer_lattice((1, 2), one_way=False), 0)
+        return GraphPresentation(name, _IntegerLattice((1, 2)), 0)
     if name == "ray-square":
-        return GraphPresentation(name, _integer_lattice((1, 2), one_way=True), 0)
+        return GraphPresentation(name, _IntegerLattice((1, 2), one_way=True), 0)
     if name == "ladder-line-graph":
-        return GraphPresentation(name, line_graph_of(_ladder_neighbors), ((0, 0), (0, 1)))
+        return GraphPresentation(name, _ladder_line_neighbors, ((0, 0), (0, 1)))
     if name == "custom-oracle":
-        return GraphPresentation(name, _integer_lattice(tuple(offsets), one_way=False), 0)
+        offsets = tuple(offsets)
+        for d in offsets:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise DomainError(f"offsets must be integers, got {d!r}")
+        offs = tuple(sorted({abs(d) for d in offsets} - {0}))
+        if not offs:
+            raise DomainError("offsets must contain a non-zero value")
+        return GraphPresentation(name, _IntegerLattice(offs), 0)
     raise DomainError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")

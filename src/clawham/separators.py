@@ -32,6 +32,7 @@ from .graph import (
     VertexSet,
     bfs,
     label_components,
+    neighborhood_k,
 )
 
 
@@ -124,24 +125,24 @@ class SeparatorDecomposition:
         }
 
 
-def ray_decomposition(
-    g: FiniteGraph, c: CycleEmbedding, near, boundary
-) -> SeparatorDecomposition:
+def ray_decomposition(g: FiniteGraph, c: CycleEmbedding, boundary) -> SeparatorDecomposition:
     """The minimal ray separator of the cycle ``c`` and its split into
-    per-end parts, from one search beyond ``near``, which must be N(V(c)).
+    per-end parts, from one search beyond N(V(c)), which it computes.
 
     The separator is the inclusion-minimal subset of N(V(c)) that meets
     every path from the cycle to the ``boundary`` layer; see the module
     docstring.  The boundary side is one ``label_components`` call: the
-    components of G - ``near`` that meet the boundary, with their owner
+    components of G - N(V(c)) that meet the boundary, with their owner
     map.  The component of G - S holding the cycle is the finite one, and
     every other component must touch the boundary, otherwise the
     truncation radius is too small to be faithful.  A separator vertex with
     neighbors in two boundary-touching components yields an induced claw,
     which is impossible in a claw-free graph and reported as an internal
-    inconsistency.
+    inconsistency.  Both failures put an induced claw at a separator vertex,
+    so ``engine.run``, whose depth rule keeps N[V(c)] interior, meets neither.
     """
     bset = g.require_subset(boundary)
+    near = neighborhood_k(g, c.order, 1)
     if bset & c.vertex_set:
         raise DomainError("the cycle touches the boundary layer")
     if not bset.isdisjoint(near):

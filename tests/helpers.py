@@ -1134,6 +1134,170 @@ def reference_proxy_chains(rounds, proxies):
     return chains, ambiguous
 
 
+# -- extraction conditions comparing every pair of cycles ------------------------
+#
+# ``check_extraction_conditions`` and ``stable_edge_set`` as they were before
+# condition (iv) and the stable edges kept a running union of the earlier
+# cycles' edges: (iv) intersects every pair of cycles i < j, and the stable
+# edges are counted per edge.
+
+
+def reference_stable_edge_set(cycles) -> frozenset:
+    seen: dict = {}
+    stable = set()
+    for c in cycles:
+        for e in c.edge_set():
+            seen[e] = seen.get(e, 0) + 1
+            if seen[e] >= 2:
+                stable.add(e)
+    return frozenset(stable)
+
+
+def reference_check_extraction_conditions(state):
+    from clawham.engine import (
+        ConditionReport,
+        ExtractionReport,
+        _proxy_chains,
+        _witness_cut,
+        end_proxies,
+    )
+
+    if len(state.rounds) < 2:
+        raise DomainError("need at least 2 rounds to check the conditions")
+    g = state.graph
+    cycles = state.cycles()
+    last = len(cycles) - 1
+
+    w1 = []
+    for i in range(last):
+        lost = cycles[i].vertex_set - cycles[i + 1].vertex_set
+        if lost:
+            w1.append((i, tuple(sorted(lost))))
+    cond1 = ConditionReport(not w1, tuple(w1))
+
+    cuts = {}
+    for r, record in enumerate(state.rounds, start=1):
+        for j, m in record.witness_sets.items():
+            cuts[(r, j)] = _witness_cut(g, record.dec, j, m)
+
+    w2 = []
+    bset = set(state.ball.boundary)
+    for (r, j), edges in sorted(cuts.items()):
+        touching = [e for e in sorted(edges) if e[0] in bset or e[1] in bset]
+        if touching:
+            w2.append((r, j, tuple(touching)))
+    cond2 = ConditionReport(not w2, tuple(w2))
+
+    chains, ambiguous = _proxy_chains(state.rounds, end_proxies(state.ball))
+    w3 = []
+    for proxy, chain in chains:
+        for i in range(1, len(state.rounds)):
+            m_prev = state.rounds[i - 1].witness_sets[chain[i - 1]]
+            m_next = state.rounds[i].witness_sets[chain[i]]
+            if not m_next <= m_prev:
+                w3.append(
+                    ("not-nested", proxy[0], i + 1, tuple(sorted(m_next - m_prev))[:4])
+                )
+            shed = set(state.rounds[i - 1].dec.finite_component) | set(
+                state.rounds[i - 1].dec.separator
+            )
+            if m_next & shed:
+                w3.append(
+                    ("not-shrinking", proxy[0], i + 1, tuple(sorted(m_next & shed))[:4])
+                )
+        on_boundary = bset.intersection(proxy)
+        for record, j in zip(state.rounds, chain):
+            if not on_boundary <= record.witness_sets[j]:
+                w3.append(("proxy-escapes", proxy[0], record.index))
+    cond3 = ConditionReport(not w3 and not ambiguous, tuple(w3))
+
+    w4 = []
+    for j in range(1, last):
+        for i in range(j):
+            settled = cycles[i].edge_set() & cycles[j].edge_set()
+            lost = settled - cycles[j + 1].edge_set()
+            if lost:
+                w4.append((i, j, tuple(sorted(lost))))
+    cond4 = ConditionReport(not w4, tuple(w4))
+
+    w5 = []
+    for (r, j), cut_edges in sorted(cuts.items()):
+        fixed = cycles[r].edge_set() & cut_edges
+        if len(fixed) != 2:
+            w5.append((r, j, "count", tuple(sorted(fixed))))
+            continue
+        for i in range(r, last + 1):
+            hit = cycles[i].edge_set() & cut_edges
+            if hit != fixed:
+                w5.append((r, j, f"cycle-{i}", tuple(sorted(hit))))
+    cond5 = ConditionReport(not w5, tuple(w5))
+
+    stable = reference_stable_edge_set(cycles)
+    region = state.rounds[-2].dec.finite_component
+    degree: dict = {}
+    for e in stable:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    w6 = [(v, degree.get(v, 0)) for v in region if degree.get(v, 0) != 2]
+    cond6 = ConditionReport(not w6, tuple(w6))
+
+    return ExtractionReport(
+        vertex_persistence=cond1,
+        finite_cuts=cond2,
+        nested_chains=cond3,
+        edge_persistence=cond4,
+        two_edge_cuts=cond5,
+        stable_degree=cond6,
+        stable_vertices=tuple(sorted(cycles[-1].vertex_set)),
+        stable_edges=tuple(sorted(stable)),
+        stable_region=tuple(region),
+        ambiguous_ends=tuple(ambiguous),
+    )
+
+
+# -- faulty rounds for the run loop's own checks -----------------------------------
+#
+# ``run`` checks each round's record after ``cut_lemma_round`` returns it.  A
+# correct round passes both checks, so each fault edits the first round's
+# record: its cycle drops the input cycle's first vertex, or it records a
+# failing conclusion.  Each entry gives the fault and the message it raises.
+
+
+def _drop_first_input_vertex(record, c) -> None:
+    record.cycle = CycleEmbedding([v for v in record.cycle.order if v != c.order[0]])
+
+
+def _fail_kept_deep_edges(record, c) -> None:
+    record.checks["kept_deep_edges"] = False
+
+
+ROUND_FAULTS = {
+    "lost-vertex": (_drop_first_input_vertex, "round 1 lost vertices of the previous cycle"),
+    "failing-conclusion": (
+        _fail_kept_deep_edges,
+        "round 1 recorded failing conclusions: kept_deep_edges",
+    ),
+}
+
+
+def inject_round_fault(monkeypatch, kind: str) -> str:
+    """Make ``engine.cut_lemma_round`` apply the fault ``kind`` to the record
+    of round 1, and return the message ``run`` should raise."""
+    import clawham.engine as engine
+
+    fault, message = ROUND_FAULTS[kind]
+    original = engine.cut_lemma_round
+
+    def faulty(g, c, dec, index=1):
+        record = original(g, c, dec, index=index)
+        if index == 1:
+            fault(record, c)
+        return record
+
+    monkeypatch.setattr(engine, "cut_lemma_round", faulty)
+    return message
+
+
 # -- the per-vertex checks before their early exits -------------------------------
 #
 # ``claw_at``, ``locally_connected_at`` and ``shortest_cycle_through`` as they

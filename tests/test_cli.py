@@ -209,6 +209,36 @@ def test_infinite_run_radius_too_small(capsys):
     assert payload["suggested_radius"] > 9
 
 
+def test_infinite_run_suggests_the_radius_that_finishes_the_run(capsys):
+    """Twenty rounds need 4·20 + 5 = 85: the depth rule suggests it from a
+    radius of 60, and the run at 85 succeeds."""
+    args = ("infinite", "run", "--preset", "double-ray-square", "--rounds", "20")
+    code, _, err = run_cli(capsys, *args, "--radius", "60")
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "RadiusTooSmallError"
+    assert payload["suggested_radius"] == 85
+    code, _, _ = run_cli(capsys, *args, "--radius", "85")
+    assert code == 0
+
+
+@pytest.mark.parametrize("kind", ["lost-vertex", "failing-conclusion"])
+def test_infinite_run_reports_a_faulty_round_with_exit_3(monkeypatch, capsys, kind):
+    from helpers import inject_round_fault
+
+    message = inject_round_fault(monkeypatch, kind)
+    code, out, err = run_cli(
+        capsys, "infinite", "run", "--preset", "double-ray-square",
+        "--rounds", "2", "--radius", "20",
+    )
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InternalConsistencyError"
+    assert payload["message"] == message
+    assert "Traceback" not in err
+
+
 def test_gen_roundtrips_into_other_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gen", "octahedron")
     assert code == 0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import functools
+import random
+import re
 
 import pytest
 
@@ -46,7 +48,7 @@ def build_round_one_context():
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
     c, _ = extend_to_cover(g, seed, pool, target_pool=pool)
     boundary = [ids[i] for i in (-20, -19, 19, 20)]
-    dec = ray_decomposition(g, c, neighborhood_k(g, c.order, 1), boundary)
+    dec = ray_decomposition(g, c, boundary)
     return g, c, dec, ids
 
 
@@ -138,7 +140,7 @@ def test_cut_lemma_requires_deep_vertex():
     g, ids = double_ray_square_truncation(-8, 8)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-8, -7, 7, 8)]
-    dec = ray_decomposition(g, c, neighborhood_k(g, c.order, 1), boundary)
+    dec = ray_decomposition(g, c, boundary)
     with pytest.raises(DomainError):
         cut_lemma_round(g, c, dec)  # bare triangle: nothing 3 away from N(c)
 
@@ -164,7 +166,7 @@ def test_run_checks_end_stability_once(monkeypatch, rounds, calls):
 
     seen = []
     gate = engine._stability_gate
-    monkeypatch.setattr(engine, "_stability_gate", lambda ball: seen.append(gate(ball)))
+    monkeypatch.setattr(engine, "_stability_gate", lambda ball, least: seen.append(gate(ball, least)))
     small_run(rounds=rounds, radius=30)
     assert len(seen) == calls
 
@@ -198,6 +200,63 @@ def test_radius_too_small_is_reported_with_suggestion():
     with pytest.raises(RadiusTooSmallError) as exc:
         run(preset("double-ray-square"), rounds=3, radius=9)
     assert exc.value.suggested_radius > 9
+
+
+@pytest.mark.parametrize("kind", ["lost-vertex", "failing-conclusion"])
+def test_run_rejects_a_faulty_round(monkeypatch, kind):
+    """``run``'s checks of a round's record fire on a round that lost a
+    vertex of its input cycle or recorded a failing conclusion."""
+    from helpers import inject_round_fault
+
+    message = inject_round_fault(monkeypatch, kind)
+    with pytest.raises(InternalConsistencyError) as exc:
+        small_run(rounds=2)
+    assert str(exc.value) == message
+
+
+def test_cycle_neighborhood_on_the_boundary_is_a_radius_error():
+    """At radius 4 the initial cycle's neighborhood reaches the boundary
+    layer of ``ray-square``.  The depth rule rejects the round before
+    ``ray_decomposition`` would refuse the cycle, and suggests 4 + 5."""
+    with pytest.raises(RadiusTooSmallError) as exc:
+        run(preset("ray-square"), 1, 4)
+    assert str(exc.value).startswith("round 1: the construction reached depth 4 of radius 4")
+    assert exc.value.suggested_radius == 9
+    assert len(run(preset("ray-square"), 1, 9).rounds) == 1
+
+
+# The least radius at which k rounds run, unchanged by the depth rule: 4k + 5,
+# except that tripod-line's end-stability gate rejects R = 9 for one round.
+def _least_radius(name, k):
+    return 10 if (name, k) == ("tripod-line", 1) else 4 * k + 5
+
+
+@pytest.mark.parametrize(
+    "name", ["double-ray-square", "ray-square", "ladder-line-graph", "custom-oracle", "tripod-line"]
+)
+def test_runs_pass_from_the_least_radius_and_suggestions_finish_them(name):
+    """A run of k rounds succeeds exactly from the least radius on.  Below
+    it, the depth rule suggests exactly 4k + 5 and the end-stability gate
+    max(2R, 4k + 5), and the run completes at the suggested radius."""
+    finished = set()  # (k, radius) pairs already re-run
+    for k in (1, 2, 3, 5):
+        least = _least_radius(name, k)
+        for radius in range(6, least + 2):
+            try:
+                run(_presentation(name, radius), k, radius)
+            except RadiusTooSmallError as exc:
+                assert radius < least
+                suggested = exc.suggested_radius
+                if str(exc).startswith("end proxies"):
+                    assert suggested == max(2 * radius, 4 * k + 5)
+                else:
+                    assert re.match(r"round \d+: the construction reached depth", str(exc))
+                    assert suggested == 4 * k + 5
+                if (k, suggested) not in finished:
+                    assert len(run(_presentation(name, suggested), k, suggested).rounds) == k
+                    finished.add((k, suggested))
+            else:
+                assert radius >= least
 
 
 def test_separator_gap_at_least_four():
@@ -274,11 +333,24 @@ def _hand_state(g, cycles, witness_sets_per_round):
     return RunState(_dummy_ball(g), cycles[0], rounds)
 
 
-def test_hand_built_edge_flicker_fails_condition_iv():
-    g = complete_graph(4)
+def _flicker_state():
+    """K_4 with the cycles a, a, b: the edges settled by the first two
+    cycles are lost by the third."""
     c_a = CycleEmbedding([0, 1, 2, 3])
     c_b = CycleEmbedding([0, 2, 1, 3])
-    state = _hand_state(g, [c_a, c_a, c_b], [{}, {}])
+    return _hand_state(complete_graph(4), [c_a, c_a, c_b], [{}, {}]), c_a, c_b
+
+
+def _four_crossing_state():
+    """The 8-ring with a witness set whose cut the ring crosses four times."""
+    g = cycle_graph(8)
+    ring = CycleEmbedding(list(range(8)))
+    m = frozenset({1, 2, 5})
+    return _hand_state(g, [ring, ring, ring], [{1: m}, {1: m}]), g, m
+
+
+def test_hand_built_edge_flicker_fails_condition_iv():
+    state, c_a, c_b = _flicker_state()
     rep = check_extraction_conditions(state)
     assert not rep.edge_persistence.holds
     # the witness names a settled edge that later vanished
@@ -289,10 +361,7 @@ def test_hand_built_edge_flicker_fails_condition_iv():
 
 
 def test_hand_built_four_crossings_fail_condition_v():
-    g = cycle_graph(8)
-    ring = CycleEmbedding(list(range(8)))
-    m = frozenset({1, 2, 5})
-    state = _hand_state(g, [ring, ring, ring], [{1: m}, {1: m}])
+    state, g, m = _four_crossing_state()
     rep = check_extraction_conditions(state)
     assert not rep.two_edge_cuts.holds
     (r, j, kind, edges), *_ = rep.two_edge_cuts.witnesses
@@ -306,6 +375,51 @@ def test_stable_edge_set_definition():
     c_b = CycleEmbedding([0, 2, 1, 3])
     stable = stable_edge_set([c_a, c_b, c_a])
     assert stable == c_a.edge_set() & c_a.edge_set() | (c_a.edge_set() & c_b.edge_set())
+
+
+def _random_cycle_states(seed=11, count=200):
+    """Hand-built states on K_7 whose cycles come and go at random, so that
+    edges settle, flicker and return."""
+    rng = random.Random(seed)
+    g = complete_graph(7)
+    for _ in range(count):
+        cycles = []
+        for _ in range(rng.randint(3, 7)):
+            order = rng.sample(range(7), rng.randint(3, 7))
+            cycles.append(CycleEmbedding(order))
+        yield _hand_state(g, cycles, [{} for _ in cycles[1:]]), cycles
+
+
+def test_condition_iv_matches_the_pairwise_reference_on_random_cycles():
+    """Condition (iv) from a running union of the earlier cycles' edges
+    reports the same pairs and lost edges as the comparison of every pair,
+    and the stable edges are the edges on at least two cycles."""
+    from helpers import reference_check_extraction_conditions, reference_stable_edge_set
+
+    failing = several = 0
+    for state, cycles in _random_cycle_states():
+        report = check_extraction_conditions(state)
+        assert report.to_json_obj() == reference_check_extraction_conditions(state).to_json_obj()
+        assert stable_edge_set(cycles) == reference_stable_edge_set(cycles)
+        witnesses = report.edge_persistence.witnesses
+        failing += bool(witnesses)
+        several += len(witnesses) > 1
+    assert failing > 20 and several > 5, (failing, several)
+
+
+def test_hand_built_reports_match_the_pairwise_reference():
+    """The flicker, four-crossing and straddling-proxy states get the
+    reference's extraction reports."""
+    from helpers import reference_check_extraction_conditions
+
+    states = [_flicker_state()[0], _four_crossing_state()[0]]
+    states += _proxy_variants(small_run(rounds=3, radius=30))
+    for state in states:
+        assert (
+            check_extraction_conditions(state).to_json_obj()
+            == reference_check_extraction_conditions(state).to_json_obj()
+        )
+    assert len(states) == 11
 
 
 def test_run_log_serialization():
@@ -427,7 +541,7 @@ def _assert_steps_match(monkeypatch, verdicts, name, radius, rounds, seed=7):
     import clawham.engine as engine
 
     if name == "cactus-line":
-        monkeypatch.setattr(engine, "_stability_gate", lambda ball: None)
+        monkeypatch.setattr(engine, "_stability_gate", lambda ball, least: None)
     state = run(_presentation(name, radius, seed), rounds, radius)
     assert verdicts.exts
     assert len(verdicts.steps) == len(verdicts.exts) + sum(r.dec.k for r in state.rounds)
@@ -490,7 +604,7 @@ def test_cut_crossings_match_the_order_scan(monkeypatch, name, radius, rounds):
 
     monkeypatch.setattr(engine, "_good_step", checked)
     if name == "cactus-line":
-        monkeypatch.setattr(engine, "_stability_gate", lambda ball: None)
+        monkeypatch.setattr(engine, "_stability_gate", lambda ball, least: None)
     run(_presentation(name, radius), rounds, radius)
     assert verdicts
     assert all(by_check == by_scan == [] for by_check, by_scan in verdicts)
@@ -628,6 +742,7 @@ def test_shedding_an_articulation_vertex_is_flagged():
         g, c, dec,
         near_cycle_2=frozenset({1, 2, 3}),
         around_finite_4=frozenset({0, 1, 2, 3, 4, 5, 6}),
+        component_sets=tuple(map(frozenset, dec.infinite_components)),
         part_zones=(frozenset(),),
     )
     witness = {1: {1, 2, 10, 11}}
@@ -671,6 +786,7 @@ def test_shedding_and_regaining_a_footprint_vertex_is_flagged(monkeypatch):
         g, c, dec,
         near_cycle_2=frozenset({0, 1, 4, 5}),
         around_finite_4=frozenset(range(10)),
+        component_sets=tuple(map(frozenset, dec.infinite_components)),
         part_zones=(frozenset(),),
     )
     witness = {1: {4, 5, 10, 11}}
@@ -710,6 +826,7 @@ def test_bridge_edge_that_crosses_a_witness_cut_is_counted():
         g, c, dec,
         near_cycle_2=frozenset(range(5)),
         around_finite_4=frozenset(range(10)),
+        component_sets=tuple(map(frozenset, dec.infinite_components)),
         part_zones=(frozenset(),),
     )
     witness = {1: {2, 3, 10}}
@@ -748,7 +865,7 @@ def _part_state(held_by_older, eleven_on_cycle=False):
         + [(11, 0)] * eleven_on_cycle,
     )
     c = CycleEmbedding([0, 1, 2, 3])
-    dec = ray_decomposition(g, c, neighborhood_k(g, c.order, 1), [6, 9])
+    dec = ray_decomposition(g, c, [6, 9])
     assert dec.separator == (4, 7, 8, 11, 12)
     ctx = GoodTupleContext.build(g, c, dec)
     a, b = dec.part_of_vertex(4), dec.part_of_vertex(7)
@@ -1004,7 +1121,7 @@ def _round_run(name, radius, rounds, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         if name == "cactus-line":
-            mp.setattr(engine, "_stability_gate", lambda ball: None)
+            mp.setattr(engine, "_stability_gate", lambda ball, least: None)
         state = run(_presentation(name, radius, seed), rounds, radius)
     contexts = [
         GoodTupleContext.build(state.graph, c, r.dec)
@@ -1123,6 +1240,20 @@ def test_proxy_chains_match_the_per_component_lookup(name, radius, rounds, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_proxy_chains", reference_proxy_chains)
         assert check_extraction_conditions(state).to_json_obj() == report.to_json_obj()
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
+def test_extraction_report_matches_the_pairwise_reference(name, radius, rounds, seed):
+    """Every round run's extraction report equals the one that compares
+    every pair of cycles for condition (iv)."""
+    from helpers import reference_check_extraction_conditions
+
+    state, _ = _round_run(name, radius, rounds, seed)
+    if len(state.rounds) < 2:
+        return  # the extraction conditions need two rounds
+    report = check_extraction_conditions(state)
+    assert report.all_pass()
+    assert report.to_json_obj() == reference_check_extraction_conditions(state).to_json_obj()
 
 
 def _proxy_variants(state):

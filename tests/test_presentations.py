@@ -8,7 +8,7 @@ from clawham import presentations
 from clawham.errors import DomainError, GraphInputError
 from clawham.graph import is_connected
 from clawham.predicates import claw_at, is_claw_free, locally_connected_at
-from clawham.presentations import GraphPresentation, preset
+from clawham.presentations import PRESET_NAMES, GraphPresentation, preset
 
 
 def test_unknown_preset():
@@ -87,6 +87,25 @@ def test_ladder_line_graph_is_the_reference_table_relabelled():
         assert sorted(map(a.graph.degree, a.graph.vertices)) == sorted(
             map(b.graph.degree, b.graph.vertices))
         assert set(map(ladder_edge_of, a.labels)) == set(b.labels)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_equal_presets_compare_and_hash_equal(name):
+    """Each preset's neighbor rule is a module-level function or data, so
+    two calls give equal presentations, usable as one dict key."""
+    a, b = preset(name), preset(name)
+    assert a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+
+
+def test_custom_offsets_compare_by_their_normalised_value():
+    base = preset("custom-oracle", offsets=(1, 3))
+    assert preset("custom-oracle", offsets=(-3, 0, 1, 3)) == base
+    assert hash(preset("custom-oracle", offsets=(3, 1))) == hash(base)
+    assert preset("custom-oracle", offsets=(1, 2)) != base
+    assert preset("custom-oracle", offsets=(1, 2)) == preset("custom-oracle")
+    assert preset("custom-oracle") != preset("double-ray-square")
+    assert preset("double-ray-square") != preset("ray-square")
 
 
 def test_oracle_symmetry_enforced():

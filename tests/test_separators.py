@@ -13,7 +13,7 @@ from clawham.errors import (
     InternalConsistencyError,
     RadiusTooSmallError,
 )
-from clawham.graph import CycleEmbedding, FiniteGraph, components_within, neighborhood_k
+from clawham.graph import CycleEmbedding, FiniteGraph, components_within
 from clawham.predicates import is_claw_free
 from clawham.presentations import PRESET_NAMES, preset
 from clawham.separators import (
@@ -40,11 +40,6 @@ def outcome(f, *args):
         return f(*args)
     except ClawhamError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
-
-
-def decomposition(g: FiniteGraph, c: CycleEmbedding, boundary):
-    """``ray_decomposition`` beyond the cycle neighborhood N(V(c))."""
-    return ray_decomposition(g, c, neighborhood_k(g, c.order, 1), boundary)
 
 
 def test_minimal_separator_components_paths_and_gluings():
@@ -84,7 +79,7 @@ def test_shrink_on_double_ray_square():
     g, ids = double_ray_square_truncation(-10, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-10, -9, 9, 10)]
-    sep = decomposition(g, c, boundary).separator
+    sep = ray_decomposition(g, c, boundary).separator
     assert sep == tuple(sorted(ids[i] for i in (-2, -1, 3, 4)))
     # oracle: every proper subset fails to separate
     sset = set(sep)
@@ -97,7 +92,7 @@ def test_shrink_on_ray_square():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[9], ids[10]]
-    sep = decomposition(g, c, boundary).separator
+    sep = ray_decomposition(g, c, boundary).separator
     assert sep == (ids[3], ids[4])
     for v in sep:
         assert not separates(g, set(sep) - {v}, c.order, boundary)
@@ -107,14 +102,14 @@ def test_shrink_rejects_cycle_touching_boundary():
     g, ids = double_ray_square_truncation(0, 4)
     c = CycleEmbedding([ids[2], ids[3], ids[4]])
     with pytest.raises(DomainError, match="the cycle touches the boundary layer"):
-        decomposition(g, c, [ids[4]])
+        ray_decomposition(g, c, [ids[4]])
 
 
 def test_decompose_double_ray_square():
     g, ids = double_ray_square_truncation(-10, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-10, -9, 9, 10)]
-    dec = decomposition(g, c, boundary)
+    dec = ray_decomposition(g, c, boundary)
     assert dec.k == 2
     assert dec.finite_component == tuple(sorted(ids[i] for i in (0, 1, 2)))
     assert dec.infinite_components == (
@@ -141,7 +136,7 @@ def test_decompose_double_ray_square():
 def test_decompose_ray_square():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
-    dec = decomposition(g, c, [ids[9], ids[10]])
+    dec = ray_decomposition(g, c, [ids[9], ids[10]])
     assert dec.k == 1
     assert dec.finite_component == (ids[0], ids[1], ids[2])
     assert dec.parts == ((ids[3], ids[4]),)
@@ -172,7 +167,7 @@ def test_decompose_two_sided_separator_vertex_reports_claw():
     )
     c = CycleEmbedding([0, 1, 2])
     with pytest.raises(InternalConsistencyError) as exc:
-        decomposition(g, c, [6, 7])
+        ray_decomposition(g, c, [6, 7])
     assert exc.value.exit_code == 3
     witness = exc.value.witness
     assert witness is not None
@@ -246,7 +241,7 @@ def test_shrink_matches_greedy_reference_on_random_triples():
         else:
             boundary = rng.sample(range(n), rng.randint(1, 3))
         sep = outcome(reference_shrink, g, c, boundary)
-        got = outcome(decomposition, g, c, boundary)
+        got = outcome(ray_decomposition, g, c, boundary)
         if sep and isinstance(sep[0], type):
             assert got == sep
             continue
@@ -264,7 +259,7 @@ def test_shrink_matches_greedy_reference_on_every_round(name):
     state = run(preset(name), rounds=5, radius=70)
     boundary = state.ball.boundary
     for cycle, record in zip(state.cycles()[:-1], state.rounds):
-        dec = decomposition(state.graph, cycle, boundary)
+        dec = ray_decomposition(state.graph, cycle, boundary)
         assert dec == record.dec
         assert dec.separator == reference_shrink(state.graph, cycle, boundary)
 
@@ -273,7 +268,7 @@ def test_shrink_preconditions_raise_as_before():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[2], ids[3], ids[4]])
     for boundary in ([ids[4], ids[10]], [ids[5], ids[10]]):
-        got = outcome(decomposition, g, c, boundary)
+        got = outcome(ray_decomposition, g, c, boundary)
         assert got[0] is DomainError
         assert got == outcome(reference_shrink, g, c, boundary)
 
@@ -341,7 +336,7 @@ def test_decompose_matches_whole_ball_reference_on_random_inputs():
         want = full_outcome(
             reference_decompose, g, c, reference_ray_separator(g, c, boundary), boundary
         )
-        assert full_outcome(ray_decomposition, g, c, near, boundary) == want
+        assert full_outcome(ray_decomposition, g, c, boundary) == want
         if isinstance(want, tuple):
             seen[want[0]] += 1
             seen["two-sided"] += "reaches two" in want[1]
@@ -358,7 +353,7 @@ def test_stray_finite_component_means_the_radius_is_too_small():
     c = CycleEmbedding([0, 1, 2])
     want = full_outcome(reference_decompose, g, c, [3], [5])
     assert want[0] is RadiusTooSmallError
-    assert full_outcome(ray_decomposition, g, c, {3}, [5]) == want
+    assert full_outcome(ray_decomposition, g, c, [5]) == want
 
 
 def test_two_sided_separator_vertex_keeps_its_witness():
@@ -371,4 +366,4 @@ def test_two_sided_separator_vertex_keeps_its_witness():
     c = CycleEmbedding([0, 1, 2])
     want = full_outcome(reference_decompose, g, c, [3], [6, 7])
     assert want[0] is InternalConsistencyError and want[2] == (2, 3, 4, 5)
-    assert full_outcome(ray_decomposition, g, c, {3}, [6, 7]) == want
+    assert full_outcome(ray_decomposition, g, c, [6, 7]) == want
