@@ -126,6 +126,41 @@ def cmd_infinite_run(args) -> int:
     return 0
 
 
+# ``gen`` refuses to build a graph of more vertices plus edges than this; each
+# size is worked out before the graph that has it is built.
+_MAX_GEN_SIZE = 1_000_000
+
+# (vertices, edges) of each named family that takes a size parameter n;
+# the others have at most 10 vertices
+_FAMILY_SIZES = {
+    "path": lambda n: (n, max(n - 1, 0)),
+    "cycle": lambda n: (n, n),
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "star": lambda n: (n + 1, n),
+    "wheel": lambda n: (n + 1, 2 * n),
+    "triangular-ladder": lambda n: (2 * n, 4 * n - 3),
+}
+
+
+def _require_gen_size(claim: str, size: int) -> None:
+    if size > _MAX_GEN_SIZE:
+        raise GraphInputError(
+            f"{claim} {size} vertices plus edges; gen builds at most {_MAX_GEN_SIZE}"
+        )
+
+
+def _ball_bound(degree: int, k: int, cap: int) -> int:
+    """At most how many vertices lie at distance 1..k from one vertex when no
+    vertex has more than ``degree`` neighbors, capped at ``cap``."""
+    total, layer = 0, degree
+    for _ in range(k):
+        total += layer
+        if total >= cap or layer == 0:
+            break
+        layer *= degree - 1
+    return min(total, cap)
+
+
 def cmd_gen(args) -> int:
     family = NAMED_GRAPHS.get(args.family)
     if family is None:
@@ -134,13 +169,21 @@ def cmd_gen(args) -> int:
         )
     if args.n is not None and args.n < 0:
         raise GraphInputError(f"the size parameter must be non-negative, got {args.n}")
+    if args.n is not None and args.family in _FAMILY_SIZES:
+        _require_gen_size(f"{args.family} {args.n} has", sum(_FAMILY_SIZES[args.family](args.n)))
     try:
         g = family(args.n) if args.n is not None else family()
     except TypeError as exc:
         raise GraphInputError(f"family {args.family!r} and n={args.n} mismatch: {exc}") from exc
     if args.power is not None:
+        order = len(g)
+        degree = max(map(g.degree, g.vertices), default=0)
+        reach = _ball_bound(degree, args.power, max(order - 1, 0))
+        _require_gen_size(f"--power {args.power} can give up to", order + order * reach // 2)
         g = graph_power(g, args.power)
     if args.line:
+        pairs = sum(d * (d - 1) // 2 for d in map(g.degree, g.vertices))
+        _require_gen_size("--line gives", g.edge_count() + pairs)
         g = line_graph(g).graph
     if args.format == "json":
         _emit(graph_to_json_obj(g))

@@ -30,6 +30,10 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _is_vertex_id(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 class FiniteGraph:
     """Immutable simple undirected graph over non-negative integer ids."""
 
@@ -38,12 +42,20 @@ class FiniteGraph:
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]]):
         verts = sorted(set(vertices))
         for v in verts:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _is_vertex_id(v):
                 raise GraphInputError(f"vertex ids must be non-negative integers, got {v!r}")
         vset = set(verts)
         adj: dict[int, set[int]] = {v: set() for v in verts}
         for e in edges:
             u, v = e
+            # ``True`` and ``2.0`` would pass the membership test below as 1
+            # and 2; plain ints skip the full rule
+            if (type(u) is not int or type(v) is not int) and not (
+                _is_vertex_id(u) and _is_vertex_id(v)
+            ):
+                raise GraphInputError(
+                    f"edge ({u!r}, {v!r}): vertex ids must be non-negative integers"
+                )
             if u == v:
                 raise GraphInputError(f"self-loop at vertex {u} is not allowed")
             if u not in vset or v not in vset:

@@ -1383,7 +1383,8 @@ def finite_family_instances(seed: int = 7) -> list[FiniteGraph]:
 
 def dense_neighborhood_graphs() -> list[FiniteGraph]:
     """Graphs whose neighborhoods are large and mostly adjacent, where the
-    early exits fire at once: L(K_n) for n = 4..16, K_n, complete
+    early exits fire at once: L(K_n) for n = 4..16, L(K_{a,b}) of degree
+    7..9, K_n, complete
     multipartite graphs, G(n, 0.9) up to n = 60 and the finite-families
     benchmark inputs."""
     import random
@@ -1392,6 +1393,9 @@ def dense_neighborhood_graphs() -> list[FiniteGraph]:
 
     rng = random.Random(90)
     out = [line_graph(complete_graph(n)).graph for n in range(4, 17)]
+    # degrees 7, 7, 8, 9: either side of the two-clique cover's gate
+    out += [line_graph(complete_multipartite(a, b)).graph
+            for a, b in ((3, 6), (4, 5), (5, 5), (5, 6))]
     out += [complete_graph(n) for n in range(1, 17)]
     out += [complete_multipartite(*sizes) for sizes in (
         (1, 1, 1), (2, 2, 2), (3, 3), (1, 5), (1, 2, 3), (2, 3, 4, 5), (4, 4, 4, 4),

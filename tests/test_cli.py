@@ -370,3 +370,115 @@ def test_reader_closing_the_pipe_early_is_quiet():
     assert head == b'{"edges": '
     assert code == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "hamilton"])
+@pytest.mark.parametrize("edge", [[0, True], [1.0, 2]])
+def test_edge_endpoints_that_are_not_ids_are_status_2(tmp_path, capsys, command, edge):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], edge]}))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload == {
+        "error": "GraphInputError",
+        "message": f"edge ({edge[0]!r}, {edge[1]!r}): vertex ids must be non-negative integers",
+    }
+
+
+def test_gen_size_closed_forms_match_the_families():
+    from clawham.cli import _FAMILY_SIZES
+    from clawham.constructions import NAMED_GRAPHS
+    from clawham.errors import DomainError
+
+    for name, size in _FAMILY_SIZES.items():
+        for n in range(0, 12):
+            try:
+                g = NAMED_GRAPHS[name](n)
+            except DomainError:  # below the family's least size
+                continue
+            assert size(n) == (len(g), g.edge_count()), (name, n)
+
+
+def test_gen_power_bound_is_an_upper_bound():
+    from clawham.cli import _ball_bound
+    from clawham.constructions import NAMED_GRAPHS, graph_power
+
+    for name in ("path", "cycle", "star", "wheel", "triangular-ladder"):
+        g = NAMED_GRAPHS[name](9)
+        degree = max(map(g.degree, g.vertices))
+        for k in range(1, 6):
+            power = graph_power(g, k)
+            reach = _ball_bound(degree, k, len(g) - 1)
+            assert max(map(power.degree, power.vertices)) <= reach, (name, k)
+    g = NAMED_GRAPHS["petersen"]()
+    assert _ball_bound(3, 2, 9) == 9 == graph_power(g, 2).degree(0)
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("gen built a graph it should have refused")
+
+
+@pytest.mark.parametrize("argv, message, patched", [
+    (("complete", "100000"),
+     "complete 100000 has 5000050000 vertices plus edges; gen builds at most 1000000",
+     "complete"),
+    (("star", "2000", "--power", "2"),
+     "--power 2 can give up to 2003001 vertices plus edges; gen builds at most 1000000",
+     "graph_power"),
+    (("star", "2000", "--line"),
+     "--line gives 2001000 vertices plus edges; gen builds at most 1000000",
+     "line_graph"),
+], ids=["family", "power", "line"])
+def test_gen_refuses_oversized_graphs_before_building_them(monkeypatch, capsys, argv,
+                                                           message, patched):
+    import tracemalloc
+
+    import clawham.cli as cli
+    from clawham.constructions import NAMED_GRAPHS
+
+    if patched == "complete":
+        monkeypatch.setitem(NAMED_GRAPHS, "complete", _refuse_to_build)
+    else:
+        monkeypatch.setattr(cli, patched, _refuse_to_build)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gen", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "GraphInputError", "message": message}
+    assert peak < 4 * 2**20  # the star itself, not its square or line graph
+
+
+def test_gen_limit_is_on_vertices_plus_edges(monkeypatch, capsys):
+    import clawham.cli as cli
+
+    monkeypatch.setattr(cli, "_MAX_GEN_SIZE", 19)
+    code, out, _ = run_cli(capsys, "gen", "path", "10")  # 10 + 9
+    assert code == 0 and len(json.loads(out)["edges"]) == 9
+    code, out, err = run_cli(capsys, "gen", "path", "11")
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == (
+        "path 11 has 21 vertices plus edges; gen builds at most 19")
+
+
+def test_readme_command_line_examples_run_in_ci():
+    """The CI step that runs the installed ``clawham`` script runs every
+    example of the README's command-line section."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+
+    def commands(text):
+        return [" ".join(line.split()) for line in text.replace("\\\n", " ").splitlines()
+                if line.strip()]
+
+    examples = commands(section)
+    assert examples and all(c.startswith("clawham ") for c in examples)
+    ci = "\n".join(commands(workflow))
+    for example in examples:
+        assert example in ci, example

@@ -48,6 +48,30 @@ def test_construction_rejects_bad_input():
         FiniteGraph([-1, 0], [])
 
 
+@pytest.mark.parametrize("edges, bad", [
+    ([(0, True), (2.0, 0), (1, 2)], "(0, True)"),
+    ([(0, 1), (2.0, 0)], "(2.0, 0)"),
+    ([(1, 2), (0, 1.0)], "(0, 1.0)"),
+    ([(False, 2)], "(False, 2)"),
+    ([(0, "1")], "(0, '1')"),
+    ([(0, [1])], "(0, [1])"),
+])
+def test_construction_rejects_edge_endpoints_that_are_not_ids(edges, bad):
+    # True == 1 and 2.0 == 2, so these endpoints pass a membership test; before
+    # the endpoint rule they built a graph equal to the all-int one
+    with pytest.raises(GraphInputError) as info:
+        FiniteGraph([0, 1, 2], edges)
+    assert str(info.value) == f"edge {bad}: vertex ids must be non-negative integers"
+
+
+def test_int_subclass_endpoints_follow_the_vertex_rule():
+    class Label(int):
+        pass
+
+    g = FiniteGraph([Label(0), 1], [(Label(0), Label(1))])
+    assert g == FiniteGraph([0, 1], [(0, 1)])
+
+
 def test_adjacency_is_symmetric_and_sorted():
     g = FiniteGraph([3, 1, 2], [(3, 1), (1, 2)])
     assert g.vertices == (1, 2, 3)

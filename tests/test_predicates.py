@@ -15,6 +15,8 @@ from clawham.constructions import (
 from clawham.errors import DomainError
 from clawham.graph import FiniteGraph, is_connected
 from clawham.predicates import (
+    _COVER_MIN_DEGREE,
+    _covered_by_two_cliques,
     check_all,
     claw_at,
     is_chordal,
@@ -244,13 +246,101 @@ def test_flood_splits_after_almost_all_is_reached(loner):
 
 
 def test_claw_only_the_last_a_starts():
-    # 1, 2 and 3 see all of N(0) = 1..6, and 4, 5, 6 see none of each other:
-    # the only claw at 0 starts at the third-last neighbor.
-    g = _neighborhood_graph(6, [(a, b) for a in (1, 2, 3) for b in range(a + 1, 7)])
-    assert claw_at(g, 0) == (4, 5, 6)
-    assert is_claw_free(g).to_json_obj() == {
-        "holds": False, "witness": [0, 4, 5, 6], "note": "induced claw centered at 0"}
+    # The first n_nbrs - 3 neighbors see all of N(0) = 1..n_nbrs, and the last
+    # three see none of each other: the only claw at 0 starts at the
+    # third-last neighbor.  From the cover's gate on, the first neighbor
+    # seeing all of N(0) leaves no split to try, and the scan finds the claw.
+    for n_nbrs in (6, _COVER_MIN_DEGREE, 9, 12):
+        last = (n_nbrs - 2, n_nbrs - 1, n_nbrs)
+        g = _neighborhood_graph(n_nbrs, [(a, b) for a in range(1, n_nbrs - 2)
+                                         for b in range(a + 1, n_nbrs + 1)])
+        assert not _covered_by_two_cliques(g, 0)
+        assert claw_at(g, 0) == last
+        assert is_claw_free(g).to_json_obj() == {
+            "holds": False, "witness": [0, *last], "note": "induced claw centered at 0"}
+        assert_matches_references(g)
+
+
+def _all_adjacent(g: FiniteGraph, xs) -> bool:
+    return all(g.has_edge(a, b) for i, a in enumerate(xs) for b in xs[i + 1:])
+
+
+def _c5_of_k2() -> list:
+    """C5[K2]: (i, s) -> 1 + 2i + s, adjacent within a pair and between
+    pairs i, i + 1."""
+    edges = [(1 + 2 * i, 2 + 2 * i) for i in range(5)]
+    edges += [(1 + 2 * i + s, 1 + 2 * ((i + 1) % 5) + t)
+              for i in range(5) for s in (0, 1) for t in (0, 1)]
+    return edges
+
+
+@pytest.mark.parametrize("n_nbrs, nbr_edges", [
+    (10, _c5_of_k2()),
+    (9, [(u, v) for u in range(1, 10) for v in range(u + 2, 10) if (u, v) != (1, 9)]),
+], ids=["C5[K2]", "complement-of-C9"])
+def test_claw_free_neighborhood_without_a_two_clique_cover(n_nbrs, nbr_edges):
+    # N(0) has no three pairwise non-adjacent vertices, but its complement
+    # holds an odd cycle, so no two cliques cover it: the split fails and the
+    # scan proves the vertex claw-free.
+    g = _neighborhood_graph(n_nbrs, nbr_edges)
+    assert g.degree(0) >= _COVER_MIN_DEGREE
+    assert not _covered_by_two_cliques(g, 0)
+    assert claw_at(g, 0) is None
+    assert is_claw_free(g).holds
     assert_matches_references(g)
+
+
+def test_first_neighbor_adjacent_to_all_of_the_neighborhood():
+    # 1 sees all of N(0) = 1..8; the rest is the cliques 2..5 and 6..8.
+    g = _neighborhood_graph(8, [(1, u) for u in range(2, 9)]
+                            + [(a, b) for a in range(2, 6) for b in range(a + 1, 6)]
+                            + [(6, 7), (6, 8), (7, 8), (3, 7)])
+    assert not _covered_by_two_cliques(g, 0)
+    assert claw_at(g, 0) is None
+    assert_matches_references(g)
+
+
+def test_two_clique_cover_the_greedy_split_misses():
+    # N(0) = 1..7 is covered by the cliques 1, 3, 5, 6 and 2, 4, 7.  The
+    # split seeds P with 1 and Q with 2, and sends every common neighbor of
+    # 1 and 2 to P, where 3 and 4 do not meet: the split fails, the scan
+    # finds no claw.
+    p, q = (1, 3, 5, 6), (2, 4, 7)
+    cross = [(1, 4), (1, 7), (2, 3), (2, 5), (2, 6), (4, 5), (4, 6)]
+    g = _neighborhood_graph(7, [(a, b) for k in (p, q) for i, a in enumerate(k)
+                                for b in k[i + 1:]] + cross)
+    assert _all_adjacent(g, p) and _all_adjacent(g, q)
+    assert not _covered_by_two_cliques(g, 0)
+    assert claw_at(g, 0) is None
+    assert_matches_references(g)
+
+
+def test_claw_at_matches_references_on_perturbed_two_clique_neighborhoods():
+    """Vertex 0 with 7..12 neighbors split into two cliques with random edges
+    between them, some clique edges removed and the neighbors relabelled:
+    the cover proves some vertices claw-free, fails on others that are, and
+    fails where the scan finds a claw."""
+    import random
+
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(300):
+        n_nbrs = rng.randint(_COVER_MIN_DEGREE, 12)
+        label = list(range(1, n_nbrs + 1))
+        rng.shuffle(label)
+        cut = rng.randint(1, n_nbrs - 1)
+        sides = (label[:cut], label[cut:])
+        edges = {(min(a, b), max(a, b)) for side in sides
+                 for i, a in enumerate(side) for b in side[i + 1:]}
+        edges |= {(min(a, b), max(a, b)) for a in sides[0] for b in sides[1]
+                  if rng.random() < 0.4}
+        for e in rng.sample(sorted(edges), rng.choice([0, 0, 1, 2])):
+            edges.discard(e)
+        g = _neighborhood_graph(n_nbrs, sorted(edges))
+        covered = _covered_by_two_cliques(g, 0)
+        outcomes.add((covered, claw_at(g, 0) is None))
+        assert_matches_references(g)
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_two_connected_root_is_the_cut_vertex():
