@@ -63,7 +63,7 @@ from .graph import (
     label_components,
     neighborhood_k,
 )
-from .predicates import claw_at, locally_connected_at
+from .predicates import claw_at, hypotheses_hold_at
 from .presentations import Ball, GraphPresentation
 from .separators import SeparatorDecomposition, ray_decomposition
 
@@ -836,7 +836,10 @@ def _radius_gate(ball: Ball, deepest: int, m: int, rounds: int) -> None:
 def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     """Extract a ball, verify the hypotheses on its interior, build the
     initial cycle covering its own 2-neighborhood, then run the requested
-    number of enlargement rounds.  The depth rule is checked on N[C]
+    number of enlargement rounds.  Each interior vertex costs one
+    ``hypotheses_hold_at``, which at a line-graph vertex of degree 7 or more
+    is one two-clique split; only the first vertex that fails pays for
+    ``claw_at``'s witness.  The depth rule is checked on N[C]
     before ``ray_decomposition`` and on F ∪ S after it.  A round m too deep
     suggests deepest + RADIUS_MARGIN + ROUND_DEPTH·(rounds − m), so k
     rounds need R ≥ 4k + 5 on every preset."""
@@ -847,17 +850,18 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     if len(g) < 3:
         raise DomainError("the ball has fewer than 3 vertices")
     for v in ball.interior:
-        triple = claw_at(g, v)
+        if hypotheses_hold_at(g, v):
+            continue
+        triple = claw_at(g, v)  # only the first failing vertex pays for a witness
         if triple is not None:
             raise HypothesisError(
                 "claw_free", sorted((v,) + triple), f"induced claw at interior vertex {v}"
             )
-        if not locally_connected_at(g, v):
-            raise HypothesisError(
-                "locally_connected",
-                sorted({v} | set(g.neighbors(v))),
-                f"disconnected neighborhood at interior vertex {v}",
-            )
+        raise HypothesisError(
+            "locally_connected",
+            sorted({v} | set(g.neighbors(v))),
+            f"disconnected neighborhood at interior vertex {v}",
+        )
     seed = shortest_cycle_through(g, ball.graph.vertices[0])
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
     c0, _ = extend_to_cover(g, seed, pool, target_pool=pool)

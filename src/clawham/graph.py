@@ -66,6 +66,20 @@ class FiniteGraph:
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in verts}
         self._sets: dict[int, frozenset[int]] = {v: frozenset(adj[v]) for v in verts}
 
+    @classmethod
+    def _from_neighbor_sets(cls, sets: Sequence[frozenset[int]]) -> "FiniteGraph":
+        """The graph on ids 0..len(sets) - 1 in which ``sets[v]`` is N(v).
+
+        For callers that assigned the dense ids themselves and checked that
+        the sets are symmetric and name no loop and no id out of range;
+        nothing is validated again."""
+        g = cls.__new__(cls)
+        ids = range(len(sets))
+        g._vertices = tuple(ids)
+        g._adj = dict(zip(ids, map(tuple, map(sorted, sets))))
+        g._sets = dict(zip(ids, sets))
+        return g
+
     # -- basic accessors -------------------------------------------------
 
     @property

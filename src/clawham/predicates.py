@@ -20,6 +20,11 @@ unchanged from the plain definitions:
   N(v) by set differences that stops as soon as it has reached all of N(v)
   (on L(K_n) after two or three steps); only the first vertex that fails
   pays for listing its neighborhood components.
+* ``hypotheses_hold_at``, both of the above at one vertex with no witness:
+  from degree ``_COVER_MIN_DEGREE`` on, a two-clique split that succeeds
+  also decides local connectivity, with O(d) more C-level set operations
+  and no flood fill, so a line-graph vertex costs one split; elsewhere the
+  pair scan and the flood fill.
 * ``is_two_connected``: O(n + m), Hopcroft-Tarjan without recursion; the
   smallest cut vertex.
 * ``is_chordal``: O(n + m), maximum cardinality search; only a non-chordal
@@ -59,7 +64,8 @@ class PredicateReport:
         }
 
 
-# The least degree at which ``claw_at`` first tries the two-clique cover.
+# The least degree at which ``claw_at`` and ``hypotheses_hold_at`` first try
+# the two-clique cover.
 # Below it the cover's fixed set-up outweighs the scan it saves.  Per vertex
 # on L(K_{a,b}) and L(K_n), CPython 3.11 on a shared 2-core Xeon VM, the cover
 # took 1.0-1.4x the scan's time at degree 6, 0.75-1.05x at degrees 7 and 8,
@@ -73,17 +79,22 @@ def _is_clique(s: frozenset[int], neighbor_sets: Iterable[frozenset[int]]) -> bo
     return sum(map(len, map(s.difference, neighbor_sets))) == len(s)
 
 
-def _covered_by_two_cliques(g: FiniteGraph, v: int) -> bool:
-    """Whether one greedy split of N(v) into two cliques P and Q succeeds.
+def _two_clique_split(g: FiniteGraph, v: int) -> tuple[bool, bool | None]:
+    """Whether one greedy split of N(v) into two cliques P and Q succeeds,
+    and whether G[N(v)] is connected, None where the attempt does not tell.
 
     With a = the first neighbor and b = its smallest non-neighbor in N(v),
     the non-neighbors of b (a among them) seed P and the non-neighbors of a
     (b among them) seed Q; a common neighbor of a and b joins P when it sees
     all of P's seed, and Q otherwise.  Two cliques covering N(v) leave no
-    claw at v: any three neighbors have two in one clique.  False says only
+    claw at v: any three neighbors have two in one clique.  They leave
+    G[N(v)] connected exactly when an edge joins P and Q; a common neighbor
+    of a and b is an end of one, and without one P and Q are the seeds, so
+    one disjointness test per vertex of P decides.  A failed split says only
     that this split failed (a sees all of N(v), some neighbor sees neither a
-    nor b, or P or Q is not a clique), not that v has a claw.  Each step is
-    one C-level set operation over N(v) or a pass over P or Q.
+    nor b, or P or Q is not a clique), not that v has a claw; when a sees
+    all of N(v), N(v) is connected through a.  Each step is one C-level set
+    operation over N(v) or a pass over P or Q.
     """
     neighbor_set = g.neighbor_set
     around = neighbor_set(v)
@@ -91,30 +102,26 @@ def _covered_by_two_cliques(g: FiniteGraph, v: int) -> bool:
     na = neighbor_set(a)
     q = around.difference(na, (a,))
     if not q:
-        return False
+        return False, True
     b = min(q)
     nb = neighbor_set(b)
     p = around.difference(nb, (b,))
     p_sets = list(map(neighbor_set, p))
     if not _is_clique(p, p_sets):
-        return False
+        return False, None
     common = around.intersection(na, nb)
     joins_p = common.intersection(*p_sets)
-    if not _is_clique(joins_p, map(neighbor_set, joins_p)):
-        return False
-    q |= common - joins_p
-    return _is_clique(q, map(neighbor_set, q))
+    if len(joins_p) > 1 and not _is_clique(joins_p, map(neighbor_set, joins_p)):
+        return False, None
+    q = q.union(common.difference(joins_p))
+    if not _is_clique(q, map(neighbor_set, q)):
+        return False, None
+    return True, bool(common) or not all(map(q.isdisjoint, p_sets))
 
 
-def claw_at(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
-    """Three pairwise non-adjacent neighbors of v, lexicographically first.
-
-    From degree ``_COVER_MIN_DEGREE`` on, a two-clique cover of N(v) (every
-    neighborhood of a line graph has one) proves there is none; otherwise
-    the pair scan decides, and only it names a claw."""
+def _claw_scan(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
+    """The pair scan: the lexicographically first claw at v, or None."""
     nbrs = g.neighbors(v)
-    if len(nbrs) >= _COVER_MIN_DEGREE and _covered_by_two_cliques(g, v):
-        return None
     neighbor_set = g.neighbor_set
     for i in range(len(nbrs) - 2):
         a = nbrs[i]
@@ -125,6 +132,17 @@ def claw_at(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
             if not nb.issuperset(rest):
                 return (a, b, next(c for c in rest if c not in nb))
     return None
+
+
+def claw_at(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
+    """Three pairwise non-adjacent neighbors of v, lexicographically first.
+
+    From degree ``_COVER_MIN_DEGREE`` on, a two-clique cover of N(v) (every
+    neighborhood of a line graph has one) proves there is none; otherwise
+    the pair scan decides, and only it names a claw."""
+    if len(g.neighbors(v)) >= _COVER_MIN_DEGREE and _two_clique_split(g, v)[0]:
+        return None
+    return _claw_scan(g, v)
 
 
 def is_claw_free(g: FiniteGraph) -> PredicateReport:
@@ -156,6 +174,23 @@ def locally_connected_at(g: FiniteGraph, v: int) -> bool:
         seen |= new
         stack += new
     return len(seen) == len(nbrs)
+
+
+def hypotheses_hold_at(g: FiniteGraph, v: int) -> bool:
+    """Whether v centers no claw and G[N(v)] is connected: the value of
+    ``claw_at(g, v) is None and locally_connected_at(g, v)``, with no
+    witness.  From degree ``_COVER_MIN_DEGREE`` on, a two-clique split of
+    N(v) that succeeds decides both, and one that finds the first neighbor
+    adjacent to all of N(v) decides local connectivity; the pair scan and the
+    flood fill decide what is left."""
+    connected = None
+    if len(g.neighbors(v)) >= _COVER_MIN_DEGREE:
+        covered, connected = _two_clique_split(g, v)
+        if covered:
+            return connected
+    if connected is None:
+        connected = locally_connected_at(g, v)
+    return connected and _claw_scan(g, v) is None
 
 
 def is_locally_connected(g: FiniteGraph) -> PredicateReport:
@@ -260,7 +295,8 @@ def is_chordal(g: FiniteGraph) -> PredicateReport:
 
 
 def check_all(g: FiniteGraph) -> dict[str, PredicateReport | None]:
-    """The four hypothesis predicates in one sweep (CLI `check` payload)."""
+    """The four hypothesis predicates and connectivity in one sweep: five
+    reports, ``two_connected`` None below 3 vertices (CLI `check` payload)."""
     out: dict[str, PredicateReport | None] = {
         "claw_free": is_claw_free(g),
         "locally_connected": is_locally_connected(g),

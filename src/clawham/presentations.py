@@ -18,6 +18,7 @@ rung 0, ((0, 0), (0, 1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Hashable, Iterable
 
 from .constructions import line_graph_of
@@ -41,57 +42,62 @@ class GraphPresentation:
         """Materialize the ball of the given graph-distance radius.
 
         The oracle is asked once per label, and each label gets its id when
-        it is discovered, so every answer is mapped to ids once, as it
-        arrives (None for a label beyond the ball).  Symmetry of the oracle
-        is verified on every in-ball edge against the ids of the other end's
-        answer, and the returned neighbor lists must be finite (local
-        finiteness).  A ball with more than ``MAX_BALL_VERTICES`` vertices is
-        refused.
+        it is discovered, so every answer becomes one set of neighbor ids as
+        it arrives, leaving out labels beyond the ball.  Each vertex in
+        discovery order is then checked on its set: the oracle must not
+        repeat a neighbor, list the vertex itself or name an in-ball
+        neighbor that does not name it back, and the returned neighbor lists
+        must be finite (local finiteness).  The checked sets become the
+        graph as they are, with no edge list sorted and validated again.  A
+        ball with more than ``MAX_BALL_VERTICES`` vertices is refused.
         """
         if radius < 1:
             raise DomainError("radius must be >= 1")
         ids = {self.root: 0}
         order = [self.root]  # discovery order, scanned as the BFS queue
         depths = [0]
-        rows: list[tuple] = []  # neighbor ids per id, None beyond the ball
-        repeats: list[bool] = []
+        answers: list[tuple] = []  # the oracle's answer per id
+        sets: list[frozenset[int]] = []  # in-ball neighbor ids per id
+        interior = []
         for i, u in enumerate(order):
             nbrs = tuple(self.neighbors(u))
-            if depths[i] < radius:
-                row = []
-                for w in nbrs:
-                    j = ids.setdefault(w, len(order))
-                    if j == len(order):
-                        order.append(w)
-                        depths.append(depths[i] + 1)
-                    row.append(j)
-                if len(order) > MAX_BALL_VERTICES:
-                    raise DomainError(f"a ball of radius {radius} exceeds {MAX_BALL_VERTICES} vertices")
-                rows.append(tuple(row))
-                repeats.append(len(set(row)) != len(row))
-            else:
-                rows.append(tuple(map(ids.get, nbrs)))
-                repeats.append(len(set(nbrs)) != len(nbrs))
-        edges = []
-        interior = []
-        for i, row in enumerate(rows):
-            if repeats[i]:
-                raise GraphInputError(f"oracle repeats a neighbor at {order[i]!r}")
-            for j in row:
-                if j is None:
-                    continue
-                if i not in rows[j]:
-                    raise GraphInputError(
-                        f"oracle is asymmetric on the pair ({order[i]!r}, {order[j]!r})"
-                    )
-                if i < j:
-                    edges.append((i, j))
+            answers.append(nbrs)
+            row = list(map(ids.get, nbrs))  # None for a label without an id yet
             if None not in row:
                 interior.append(i)
+            elif depths[i] == radius:  # a neighbor lies beyond the ball
+                row = [j for j in row if j is not None]
+            else:
+                for k, j in enumerate(row):
+                    if j is None:
+                        w = nbrs[k]
+                        j = ids.get(w)  # not None when w repeats a label found here
+                        if j is None:
+                            j = ids[w] = len(order)
+                            order.append(w)
+                            depths.append(depths[i] + 1)
+                        row[k] = j
+                if len(order) > MAX_BALL_VERTICES:
+                    raise DomainError(f"a ball of radius {radius} exceeds {MAX_BALL_VERTICES} vertices")
+                interior.append(i)
+            # copied from a set, a frozenset's table fits its members; built
+            # straight from 5 to 7 of them it would be half as large again
+            sets.append(frozenset(set(row)))
+        for i, s in enumerate(sets):
+            nbrs = answers[i]
+            # fewer ids than labels: a repeat, or labels beyond the ball
+            if len(s) != len(nbrs) and len(set(nbrs)) != len(nbrs):
+                raise GraphInputError(f"oracle repeats a neighbor at {order[i]!r}")
+            if i in s:
+                raise GraphInputError(f"oracle gives a self-loop at {order[i]!r}")
+            if not all(map(frozenset.__contains__, map(sets.__getitem__, s), repeat(i))):
+                j = next(ids[w] for w in nbrs if w in ids and i not in sets[ids[w]])
+                raise GraphInputError(
+                    f"oracle is asymmetric on the pair ({order[i]!r}, {order[j]!r})"
+                )
         boundary = [i for i, d in enumerate(depths) if d == radius]
-        graph = FiniteGraph(range(len(order)), edges)
         return Ball(
-            graph=graph,
+            graph=FiniteGraph._from_neighbor_sets(sets),
             boundary=tuple(boundary),
             interior=tuple(interior),
             labels=tuple(order),

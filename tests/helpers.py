@@ -1047,7 +1047,9 @@ def reference_check_good_tuple(ctx, cycle: CycleEmbedding, witness_sets) -> list
 # -- reference ball extraction ----------------------------------------------------
 #
 # ``extract_ball`` before labels got their ids on discovery: answers are kept
-# by label, and symmetry is checked by scanning the other end's answer.
+# by label, and symmetry is checked by scanning the other end's answer.  A
+# label among its own neighbors raises, after the repeat check and before the
+# symmetry check of the same label.
 
 
 def reference_extract_ball(pres, radius: int):
@@ -1077,6 +1079,8 @@ def reference_extract_ball(pres, radius: int):
         nbrs = answers[label]
         if len(set(nbrs)) != len(nbrs):
             raise GraphInputError(f"oracle repeats a neighbor at {label!r}")
+        if label in nbrs:
+            raise GraphInputError(f"oracle gives a self-loop at {label!r}")
         full = True
         for w in nbrs:
             if w in ids:

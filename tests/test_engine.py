@@ -196,6 +196,50 @@ def test_run_rejects_bad_interior():
         run(pres, rounds=0, radius=9)
 
 
+def _hub(k: int, rim_edges) -> dict:
+    """Vertex 0 joined to 1..k, plus ``rim_edges`` among them."""
+    g = {0: tuple(range(1, k + 1))}
+    for i in range(1, k + 1):
+        g[i] = tuple(sorted({0} | {b for a, b in rim_edges if a == i}
+                            | {a for a, b in rim_edges if b == i}))
+    return g
+
+
+def _cliques(*sides) -> list:
+    return [(a, b) for side in sides for i, a in enumerate(side) for b in side[i + 1:]]
+
+
+@pytest.mark.parametrize("k, rim_edges, cover, predicate, witness, message", [
+    # an 8-wheel: the split fails and the scan names the claw
+    (8, [(i, i % 8 + 1) for i in range(1, 9)], (False, None), "claw_free",
+     (0, 1, 4, 6), "induced claw at interior vertex 1"),
+    # N(hub) is two 4-cliques with no edge between them: the split succeeds
+    # and decides that N(hub) is disconnected
+    (8, _cliques((1, 2, 3, 4), (5, 6, 7, 8)), (True, False), "locally_connected",
+     tuple(range(9)), "disconnected neighborhood at interior vertex 1"),
+    # two triangles below the cover's gate: the flood fill decides
+    (6, _cliques((1, 2, 3), (4, 5, 6)), None, "locally_connected",
+     tuple(range(7)), "disconnected neighborhood at interior vertex 1"),
+], ids=["claw-degree-8", "two-4-cliques", "two-triangles"])
+def test_run_rejects_bad_interior_either_side_of_the_cover_gate(
+        k, rim_edges, cover, predicate, witness, message):
+    """Rooted at rim vertex 1, the finite graph truncates to itself; vertex
+    id 0 passes and the hub, id 1, is the first interior vertex that fails."""
+    from clawham.predicates import _COVER_MIN_DEGREE, _two_clique_split
+
+    g = _hub(k, rim_edges)
+    pres = GraphPresentation("hub", lambda v: g[v], 1)
+    ball = pres.extract_ball(9)
+    assert ball.labels[:2] == (1, 0) and ball.interior == tuple(range(k + 1))
+    assert (k >= _COVER_MIN_DEGREE) == (cover is not None)
+    if cover is not None:
+        assert _two_clique_split(ball.graph, 1) == cover
+    with pytest.raises(HypothesisError) as exc:
+        run(pres, rounds=0, radius=9)
+    assert (exc.value.predicate, exc.value.witness, str(exc.value)) == (
+        predicate, witness, message)
+
+
 def test_radius_too_small_is_reported_with_suggestion():
     with pytest.raises(RadiusTooSmallError) as exc:
         run(preset("double-ray-square"), rounds=3, radius=9)

@@ -16,9 +16,10 @@ from clawham.errors import DomainError
 from clawham.graph import FiniteGraph, is_connected
 from clawham.predicates import (
     _COVER_MIN_DEGREE,
-    _covered_by_two_cliques,
+    _two_clique_split,
     check_all,
     claw_at,
+    hypotheses_hold_at,
     is_chordal,
     is_claw_free,
     is_locally_connected,
@@ -174,9 +175,10 @@ def _report(fn, g):
 
 
 def assert_matches_references(g):
-    """Every report, ``check_all``'s included, equals the reference one, and
+    """Every report, ``check_all``'s included, equals the reference one;
     each vertex's claw and flood fill equal both the definition and the scans
-    they replaced."""
+    they replaced, the fused verdict equals their conjunction, and whatever
+    the two-clique split decides agrees with them."""
     expected = {name: _report(ref, g) for name, (_, ref) in REFERENCES.items()}
     for name, (live, _) in REFERENCES.items():
         assert _report(live, g) == expected[name], (name, g.edges())
@@ -194,6 +196,11 @@ def assert_matches_references(g):
         assert neighborhood_components(g, v) == comps
         flood = locally_connected_at(g, v)
         assert flood == reference_locally_connected_at(g, v) == (len(comps) <= 1), (v, g.edges())
+        assert hypotheses_hold_at(g, v) == (triple is None and flood), (v, g.edges())
+        if g.degree(v):
+            covered, connected = _two_clique_split(g, v)
+            assert not covered or triple is None, (v, g.edges())
+            assert connected in (None, flood), (v, g.edges())
 
 
 def test_reports_match_references_exhaustive(small_graphs):
@@ -254,8 +261,9 @@ def test_claw_only_the_last_a_starts():
         last = (n_nbrs - 2, n_nbrs - 1, n_nbrs)
         g = _neighborhood_graph(n_nbrs, [(a, b) for a in range(1, n_nbrs - 2)
                                          for b in range(a + 1, n_nbrs + 1)])
-        assert not _covered_by_two_cliques(g, 0)
+        assert _two_clique_split(g, 0) == (False, True)
         assert claw_at(g, 0) == last
+        assert not hypotheses_hold_at(g, 0)
         assert is_claw_free(g).to_json_obj() == {
             "holds": False, "witness": [0, *last], "note": "induced claw centered at 0"}
         assert_matches_references(g)
@@ -284,9 +292,10 @@ def test_claw_free_neighborhood_without_a_two_clique_cover(n_nbrs, nbr_edges):
     # scan proves the vertex claw-free.
     g = _neighborhood_graph(n_nbrs, nbr_edges)
     assert g.degree(0) >= _COVER_MIN_DEGREE
-    assert not _covered_by_two_cliques(g, 0)
+    assert _two_clique_split(g, 0) == (False, None)
     assert claw_at(g, 0) is None
     assert is_claw_free(g).holds
+    assert hypotheses_hold_at(g, 0)
     assert_matches_references(g)
 
 
@@ -295,8 +304,9 @@ def test_first_neighbor_adjacent_to_all_of_the_neighborhood():
     g = _neighborhood_graph(8, [(1, u) for u in range(2, 9)]
                             + [(a, b) for a in range(2, 6) for b in range(a + 1, 6)]
                             + [(6, 7), (6, 8), (7, 8), (3, 7)])
-    assert not _covered_by_two_cliques(g, 0)
+    assert _two_clique_split(g, 0) == (False, True)
     assert claw_at(g, 0) is None
+    assert hypotheses_hold_at(g, 0)
     assert_matches_references(g)
 
 
@@ -310,8 +320,9 @@ def test_two_clique_cover_the_greedy_split_misses():
     g = _neighborhood_graph(7, [(a, b) for k in (p, q) for i, a in enumerate(k)
                                 for b in k[i + 1:]] + cross)
     assert _all_adjacent(g, p) and _all_adjacent(g, q)
-    assert not _covered_by_two_cliques(g, 0)
+    assert _two_clique_split(g, 0) == (False, None)
     assert claw_at(g, 0) is None
+    assert hypotheses_hold_at(g, 0)
     assert_matches_references(g)
 
 
@@ -337,10 +348,36 @@ def test_claw_at_matches_references_on_perturbed_two_clique_neighborhoods():
         for e in rng.sample(sorted(edges), rng.choice([0, 0, 1, 2])):
             edges.discard(e)
         g = _neighborhood_graph(n_nbrs, sorted(edges))
-        covered = _covered_by_two_cliques(g, 0)
+        covered = _two_clique_split(g, 0)[0]
         outcomes.add((covered, claw_at(g, 0) is None))
         assert_matches_references(g)
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("n_nbrs", range(_COVER_MIN_DEGREE, 17))
+def test_two_clique_neighborhoods_with_no_or_one_cross_edge(n_nbrs):
+    """N(0) is two cliques, cut at every size and relabelled: with no edge
+    between them the split succeeds and finds N(0) disconnected; with exactly
+    one, N(0) is connected, which the split decides unless its first
+    neighbor sees all of N(0)."""
+    import random
+
+    rng = random.Random(n_nbrs)
+    for cut in range(1, n_nbrs):
+        label = list(range(1, n_nbrs + 1))
+        rng.shuffle(label)
+        sides = (label[:cut], label[cut:])
+        edges = [(a, b) for side in sides for i, a in enumerate(side) for b in side[i + 1:]]
+        g = _neighborhood_graph(n_nbrs, edges)
+        assert _two_clique_split(g, 0) == (True, False)
+        assert not hypotheses_hold_at(g, 0)
+        assert_matches_references(g)
+        for cross in {(sides[0][0], sides[1][0]), (sides[0][-1], sides[1][-1]),
+                      (min(sides[0]), max(sides[1]))}:
+            g = _neighborhood_graph(n_nbrs, edges + [cross])
+            assert _two_clique_split(g, 0)[1] is True
+            assert hypotheses_hold_at(g, 0)
+            assert_matches_references(g)
 
 
 def test_two_connected_root_is_the_cut_vertex():

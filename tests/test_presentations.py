@@ -7,7 +7,12 @@ import pytest
 from clawham import presentations
 from clawham.errors import DomainError, GraphInputError
 from clawham.graph import is_connected
-from clawham.predicates import claw_at, is_claw_free, locally_connected_at
+from clawham.predicates import (
+    claw_at,
+    hypotheses_hold_at,
+    is_claw_free,
+    locally_connected_at,
+)
 from clawham.presentations import PRESET_NAMES, GraphPresentation, preset
 
 
@@ -172,7 +177,10 @@ def _ball_outcome(extract, pres, radius):
 )
 def test_extract_ball_matches_reference(name, radius):
     """Ids given on discovery build the same ball as answers kept by label,
-    on every preset, both bench oracles and cactus-line."""
+    on every preset, both bench oracles and cactus-line.  The graph built
+    from the checked neighbor sets answers ``neighbor_set`` as the sorted
+    lists do, and on every interior vertex the fused hypothesis verdict
+    equals the claw and flood checks it stands for."""
     from helpers import bench_oracles, cactus_line_presentation, reference_extract_ball
 
     if name in presentations.PRESET_NAMES:
@@ -181,15 +189,23 @@ def test_extract_ball_matches_reference(name, radius):
         pres = cactus_line_presentation()
     else:
         pres = bench_oracles().presentation(name, 7, radius)[0]
-    assert pres.extract_ball(radius) == reference_extract_ball(pres, radius)
+    ball = pres.extract_ball(radius)
+    assert ball == reference_extract_ball(pres, radius)
+    g = ball.graph
+    assert all(g.neighbor_set(v) == frozenset(g.neighbors(v)) for v in g.vertices)
+    for v in ball.interior:
+        assert hypotheses_hold_at(g, v) == (
+            claw_at(g, v) is None and locally_connected_at(g, v)), v
 
 
 def test_extract_ball_errors_match_reference(monkeypatch):
-    """Repeats, asymmetry and the vertex budget raise the reference's first
-    error, with its message, also where one oracle has several faults."""
+    """Repeats, self-loops, asymmetry and the vertex budget raise the
+    reference's first error, with its message, also where one oracle has
+    several faults: per vertex in discovery order, a repeat before a
+    self-loop before an asymmetric pair."""
     from helpers import reference_extract_ball
 
-    def faulty(repeat_at, drop_at, beyond):
+    def faulty(repeat_at=None, drop_at=None, beyond=None, loop_at=None, far_at=None):
         def nbrs(v):
             out = [v - 1, v + 1, v + 2, v - 2]
             if v == drop_at:
@@ -198,21 +214,46 @@ def test_extract_ball_errors_match_reference(monkeypatch):
                 out.append(v - 1)
             if v == beyond:
                 out += [v + 1000, v + 1000]  # a repeat beyond the ball
+            if v == loop_at:
+                out.insert(1, v)
+            if v == far_at:
+                out += [v + 3, v - 3]  # two asymmetric pairs, v + 3 named first
             return tuple(out)
         return nbrs
 
-    cases = [(3, 5, None), (5, 3, None), (None, 4, None), (None, None, 6),
-             (None, None, None), (-4, None, 6)]
+    def kind(outcome):
+        if not isinstance(outcome, tuple):
+            return "ok"
+        return next(k for k in ("repeats", "self-loop", "asymmetric", "exceeds")
+                    if k in outcome[1])
+
+    # loop_at 4 lies on the boundary at radius 2 and inside it at 3 and 4,
+    # where drop_at 3 makes it asymmetric too, and drop_at 3 makes 4, found
+    # before 5, asymmetric; -7 lies beyond radius 3, so its loop is never
+    # asked about there.  far_at 1 names 4 before -2, which got the smaller
+    # id.
+    cases = [dict(repeat_at=3, drop_at=5), dict(repeat_at=5, drop_at=3), dict(drop_at=4),
+             dict(beyond=6), dict(), dict(repeat_at=-4, beyond=6), dict(loop_at=4),
+             dict(repeat_at=4, loop_at=4), dict(drop_at=3, loop_at=4),
+             dict(drop_at=3, loop_at=5), dict(loop_at=-7), dict(repeat_at=-3, loop_at=2),
+             dict(far_at=1), dict(far_at=-1), dict(far_at=2, loop_at=2)]
     outcomes = set()
-    for repeat_at, drop_at, beyond in cases:
-        pres = GraphPresentation("faulty", faulty(repeat_at, drop_at, beyond), 0)
+    for case in cases:
+        pres = GraphPresentation("faulty", faulty(**case), 0)
         for radius in (2, 3, 4):
             want = _ball_outcome(reference_extract_ball, pres, radius)
             assert _ball_outcome(GraphPresentation.extract_ball, pres, radius) == want
-            outcomes.add(want[0] if isinstance(want, tuple) else "ok")
+            outcomes.add(kind(want))
         monkeypatch.setattr(presentations, "MAX_BALL_VERTICES", 6)
         want = _ball_outcome(reference_extract_ball, pres, 4)
         assert want[0] is DomainError
         assert _ball_outcome(GraphPresentation.extract_ball, pres, 4) == want
         monkeypatch.undo()
-    assert outcomes == {GraphInputError, "ok"}
+    assert outcomes == {"ok", "repeats", "self-loop", "asymmetric"}
+
+
+def test_extract_ball_refuses_a_self_loop():
+    pres = GraphPresentation("loop", lambda v: (v - 1, v + 1, v), 0)
+    with pytest.raises(GraphInputError) as exc:
+        pres.extract_ball(3)
+    assert str(exc.value) == "oracle gives a self-loop at 0"
