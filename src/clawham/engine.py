@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 from .errors import (
     DomainError,
@@ -65,15 +64,23 @@ from .graph import (
 )
 from .predicates import claw_at, hypotheses_hold_at
 from .presentations import Ball, GraphPresentation
-from .separators import SeparatorDecomposition, ray_decomposition
+from .separators import SeparatorDecomposition, _decompose, _Decomposed
 
 # -- good tuples --------------------------------------------------------------
+
+
+def _within_three(g: FiniteGraph, a) -> frozenset[int]:
+    """The vertices at distance at most 3 from ``a``: a vertex set is at
+    distance at least 4 from ``a`` exactly when it misses this one."""
+    return frozenset(a).union(neighborhood_k(g, a, 3))
 
 
 @dataclass(frozen=True)
 class GoodTupleContext:
     """Frozen per-round data every good-tuple check refers to: the round's
-    base cycle, its separator decomposition, and derived neighborhoods."""
+    base cycle, its separator decomposition, and derived neighborhoods,
+    among them ``separator_reach``, S ∪ N³(S), which the next round's gap
+    check reads."""
 
     graph: FiniteGraph
     base_cycle: CycleEmbedding
@@ -82,22 +89,33 @@ class GoodTupleContext:
     around_finite_4: frozenset[int]
     component_sets: tuple[frozenset[int], ...]
     part_zones: tuple[frozenset[int], ...]
+    separator_reach: frozenset[int] = frozenset()
 
     @classmethod
     def build(
-        cls, g: FiniteGraph, c: CycleEmbedding, dec: SeparatorDecomposition
+        cls,
+        g: FiniteGraph,
+        c: CycleEmbedding,
+        dec: SeparatorDecomposition,
+        _carried: _Decomposed | None = None,
     ) -> "GoodTupleContext":
-        nc = neighborhood_k(g, c.order, 1)
+        """The context of ``dec``, the decomposition of ``c``; ``_carried``,
+        the decomposition step's result for it, hands over N(V(c)) and the
+        component sets.  The finite component F is a component of G - S
+        and every separator vertex has a neighbor in it, so F ∪ N⁴(F) is
+        F ∪ S ∪ N³(S)."""
+        if _carried is None:
+            nc = neighborhood_k(g, c.order, 1)
+            comps = tuple(map(frozenset, dec.infinite_components))
+        else:
+            nc, comps = _carried.near, _carried.component_sets
         near2 = frozenset(neighborhood_k(g, nc, 2))
-        around4 = frozenset(neighborhood_k(g, dec.finite_component, 4)).union(
-            dec.finite_component
-        )
-        comps = tuple(map(frozenset, dec.infinite_components))
+        reach = _within_three(g, dec.separator)
         zones = tuple(
             comp.intersection(neighborhood_k(g, part, 3))
             for part, comp in zip(dec.parts, comps)
         )
-        return cls(g, c, dec, near2, around4, comps, zones)
+        return cls(g, c, dec, near2, reach.union(dec.finite_component), comps, zones, reach)
 
     @cached_property
     def deep_base(self) -> frozenset[int]:
@@ -173,10 +191,10 @@ def check_good_tuple(
         if held and comp:
             rest = m - comp
             starts = [v for v in rest if not comp.isdisjoint(g.neighbor_set(v))]
-            joined = sum(1 for _ in bfs(g, starts, within=rest)) == len(rest)
+            joined = len(bfs(g, starts, within=rest)) == len(rest)
             loose = rest.difference(ctx.finite_set, ctx.dec.separator)
         else:
-            joined = not m or sum(1 for _ in bfs(g, [min(m)], within=m)) == len(m)
+            joined = not m or len(bfs(g, [min(m)], within=m)) == len(m)
             loose = m
         if not joined:
             problems.append(f"(e) part {j}: witness set induces a disconnected graph")
@@ -436,15 +454,7 @@ def _joined(g: FiniteGraph, m, gained, blocks) -> bool:
 def _reaches_all(g: FiniteGraph, m, goal) -> bool:
     """Whether one search inside ``m`` from ``min(goal)`` reaches all of
     ``goal``, stopping as soon as it has; true for an empty goal."""
-    left = len(goal)
-    if not left:
-        return True
-    for v, _, _ in bfs(g, [min(goal)], within=m):
-        if v in goal:
-            left -= 1
-            if not left:
-                return True
-    return False
+    return not goal or bfs(g, [min(goal)], within=m, goals=goal).keys() >= goal
 
 
 # -- one round of the construction -------------------------------------------
@@ -477,12 +487,6 @@ class RoundRecord:
         }
 
 
-def _within_three(g: FiniteGraph, a) -> frozenset[int]:
-    """The vertices at distance at most 3 from ``a``: a vertex set is at
-    distance at least 4 from ``a`` exactly when it misses this one."""
-    return frozenset(a).union(neighborhood_k(g, a, 3))
-
-
 def _assert_deep_vertex(ctx: GoodTupleContext) -> None:
     """The round precondition, read from the context: some base-cycle
     vertex is at distance 3 or more from the cycle neighborhood N(C).
@@ -505,13 +509,8 @@ def _grow_part_tree(
     comp = ctx.component_sets[ell - 1]
     zone = ctx.part_zones[ell - 1]
     root = min(w for p in ctx.dec.parts[ell - 1] for w in g.neighbors(p) if w in comp)
-    parent: dict[int, int | None] = {}
-    remaining = set(zone)
-    for v, u, _ in bfs(g, [root], within=comp):
-        parent[v] = u
-        remaining.discard(v)
-        if not remaining:
-            break
+    parent = bfs(g, [root], within=comp, goals=zone)
+    remaining = [v for v in zone if v not in parent]
     if remaining:
         raise InternalConsistencyError(
             f"the 3-zone of part {ell} is not reachable inside its component; "
@@ -543,7 +542,11 @@ def _tree_path(tree_parent: dict[int, int | None], a: int, b: int) -> list[int]:
 
 
 def cut_lemma_round(
-    g: FiniteGraph, c: CycleEmbedding, dec: SeparatorDecomposition, index: int = 1
+    g: FiniteGraph,
+    c: CycleEmbedding,
+    dec: SeparatorDecomposition,
+    index: int = 1,
+    _carried: _Decomposed | None = None,
 ) -> RoundRecord:
     """Enlarge the cycle across every separator part and the finite
     component, producing the per-end witness sets.
@@ -563,9 +566,11 @@ def cut_lemma_round(
     ``_touch``, and every step ends with its update rule and the check
     ``_good_step``, which costs what the step changed; the full
     ``check_good_tuple`` runs once, on a frozen copy at the round end.
+    ``_carried`` is the decomposition step's result for ``dec``, which
+    ``run`` hands over to ``GoodTupleContext.build``.
     """
     _require_cycle(g, c)
-    ctx = GoodTupleContext.build(g, c, dec)
+    ctx = GoodTupleContext.build(g, c, dec, _carried)
     _assert_deep_vertex(ctx)
     cycle = _SpliceCycle(c)
     witness: dict[int, set[int]] = {}
@@ -699,8 +704,7 @@ def cut_lemma_round(
 
     new_cycle = cycle.freeze()
     sets = {j: frozenset(m) for j, m in witness.items()}
-    reach = _within_three(g, dec.separator)
-    checks = _round_conclusions(ctx, new_cycle, sets, base_edges, reach)
+    checks = _round_conclusions(ctx, new_cycle, sets, base_edges)
     return RoundRecord(
         index=index,
         dec=dec,
@@ -709,17 +713,16 @@ def cut_lemma_round(
         witness_sets=sets,
         extension_count=ext_count,
         checks=checks,
-        separator_reach=reach,
+        separator_reach=ctx.separator_reach,
     )
 
 
-def _round_conclusions(ctx, new_cycle, sets, base_edges, reach) -> dict[str, bool]:
+def _round_conclusions(ctx, new_cycle, sets, base_edges) -> dict[str, bool]:
     """The three round conclusions and the good-tuple verdict of the round's
-    cycle and witness sets, recorded (not raised) for the run log;
-    ``reach`` is S ∪ N³(S) for the separator S."""
+    cycle and witness sets, recorded (not raised) for the run log."""
     g, c = ctx.graph, ctx.base_cycle
     near2 = ctx.near_cycle_2  # distance 1 to 2 from N(C), C ∩ N(C) = ∅
-    containment = reach.union(ctx.dec.finite_component) <= new_cycle.vertex_set
+    containment = ctx.around_finite_4 <= new_cycle.vertex_set  # F ∪ S ∪ N³(S)
 
     new_edges = new_cycle.edge_set()
     keep_ok = True
@@ -839,10 +842,13 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     number of enlargement rounds.  Each interior vertex costs one
     ``hypotheses_hold_at``, which at a line-graph vertex of degree 7 or more
     is one two-clique split; only the first vertex that fails pays for
-    ``claw_at``'s witness.  The depth rule is checked on N[C]
-    before ``ray_decomposition`` and on F ∪ S after it.  A round m too deep
-    suggests deepest + RADIUS_MARGIN + ROUND_DEPTH·(rounds − m), so k
-    rounds need R ≥ 4k + 5 on every preset."""
+    ``claw_at``'s witness.  Round 1 decomposes from scratch, as
+    ``ray_decomposition`` does, and each later round carries the previous
+    round's decomposition over, which gives the same one.  The depth rule
+    is checked on N[C] before the decomposition and on F ∪ S after it; both
+    sets only grow, so each depth is a running maximum over the vertices a
+    round adds.  A round m too deep suggests deepest + RADIUS_MARGIN +
+    ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5 on every preset."""
     if rounds < 0:
         raise DomainError("rounds must be >= 0")
     ball = pres.extract_ball(radius)
@@ -866,17 +872,25 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
     c0, _ = extend_to_cover(g, seed, pool, target_pool=pool)
     state = RunState(ball, c0, [])
-    cycle = c0
+    cycle, added = c0, c0.order
+    split = None
+    near_depth = inner_depth = 0
+    depths = ball.depths
     for m in range(1, rounds + 1):
-        deepest = max(ball.depths[w] for v in cycle.order for w in g.neighbors(v))  # N[C]
+        # N[C] and F ∪ S only grow, so each depth is a running maximum
+        near_depth = max(
+            near_depth, max((depths[w] for v in added for w in g.neighbors(v)), default=0)
+        )
         if m == 1:
-            _stability_gate(ball, _suggested_radius(deepest, rounds - 1))
-        _radius_gate(ball, deepest, m, rounds)
-        dec = ray_decomposition(g, cycle, ball.boundary)
-        deepest = max(map(ball.depth_of, chain(dec.finite_component, dec.separator)))
-        _radius_gate(ball, deepest, m, rounds)
-        record = cut_lemma_round(g, cycle, dec, index=m)
-        if not cycle.vertex_set <= record.cycle.vertex_set:
+            _stability_gate(ball, _suggested_radius(near_depth, rounds - 1))
+        _radius_gate(ball, near_depth, m, rounds)
+        split = _decompose(g, cycle, ball.boundary, split)
+        dec = split.dec
+        inner_depth = max(inner_depth, max(map(depths.__getitem__, split.gained), default=0))
+        _radius_gate(ball, inner_depth, m, rounds)
+        record = cut_lemma_round(g, cycle, dec, index=m, _carried=split)
+        added = record.cycle.vertex_set - split.cycle_set
+        if len(added) != len(record.cycle) - len(cycle):
             raise InternalConsistencyError(
                 f"round {m} lost vertices of the previous cycle"
             )

@@ -113,6 +113,8 @@ def validate_extension(g: FiniteGraph, c: CycleEmbedding, ext: PathExtension) ->
         return [f"extension path too short: {path}"]
     if len(set(path)) != len(path):
         problems.append("extension path repeats a vertex")
+    if len(set(ext.bridged)) != len(ext.bridged):
+        problems.append("bridged set repeats a vertex")
     if path[0] != ext.target:
         problems.append("path must start at the target")
     for v in path:
@@ -191,7 +193,7 @@ def find_path_extension(
     up, um = c.succ(base), c.pred(base)
     walk = shortest_path(g, target, {up}, allowed=nbrs)
     if walk is None:
-        comp = {v for v, _, _ in bfs(g, [target], within=nbrs)}
+        comp = set(bfs(g, [target], within=nbrs))
         raise HypothesisError(
             "locally_connected",
             sorted({base} | comp | {up}),

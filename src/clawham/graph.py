@@ -6,17 +6,21 @@ are deterministic and directly comparable in tests.
 
 All traversal goes through one primitive, ``bfs(g, sources, within)``: a
 breadth-first search in sorted-adjacency order, optionally confined to a
-vertex set.  Neighborhoods, distances, shortest paths and components are
-thin reads of it, so no connectivity question builds a throwaway
-``FiniteGraph``.  ``label_components`` labels the components of the subgraph
-induced on a vertex set that meet some seeds, with an owner map, and
-``components_within`` reads its list.
+vertex set.  It runs eagerly and returns the parent of every vertex it
+reached, keyed in visit order, sources first with parent None.  It stops
+early once it has reached every vertex of a goal set, or with
+``any_goal`` the first one, which is then the last key; and a depth bound
+keeps it within that distance of the sources.  Neighborhoods, distances,
+shortest paths and components are thin reads of it, so no connectivity
+question builds a throwaway ``FiniteGraph``.  ``label_components`` labels
+the components of the subgraph induced on a vertex set that meet some
+seeds, with an owner map, and ``components_within`` reads its list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import DomainError, GraphInputError
 
@@ -147,35 +151,51 @@ class FiniteGraph:
 
 
 def bfs(
-    g: FiniteGraph, sources: Iterable[int], within: Collection[int] | None = None
-) -> Iterator[tuple[int, int | None, int]]:
-    """Breadth-first search: yield ``(vertex, parent, depth)`` as each vertex
-    is reached.
+    g: FiniteGraph,
+    sources: Iterable[int],
+    within: Collection[int] | None = None,
+    goals: Collection[int] = (),
+    any_goal: bool = False,
+    depth: int | None = None,
+) -> dict[int, int | None]:
+    """Breadth-first search: the parent of every vertex reached, in the
+    order the vertices are reached.
 
-    Sources come first, in the order given, with parent None and depth 0.
-    Every other vertex is reached from the first vertex of the previous layer
-    that has it as a neighbor, scanning neighbors in sorted-adjacency order.
+    Sources come first, in the order given, with parent None.  Every other
+    vertex is reached from the first vertex of the previous layer that has
+    it as a neighbor, scanning neighbors in sorted-adjacency order.
     ``within`` confines the search to those vertices (sources are always
-    reached).  Callers stop the search by leaving the loop.
+    reached).  The search stops early once it has reached every vertex of
+    ``goals``, or with ``any_goal`` the first one, so that goal is the last
+    key; and it reaches no vertex beyond distance ``depth``.
     """
     adj = g._adj
     parent: dict[int, int | None] = dict.fromkeys(sources)
-    for s in parent:
-        if s not in adj:
+    if not parent.keys() <= adj.keys():
+        for s in parent:
             g._require(s)
-        yield s, None, 0
+    goalset = goals if isinstance(goals, (set, frozenset)) else frozenset(goals)
+    if goalset:
+        left = (1 if any_goal else len(goalset)) - len(goalset & parent.keys())
+        if left <= 0:
+            return parent
     frontier = list(parent)
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
+    for _ in range(len(adj) if depth is None else depth):
+        nxt: list[int] = []
+        add = nxt.append
         for u in frontier:
             for w in adj[u]:
                 if w not in parent and (within is None or w in within):
                     parent[w] = u
-                    nxt.append(w)
-                    yield w, u, depth
+                    add(w)
+                    if w in goalset:
+                        left -= 1
+                        if not left:
+                            return parent
+        if not nxt:
+            break
         frontier = nxt
+    return parent
 
 
 def neighborhood_k(g: FiniteGraph, x: Iterable[int], k: int) -> VertexSet:
@@ -186,13 +206,8 @@ def neighborhood_k(g: FiniteGraph, x: Iterable[int], k: int) -> VertexSet:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    found = []
-    for v, _, d in bfs(g, x):
-        if d > k:
-            break
-        if d:
-            found.append(v)
-    return tuple(sorted(found))
+    sources = dict.fromkeys(x)
+    return tuple(sorted(bfs(g, sources, depth=k).keys() - sources.keys()))
 
 
 def cut(g: FiniteGraph, x: Iterable[int]) -> EdgeSet:
@@ -225,7 +240,7 @@ def label_components(
     seen: set[int] = set()
     for start in starts:
         if start not in seen:
-            comps.append(tuple(sorted(v for v, _, _ in bfs(g, [start], within=xs))))
+            comps.append(tuple(sorted(bfs(g, [start], within=xs))))
             seen.update(comps[-1])
     comps.sort()
     owner: dict[int, int] = {}
@@ -251,7 +266,10 @@ def is_connected(g: FiniteGraph) -> bool:
 
 def bfs_distances(g: FiniteGraph, sources: Iterable[int]) -> dict[int, int]:
     """Distance from the source set to every reachable vertex."""
-    return {v: d for v, _, d in bfs(g, sources)}
+    dist: dict[int, int] = {}
+    for v, u in bfs(g, sources).items():
+        dist[v] = 0 if u is None else dist[u] + 1
+    return dist
 
 
 def shortest_path(
@@ -269,16 +287,14 @@ def shortest_path(
     allow = None if allowed is None else frozenset(allowed)
     if allow is not None and start not in allow:
         raise DomainError("start vertex is excluded from the allowed set")
-    parent: dict[int, int | None] = {}
-    for v, u, _ in bfs(g, [start], within=allow):
-        parent[v] = u
-        if v in goalset:
-            path = [v]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-    return None
+    parent = bfs(g, [start], within=allow, goals=goalset, any_goal=True)
+    path = [next(reversed(parent))]
+    if path[0] not in goalset:
+        return None
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 class CycleEmbedding:

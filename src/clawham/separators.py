@@ -19,11 +19,28 @@ the components of G - X seeded at B, yields both S and them
 component of G - S that holds C: a search from C avoiding S and the count
 |F| + |R| + |S| = |V| for its result F confirm it, and a failed count means
 some component misses both C and B, so the radius is too small.
+
+Within ``engine.run`` each round after the first carries the previous
+round's decomposition over (``_carry``), at a cost in proportion to what
+the round added.  Round m's cycle C covers the previous cycle and F' ∪ S',
+the previous finite component and separator.  So N[C] grows, and
+R ⊆ R': a component of G - N[C] lies in one of G - N[C'], which meets B
+if it does.  Also N(C) ⊆ R', since F' ∪ S' lies on C, and S ⊆ R'.
+F' ⊆ F, because F' is connected, holds C', and has no neighbor in R (its
+neighbors outside it lie in S', on C).  Hence each old component K only
+loses its vertices D in N[C], and what is left of K is a union of new
+components, each next to D; once one search of it from a vertex next to D
+(its rim) reaches the whole rim, it is one component, and it meets B.  A
+vertex of D ∩ N(C) joins S when it has a neighbor left in K, its only
+neighbors in R.  F is F' plus what one search from S' reaches without
+entering F' or S: every vertex of F - F' reaches F' through S'.  And N(C)
+is N(C') plus the neighbors of C - C', less C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .errors import DomainError, InternalConsistencyError, RadiusTooSmallError
 from .graph import (
@@ -88,7 +105,7 @@ def separates(g: FiniteGraph, blocker, sources, targets) -> bool:
     tgs = frozenset(targets) - blocked
     allowed = frozenset(g.vertices) - blocked
     src = [v for v in sources if v not in blocked]
-    return not any(v in tgs for v, _, _ in bfs(g, src, within=allowed))
+    return bfs(g, src, within=allowed, goals=tgs, any_goal=True).keys().isdisjoint(tgs)
 
 
 @dataclass(frozen=True)
@@ -141,21 +158,121 @@ def ray_decomposition(g: FiniteGraph, c: CycleEmbedding, boundary) -> SeparatorD
     inconsistency.  Both failures put an induced claw at a separator vertex,
     so ``engine.run``, whose depth rule keeps N[V(c)] interior, meets neither.
     """
+    return _decompose(g, c, boundary).dec
+
+
+@dataclass(frozen=True)
+class _Decomposed:
+    """A decomposition with the sets the next round reads: V(c), N(V(c)),
+    each boundary component as a set, the finite component F as a set, and
+    ``gained``, the vertices of F ∪ S that the previous round's F ∪ S
+    lacked (all of F ∪ S for a decomposition from scratch)."""
+
+    dec: SeparatorDecomposition
+    cycle_set: frozenset[int]
+    near: frozenset[int]
+    component_sets: tuple[frozenset[int], ...]
+    finite: frozenset[int]
+    gained: frozenset[int]
+
+
+def _decompose(
+    g: FiniteGraph, c: CycleEmbedding, boundary, prev: _Decomposed | None = None
+) -> _Decomposed:
+    """``ray_decomposition`` with its sets, from scratch or, given the
+    previous round's ``prev``, carried over from it (see ``_carry``)."""
     bset = g.require_subset(boundary)
-    near = neighborhood_k(g, c.order, 1)
-    if bset & c.vertex_set:
+    cset = c.vertex_set
+    if prev is None:
+        near = frozenset(neighborhood_k(g, c.order, 1))
+    else:
+        grown = map(g.neighbor_set, cset - prev.cycle_set)
+        near = prev.near.union(*grown).difference(cset)
+    if bset & cset:
         raise DomainError("the cycle touches the boundary layer")
     if not bset.isdisjoint(near):
         raise DomainError("the boundary layer is adjacent to the cycle")
+    if prev is not None:
+        return _carry(g, cset, bset, near, prev)
     comps, owner = label_components(g, frozenset(g.vertices).difference(near), bset)
     sset = frozenset(s for s in near if any(u in owner for u in g.neighbors(s)))
-    return _split(g, sset, bset, _cycle_component(g, c, sset), comps, owner)
+    finite = _cycle_component(g, c, sset)
+    dec = _split(g, sset, bset, finite, tuple(sorted(finite)), len(owner), comps, owner)
+    return _Decomposed(
+        dec, cset, near, tuple(map(frozenset, comps)), frozenset(finite), frozenset(finite | sset)
+    )
+
+
+def _carry(
+    g: FiniteGraph,
+    cset: frozenset[int],
+    bset: frozenset[int],
+    near: frozenset[int],
+    prev: _Decomposed,
+) -> _Decomposed:
+    """The decomposition of the cycle on ``cset`` carried over from
+    ``prev``, that of a cycle whose vertices, finite component and
+    separator ``cset`` covers, as every round of ``engine.run`` leaves
+    them; it equals the one from scratch (see the module docstring).
+
+    Each old boundary component K loses its vertices D in N[V(c)]; the
+    vertices of D ∩ N(V(c)) with a neighbor left in K join the separator.
+    The rest of K is searched from its rim, the vertices next to D, until
+    the rim is joined: then it is one component, and otherwise it alone is
+    labelled from scratch, seeded at the boundary.  The finite component
+    grows from the old one by a search from the old separator through what
+    the boundary side lost, avoiding the new separator."""
+    touched = cset | near
+    pieces: list[tuple[VertexSet, frozenset[int], list[int]]] = []
+    separator: list[int] = []
+    gone = set(prev.dec.separator)
+    for comp, kset in zip(prev.dec.infinite_components, prev.component_sets):
+        lost = kset & touched
+        if not lost:
+            pieces.append((comp, kset, []))
+            continue
+        rest = kset - lost
+        gone |= lost
+        rim: set[int] = set()
+        seps = []
+        for v in lost:
+            inside = [u for u in g.neighbors(v) if u in rest]
+            rim.update(inside)
+            if inside and v in near:
+                seps.append(v)
+        if bfs(g, [min(rim)], within=rest, goals=rim).keys() >= rim:
+            pieces.append((tuple(filterfalse(lost.__contains__, comp)), rest, seps))
+        else:
+            split, labels = label_components(g, rest, bset & rest)
+            seps = [v for v in seps if any(u in labels for u in g.neighbors(v))]
+            gone |= rest.difference(labels)
+            pieces += [(piece, frozenset(piece), seps) for piece in split]
+        separator += seps
+    pieces.sort(key=lambda piece: piece[0])
+    owner = {}
+    for i, (_, kset, seps) in enumerate(pieces):
+        for v in seps:
+            owner.update(dict.fromkeys([u for u in g.neighbors(v) if u in kset], i))
+    sset = frozenset(separator)
+    reached = bfs(g, prev.dec.separator, within=gone.difference(sset))
+    finite = prev.finite.union(reached)
+    if not cset <= finite:
+        raise DomainError("no component contains the cycle")
+    # F' is sorted already, so this sort is one merge
+    order = tuple(sorted([*prev.dec.finite_component, *sorted(reached)]))
+    outer = sum(len(kset) for _, kset, _ in pieces)
+    comps = tuple(piece for piece, _, _ in pieces)
+    dec = _split(g, sset, bset, finite, order, outer, comps, owner)
+    return _Decomposed(
+        dec, cset, near, tuple(kset for _, kset, _ in pieces), finite,
+        sset.union(reached).difference(prev.dec.separator),
+    )
 
 
 def _cycle_component(g: FiniteGraph, c: CycleEmbedding, sset) -> set[int]:
     """The vertex set of the component of g - ``sset`` holding the cycle."""
     allowed = frozenset(g.vertices).difference(sset)
-    finite = {v for v, _, _ in bfs(g, c.order[:1], within=allowed)}
+    finite = set(bfs(g, c.order[:1], within=allowed))
     if not c.vertex_set <= finite:
         raise DomainError("no component contains the cycle")
     return finite
@@ -165,15 +282,19 @@ def _split(
     g: FiniteGraph,
     sset: frozenset[int],
     bset: frozenset[int],
-    finite: set[int],
+    finite,
+    finite_order: VertexSet,
+    outer: int,
     comps: tuple[VertexSet, ...],
     owner: dict[int, int],
 ) -> SeparatorDecomposition:
     """The decomposition of g - ``sset`` into the cycle's component
-    ``finite`` and the boundary components ``comps`` (owner map
-    ``owner``), after checking that nothing else is left and that every
-    separator vertex reaches one boundary component and ``finite``."""
-    if len(finite) + len(owner) + len(sset) != len(g):
+    ``finite`` (sorted: ``finite_order``) and the boundary components
+    ``comps``, ``outer`` vertices in all, after checking that nothing else
+    is left and that every separator vertex reaches one boundary component
+    and ``finite``.  ``owner`` maps each neighbor of the separator in the
+    boundary components to the index of its component."""
+    if len(finite) + outer + len(sset) != len(g):
         raise RadiusTooSmallError(
             "a component beyond the separator misses the boundary layer; "
             "enlarge the truncation radius",
@@ -205,7 +326,7 @@ def _split(
         parts[hit[0]].append(s)
     return SeparatorDecomposition(
         separator=tuple(sorted(sset)),
-        finite_component=tuple(sorted(finite)),
+        finite_component=finite_order,
         infinite_components=comps,
         parts=tuple(map(tuple, parts)),
     )

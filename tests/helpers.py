@@ -19,6 +19,7 @@ from clawham.extension import (
     HamiltonCertificate,
     ReplayReport,
     find_path_extension,
+    finite_hamilton,
     validate_extension,
 )
 from clawham.graph import (
@@ -396,6 +397,19 @@ def reference_replay(g: FiniteGraph, cert: HamiltonCertificate) -> ReplayReport:
     return ReplayReport(True, len(cert.extensions))
 
 
+def repeated_bridged_certificate() -> tuple[FiniteGraph, dict]:
+    """L(K_5) and the JSON form of its certificate, with the first case-two
+    step's ``bridged`` list, ``[0]``, repeating its vertex."""
+    from clawham.constructions import complete_graph, line_graph
+
+    g = line_graph(complete_graph(5)).graph
+    obj = finite_hamilton(g).to_json_obj()
+    step = next(e for e in obj["extensions"] if e["case"] == "two")
+    assert step["bridged"] == [0]
+    step["bridged"] = [0, 0]
+    return g, obj
+
+
 # -- reference traversal and predicates ----------------------------------------
 #
 # The implementations the package used before all traversal went through
@@ -427,6 +441,27 @@ def reference_components(g: FiniteGraph) -> tuple[tuple[int, ...], ...]:
 
 def reference_components_within(g: FiniteGraph, x) -> tuple[tuple[int, ...], ...]:
     return reference_components(induced_subgraph(g, x))
+
+
+def reference_bfs(g: FiniteGraph, sources, within=None):
+    """``graph.bfs`` as it was, a generator of ``(vertex, parent, depth)``
+    that its callers stopped by leaving the loop."""
+    parent = dict.fromkeys(sources)
+    for s in parent:
+        g.neighbors(s)  # DomainError for an unknown source
+        yield s, None, 0
+    frontier = list(parent)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in parent and (within is None or w in within):
+                    parent[w] = u
+                    nxt.append(w)
+                    yield w, u, depth
+        frontier = nxt
 
 
 def reference_bfs_distances(g: FiniteGraph, sources) -> dict[int, int]:
@@ -933,6 +968,21 @@ def reference_ray_separator(g: FiniteGraph, c: CycleEmbedding, boundary) -> tupl
     return tuple(sorted({u for v in beyond for u in g.neighbors(v) if u in x}))
 
 
+def assert_carry_matches_scratch(g, c, boundary, prev, got):
+    """``got``, the decomposition of ``c`` carried over from ``prev``, equals
+    the one from scratch, sets included; its ``gained`` is what F ∪ S
+    gained over ``prev``."""
+    from clawham.separators import _decompose
+
+    want = _decompose(g, c, boundary)
+    assert got.dec == want.dec
+    assert (got.cycle_set, got.near, got.component_sets, got.finite) == (
+        want.cycle_set, want.near, want.component_sets, want.finite
+    )
+    before = set() if prev is None else prev.finite | set(prev.dec.separator)
+    assert got.gained == want.finite.union(want.dec.separator) - before
+
+
 def reference_decompose(g: FiniteGraph, c: CycleEmbedding, separator, boundary):
     from clawham.errors import RadiusTooSmallError
     from clawham.separators import SeparatorDecomposition
@@ -1292,8 +1342,8 @@ def inject_round_fault(monkeypatch, kind: str) -> str:
     fault, message = ROUND_FAULTS[kind]
     original = engine.cut_lemma_round
 
-    def faulty(g, c, dec, index=1):
-        record = original(g, c, dec, index=index)
+    def faulty(g, c, dec, index=1, **carried):
+        record = original(g, c, dec, index=index, **carried)
         if index == 1:
             fault(record, c)
         return record

@@ -104,6 +104,26 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code in (1, 2)
 
 
+def test_verify_reports_a_repeated_bridged_vertex(tmp_path, capsys):
+    """A certificate step that bridges the same vertex twice is a failed
+    replay step: exit 1 with the JSON report, not a traceback."""
+    from helpers import repeated_bridged_certificate
+
+    g, cert = repeated_bridged_certificate()
+    graph_path = tmp_path / "lk5.json"
+    graph_path.write_text(graph_to_json(g))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(
+        capsys, "verify-certificate", str(graph_path), "--certificate", str(cert_path)
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["failure"].endswith("bridged set repeats a vertex")
+
+
 K4_CERTIFICATE = {
     "initial_cycle": [0, 1, 2],
     "extensions": [{"case": "one", "target": 3, "base": 0, "path": [3, 1],

@@ -1188,6 +1188,44 @@ def test_one_search_decomposition_matches_shrink_then_decompose(name, radius, ro
         assert record.dec == want
 
 
+# ROUND_RUNS, and the cactus-line run in which every one of the 14 round-1
+# components splits in round 2, into 224, and is labelled again
+CARRY_RUNS = ROUND_RUNS + [("cactus-line", 13, 2, 7)]
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", CARRY_RUNS)
+def test_carried_decomposition_matches_from_scratch(monkeypatch, name, radius, rounds, seed):
+    """Every round after the first carries its decomposition over from the
+    previous round's; it equals ``ray_decomposition`` from scratch.  The
+    round's context reads F ∪ S ∪ N³(S) as F ∪ N⁴(F)."""
+    import clawham.engine as engine
+    from helpers import assert_carry_matches_scratch
+
+    seen = []
+    decompose = engine._decompose
+
+    def recorded(g, c, boundary, prev=None):
+        got = decompose(g, c, boundary, prev)
+        seen.append((c, prev, got))
+        return got
+
+    monkeypatch.setattr(engine, "_decompose", recorded)
+    if name == "cactus-line":
+        monkeypatch.setattr(engine, "_stability_gate", lambda ball, least: None)
+    state = run(_presentation(name, radius, seed), rounds, radius)
+    g, boundary = state.graph, state.ball.boundary
+    assert [got.dec for _, _, got in seen] == [r.dec for r in state.rounds]
+    assert [prev is None for _, prev, _ in seen] == [m == 1 for m in range(1, rounds + 1)]
+    for (c, prev, got), record in zip(seen, state.rounds):
+        assert_carry_matches_scratch(g, c, boundary, prev, got)
+        finite = set(got.dec.finite_component)
+        ctx = GoodTupleContext.build(g, c, got.dec, got)
+        assert ctx.around_finite_4 == finite.union(neighborhood_k(g, finite, 4))
+        assert ctx.separator_reach == record.separator_reach
+    if (name, radius) == ("cactus-line", 13):
+        assert [r.dec.k for r in state.rounds] == [14, 224]
+
+
 def _witness_variants(rng, ctx, witness):
     """The round's sets, and seeded edits of one set at a time: a set that
     gains or loses a vertex, gains all or part of another component, or
@@ -1375,9 +1413,10 @@ def test_each_end_proxy_has_one_deep_component(name, radius):
 @pytest.mark.parametrize("rounds", [1, 3, 6])
 def test_run_searches_components_only_in_the_stability_gate(monkeypatch, rounds):
     """Every component labelling goes through ``label_components``.  Besides
-    the stability gate's two calls, once per run, a round makes one: the
-    boundary side of ``ray_decomposition``.  An extra whole-ball search in
-    a round would add a call per round."""
+    the stability gate's two calls, once per run, only round 1 makes one:
+    the boundary side of its decomposition from scratch.  Later rounds
+    carry the components over, and on this preset no component splits, so
+    a whole-ball search in any later round would add a call."""
     import sys
 
     from clawham import graph
@@ -1394,7 +1433,7 @@ def test_run_searches_components_only_in_the_stability_gate(monkeypatch, rounds)
             monkeypatch.setattr(module, "label_components", counted)
     state = run(preset("double-ray-square"), rounds, 70)
     assert len(state.rounds) == rounds
-    assert len(calls) == 2 + rounds
+    assert len(calls) == 2 + 1
 
 
 # -- pinned run logs ------------------------------------------------------------

@@ -31,6 +31,7 @@ from helpers import (
     dense_neighborhood_graphs,
     hamilton_cycle_oracle,
     reference_shortest_cycle_through,
+    repeated_bridged_certificate,
     seeded_random_graphs,
 )
 
@@ -305,6 +306,12 @@ def test_certificate_tampering_detected():
     other = cycle_graph(6)
     rep = replay_certificate(other, HamiltonCertificate.from_json_obj(obj))
     assert not rep.ok
+    # a case-two step whose bridged list repeats its vertex is a failed step
+    g, obj = repeated_bridged_certificate()
+    i = next(i for i, e in enumerate(obj["extensions"]) if e["bridged"] == [0, 0])
+    rep = replay_certificate(g, HamiltonCertificate.from_json_obj(obj))
+    assert (rep.ok, rep.steps_ok) == (False, i)
+    assert rep.failure.endswith("bridged set repeats a vertex")
 
 
 def test_randomized_contract_small(hypothesis_class_small):

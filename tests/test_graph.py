@@ -11,6 +11,7 @@ from clawham.errors import DomainError, GraphInputError
 from clawham.graph import (
     CycleEmbedding,
     FiniteGraph,
+    bfs,
     bfs_distances,
     components,
     components_within,
@@ -31,6 +32,7 @@ from conftest import double_ray_square_truncation
 from helpers import (
     girth_oracle,
     neighborhood_oracle,
+    reference_bfs,
     reference_bfs_distances,
     reference_components,
     reference_components_within,
@@ -331,3 +333,36 @@ def test_paths_and_distances_match_reference(small_graphs):
             assert shortest_path(g, start, goals, allowed) == reference_shortest_path(
                 g, start, goals, allowed
             ), (g.edges(), start, goals, allowed)
+
+
+def test_eager_bfs_matches_the_generator_and_stops_early():
+    """The parent map is the old generator's visit, in its order, cut where
+    the goals are all reached (the first one with ``any_goal``), though
+    never inside the sources, or past ``depth``."""
+    rng = random.Random(19)
+    stops = Counter()
+    for g in seeded_random_graphs():
+        for _ in range(6):
+            sources = rng.sample(g.vertices, rng.randint(1, min(3, len(g))))
+            within = None if rng.random() < 0.3 else set(
+                rng.sample(g.vertices, rng.randint(1, len(g)))
+            )
+            visit = list(reference_bfs(g, sources, within))
+            assert list(bfs(g, sources, within).items()) == [(v, u) for v, u, _ in visit]
+            goals = set(rng.sample(g.vertices, rng.randint(1, min(4, len(g)))))
+            for any_goal in (False, True):
+                want, left = [], set(goals)
+                for v, u, d in visit:
+                    want.append((v, u))
+                    left.discard(v)
+                    if d == 0 and len(want) < len(set(sources)):
+                        continue
+                    if len(left) < len(goals) if any_goal else not left:
+                        stops[any_goal] += 1
+                        break
+                got = bfs(g, sources, within, goals=goals, any_goal=any_goal)
+                assert list(got.items()) == want
+            depth = rng.randint(0, 3)
+            got = bfs(g, sources, within, depth=depth)
+            assert list(got.items()) == [(v, u) for v, u, d in visit if d <= depth]
+    assert stops[False] and stops[True]

@@ -25,6 +25,7 @@ from clawham.separators import (
 )
 from conftest import double_ray_square_truncation
 from helpers import (
+    assert_carry_matches_scratch,
     brute_minimal_separators,
     reference_is_minimal_separator,
     reference_minimal_separator_components,
@@ -367,3 +368,51 @@ def test_two_sided_separator_vertex_keeps_its_witness():
     want = full_outcome(reference_decompose, g, c, [3], [6, 7])
     assert want[0] is InternalConsistencyError and want[2] == (2, 3, 4, 5)
     assert full_outcome(ray_decomposition, g, c, [6, 7]) == want
+
+
+def _tree_square(tree, extra=()):
+    """The square of the tree on 0..30 with edges ``tree``, plus ``extra``."""
+    adj = {v: set() for v in range(31)}
+    for u, v in tree:
+        adj[u].add(v)
+        adj[v].add(u)
+    edges = {(u, w) for u, v in tree for w in adj[v] | {v} if w != u}
+    return FiniteGraph(range(31), edges | set(extra))
+
+
+TRUNK = [(i, i + 1) for i in range(20)]
+BRANCH = [(i, i + 1) for i in range(21, 30)]
+
+
+@pytest.mark.parametrize("tree, extra, boundary", [
+    # the branch 21..30 forks off the trunk at 10: two boundary components
+    (TRUNK + [(10, 21)] + BRANCH, (), [20, 30]),
+    # off 11, away from the boundary: its piece joins the finite component
+    (TRUNK + [(11, 21)] + BRANCH, (), [20]),
+    # the same, hanging on separator vertices only: a stray component
+    (TRUNK + [(11, 21)] + BRANCH, [(13, 21)], [20]),
+])
+def test_carried_component_that_splits_is_labelled_again(tree, extra, boundary):
+    """On the square of a tree whose trunk 0..20 has a branch 21..30, the
+    boundary component beyond the triangle (0, 1, 2) splits once the cycle
+    covers the trunk up to 10: the carried decomposition labels it again,
+    and its result, or its error, is the one from scratch."""
+    from clawham.separators import _decompose
+
+    g = _tree_square(tree, extra)
+    first = _decompose(g, CycleEmbedding([0, 1, 2]), boundary)
+    assert (first.dec.separator, first.dec.k) == ((3, 4), 1)
+    trunk = CycleEmbedding([0, 1, 3, 5, 7, 9, 10, 8, 6, 4, 2])
+    want = full_outcome(ray_decomposition, g, trunk, boundary)
+    got = full_outcome(_decompose, g, trunk, boundary, first)
+    if extra:
+        assert want[0] is RadiusTooSmallError and got == want
+        return
+    assert_carry_matches_scratch(g, trunk, boundary, first, got)
+    comps = got.dec.infinite_components
+    if len(boundary) == 2:
+        assert got.dec.separator == (11, 12, 21, 22)
+        assert comps == (tuple(range(13, 21)), tuple(range(23, 31)))
+    else:
+        assert got.dec.separator == (11, 12) and comps == (tuple(range(13, 21)),)
+        assert set(range(21, 31)) <= got.finite
