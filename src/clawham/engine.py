@@ -555,8 +555,8 @@ def cut_lemma_round(
     part (retargeting a path extension at the last uncovered separator
     vertex on its path), then a second one adjacent on the cycle (using the
     completeness of separator neighborhoods to shortcut the path), splices
-    a spanning tree of the part's 3-zone between the two, and finishes the
-    zone by pooled extensions.  A final pooled pass covers the finite
+    a spanning tree of the part's 3-zone between the two, and covers the
+    rest of the part and the tree.  A final cover takes the finite
     component.  Witness sets follow the two displayed update rules.
 
     The input cycle is validated once.  All splices then edit one live
@@ -674,7 +674,7 @@ def cut_lemma_round(
             return cycle.splice(g, ext)
 
         covered_goal = part | tree_vertices
-        log = _cover(g, cycle, covered_goal, covered_goal, tree_vertices, splice=zone_splice)
+        log = _cover(g, cycle, covered_goal, tree_vertices, splice=zone_splice)
         ext_count += len(log)
 
         # -- witness updates: new part set, and absorb into older sets that
@@ -695,7 +695,7 @@ def cut_lemma_round(
     # -- cover the finite component, keeping the witness sets current
     k0 = frozenset(dec.finite_component)
     try:
-        log = _cover(g, cycle, k0, k0, k0, splice=good_splice)
+        log = _cover(g, cycle, k0, k0, splice=good_splice)
     except ProgressError as exc:
         raise InternalConsistencyError(
             "the finite component cannot be finished by pooled extensions"
@@ -725,12 +725,8 @@ def _round_conclusions(ctx, new_cycle, sets, base_edges) -> dict[str, bool]:
     containment = ctx.around_finite_4 <= new_cycle.vertex_set  # F ∪ S ∪ N³(S)
 
     new_edges = new_cycle.edge_set()
-    keep_ok = True
-    for e in base_edges:
-        if e[0] not in near2 and e[1] not in near2:
-            if e not in new_edges:
-                keep_ok = False
-                break
+    # a base edge may leave the cycle only with an end in near2
+    keep_ok = all(u in near2 or v in near2 for u, v in base_edges - new_edges)
 
     # a vertex of C, being outside N(C), is within distance 3 of N(C) iff it
     # is in near2 or next to it
@@ -870,7 +866,7 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
         )
     seed = shortest_cycle_through(g, ball.graph.vertices[0])
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
-    c0, _ = extend_to_cover(g, seed, pool, target_pool=pool)
+    c0, _ = extend_to_cover(g, seed, pool)
     state = RunState(ball, c0, [])
     cycle, added = c0, c0.order
     split = None
@@ -1060,6 +1056,10 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
 
     # (iii) one nested chain per end proxy, shrinking away from the interior
     chains, ambiguous = _proxy_chains(state.rounds, end_proxies(state.ball))
+    # F ∪ S of each round but the last, which the next round's sets must miss
+    sheds = [
+        frozenset(r.dec.finite_component).union(r.dec.separator) for r in state.rounds[:-1]
+    ]
     w3 = []
     for proxy, chain in chains:
         for i in range(1, len(state.rounds)):
@@ -1069,13 +1069,9 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
                 w3.append(
                     ("not-nested", proxy[0], i + 1, tuple(sorted(m_next - m_prev))[:4])
                 )
-            shed = set(state.rounds[i - 1].dec.finite_component) | set(
-                state.rounds[i - 1].dec.separator
-            )
-            if m_next & shed:
-                w3.append(
-                    ("not-shrinking", proxy[0], i + 1, tuple(sorted(m_next & shed))[:4])
-                )
+            shed = m_next & sheds[i - 1]
+            if shed:
+                w3.append(("not-shrinking", proxy[0], i + 1, tuple(sorted(shed))[:4]))
         on_boundary = bset.intersection(proxy)
         for record, j in zip(state.rounds, chain):
             if not on_boundary <= record.witness_sets[j]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DomainError,
@@ -421,68 +421,61 @@ def _require_cycle(g: FiniteGraph, c: CycleEmbedding) -> None:
 
 
 def extend_to_cover(
-    g: FiniteGraph,
-    c: CycleEmbedding,
-    goal,
-    target_pool=None,
+    g: FiniteGraph, c: CycleEmbedding, goal
 ) -> tuple[CycleEmbedding, list[PathExtension]]:
     """Grow the cycle by path extensions until it covers ``goal``.
 
-    Targets are restricted to ``target_pool`` (None means unrestricted).
-    Among admissible targets, vertices adjacent to the current cycle are
-    taken smallest id first; the base is the smallest neighbor on the cycle.
-    Admissible targets wait in a min-heap; a target stays admissible until
-    it joins the cycle, because splices never drop a cycle vertex.
+    Every target is a vertex of ``goal``: among the uncovered goal vertices
+    adjacent to the current cycle, the smallest id is taken first, and the
+    base is its smallest neighbor on the cycle.  Admissible targets wait in
+    a min-heap; a target stays admissible until it joins the cycle, because
+    splices never drop a cycle vertex.
     """
     goalset = g.require_subset(goal)
-    targets = g.require_subset(target_pool) if target_pool is not None else None
     _require_cycle(g, c)
     cycle = _SpliceCycle(c)
-    log = _cover(g, cycle, goalset, targets)
+    log = _cover(g, cycle, goalset, frozenset(g.vertices))
     return cycle.freeze(), log
 
 
-def _cover(g, cycle: _SpliceCycle, goal, targets=None, bases=None, splice=None):
-    """The loop of ``extend_to_cover`` on a live cycle, grown in place.
+def _cover(g, cycle: _SpliceCycle, goal, bases, splice=None):
+    """The loop of ``extend_to_cover`` on a live cycle, grown in place,
+    with bases restricted to the set ``bases``.
 
-    ``splice(ext)`` applies each extension and returns the vertices it
-    added; by default it is ``cycle.splice``.  Returns the extensions in
-    the order applied.
+    The frontier starts from the uncovered goal vertices next to a base on
+    the cycle, and each splice admits the uncovered goal vertices next to
+    the bases it added.  ``splice(ext)`` applies each extension and returns
+    the vertices it added; by default it is ``cycle.splice``.  Returns the
+    extensions in the order applied.
     """
     if splice is None:
         def splice(ext):
             return cycle.splice(g, ext)
 
-    missing = {v for v in goal if v not in cycle}
-    frontier: list[int] = []
-    queued: set[int] = set()
+    def bases_at(t: int) -> set[int]:
+        return cycle.on_cycle(g.neighbor_set(t)) & bases
 
-    def admit(new_vertices) -> None:
-        for b in new_vertices:
-            if bases is not None and b not in bases:
-                continue
-            for t in g.neighbors(b):
-                if t not in queued and t not in cycle and (targets is None or t in targets):
-                    queued.add(t)
-                    heappush(frontier, t)
-
-    admit(cycle if bases is None else cycle.on_cycle(bases))
+    missing = set(goal) - cycle.on_cycle(goal)
+    frontier = [t for t in missing if bases_at(t)]
+    heapify(frontier)
+    queued = set(frontier)
     log: list[PathExtension] = []
     while missing:
-        while frontier and frontier[0] in cycle:
+        while frontier and frontier[0] not in missing:
             heappop(frontier)
         if not frontier:
             raise ProgressError(
                 f"no admissible (target, base) pair while {sorted(missing)} is uncovered"
             )
         t = frontier[0]
-        base = next(
-            b for b in g.neighbors(t) if b in cycle and (bases is None or b in bases)
-        )
-        ext = find_path_extension(g, cycle, t, base)
+        ext = find_path_extension(g, cycle, t, min(bases_at(t)))
         fresh = splice(ext)
         missing.difference_update(fresh)
-        admit(fresh)
+        for b in bases.intersection(fresh):
+            for w in g.neighbors(b):
+                if w in missing and w not in queued:
+                    queued.add(w)
+                    heappush(frontier, w)
         log.append(ext)
     return log
 

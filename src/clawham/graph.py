@@ -302,12 +302,13 @@ class CycleEmbedding:
 
     The stored order starts at the minimum id and proceeds toward the
     smaller of that vertex's two cycle-neighbors, which pins down the
-    successor/predecessor maps.  The cycle is immutable, so its edge set is
-    built on first use and kept.  Vertex ids follow ``FiniteGraph``'s rule:
-    non-negative ints that are not bools.
+    successor/predecessor maps.  The cycle is immutable, so its vertex set
+    is kept from the duplicate check and its edge set is built on first use
+    and kept.  Vertex ids follow ``FiniteGraph``'s rule: non-negative ints
+    that are not bools.
     """
 
-    __slots__ = ("_order", "_index", "_edges")
+    __slots__ = ("_order", "_index", "_vertex_set", "_edges")
 
     def __init__(self, order: Sequence[int]):
         seq = list(order)
@@ -317,7 +318,8 @@ class CycleEmbedding:
                     raise DomainError(f"vertex ids must be non-negative integers, got {v!r}")
         if len(seq) < 3:
             raise DomainError(f"a cycle needs at least 3 vertices, got {len(seq)}")
-        if len(set(seq)) != len(seq):
+        self._vertex_set = frozenset(seq)
+        if len(self._vertex_set) != len(seq):
             raise DomainError("cycle order contains duplicate vertices")
         self._order = _canonical_rotation(seq)
         if self._order[0] < 0:
@@ -333,7 +335,7 @@ class CycleEmbedding:
 
     @property
     def vertex_set(self) -> frozenset[int]:
-        return frozenset(self._order)
+        return self._vertex_set
 
     def __len__(self) -> int:
         return len(self._order)

@@ -1045,6 +1045,16 @@ def reference_decompose(g: FiniteGraph, c: CycleEmbedding, separator, boundary):
     )
 
 
+def reference_kept_deep_edges(base_edges, new_edges, near2) -> bool:
+    """The round conclusion ``kept_deep_edges`` as the scan of every base
+    edge: each one with no end in ``near2`` is an edge of the new cycle."""
+    for e in base_edges:
+        if e[0] not in near2 and e[1] not in near2:
+            if e not in new_edges:
+                return False
+    return True
+
+
 # -- reference full good-tuple check ----------------------------------------------
 #
 # The round-end check before it read a set that holds its component whole

@@ -46,7 +46,7 @@ def build_round_one_context():
     g, ids = double_ray_square_truncation(-20, 20)
     seed = CycleEmbedding([ids[0], ids[1], ids[2]])
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
-    c, _ = extend_to_cover(g, seed, pool, target_pool=pool)
+    c, _ = extend_to_cover(g, seed, pool)
     boundary = [ids[i] for i in (-20, -19, 19, 20)]
     dec = ray_decomposition(g, c, boundary)
     return g, c, dec, ids
@@ -134,6 +134,30 @@ def test_cut_lemma_round_conclusions():
     for j, m in record.witness_sets.items():
         crossing = set(cut(g, m)) & record.cycle.edge_set()
         assert len(crossing) == 2
+
+
+@pytest.mark.parametrize("near2, kept", [({0, 1, 2}, False), ({5}, True)])
+def test_kept_deep_edges_fails_on_a_dropped_deep_edge(near2, kept):
+    """A hand-built round: the new cycle inserts 8 between 5 and 6 of the
+    base cycle 0..7, dropping the base edge (5, 6).  That edge is deep
+    unless an end is in ``near2``; no run of the presets or bench oracles
+    drops one.  The conclusion and the scan of every base edge agree."""
+    from clawham.engine import _round_conclusions
+    from helpers import reference_kept_deep_edges
+
+    g = FiniteGraph(range(9), [(i, (i + 1) % 8) for i in range(8)] + [(5, 8), (6, 8)])
+    c = CycleEmbedding(range(8))
+    new = CycleEmbedding([0, 1, 2, 3, 4, 5, 8, 6, 7])
+    ctx = GoodTupleContext(
+        g, c, SeparatorDecomposition((), tuple(range(9)), (), ()),
+        near_cycle_2=frozenset(near2),
+        around_finite_4=frozenset(range(9)),
+        component_sets=(),
+        part_zones=(),
+    )
+    checks = _round_conclusions(ctx, new, {}, c.edge_set())
+    assert checks["kept_deep_edges"] is kept
+    assert reference_kept_deep_edges(c.edge_set(), new.edge_set(), ctx.near_cycle_2) is kept
 
 
 def test_cut_lemma_requires_deep_vertex():
@@ -492,7 +516,7 @@ def test_deep_vertex_gate_matches_the_distance_rule():
     outcomes = set()
     for hi in range(2, 14):
         goal = [ids[i] for i in range(hi)]
-        c, _ = extend_to_cover(g, shortest_cycle_through(g, ids[0]), goal, target_pool=goal)
+        c, _ = extend_to_cover(g, shortest_cycle_through(g, ids[0]), goal)
         dist = reference_bfs_distances(g, neighborhood_k(g, c.order, 1))
         shallow = max(dist.get(v, len(g)) for v in c.order) < 3
         outcomes.add(shallow)
@@ -1186,6 +1210,18 @@ def test_one_search_decomposition_matches_shrink_then_decompose(name, radius, ro
     for cycle, record in zip(state.cycles(), state.rounds):
         want = reference_decompose(g, cycle, reference_ray_separator(g, cycle, boundary), boundary)
         assert record.dec == want
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
+def test_kept_deep_edges_matches_the_base_edge_scan(name, radius, rounds, seed):
+    """Every round's ``kept_deep_edges``, read off the removed base edges,
+    equals the scan of every base edge."""
+    from helpers import reference_kept_deep_edges
+
+    state, contexts = _round_run(name, radius, rounds, seed)
+    for c, record, ctx in zip(state.cycles(), state.rounds, contexts):
+        want = reference_kept_deep_edges(c.edge_set(), record.cycle.edge_set(), ctx.near_cycle_2)
+        assert record.checks["kept_deep_edges"] is want
 
 
 # ROUND_RUNS, and the cactus-line run in which every one of the 14 round-1

@@ -101,9 +101,11 @@ def test_case_two_found_in_enumerated_class(hypothesis_class_small):
             continue
         cycles = [shortest_cycle_through(g, g.vertices[0])]
         while not cycles[-1].vertex_set >= frozenset(g.vertices):
-            grown, log = extend_to_cover(
-                g, cycles[-1], sorted(cycles[-1].vertex_set | {min(set(g.vertices) - cycles[-1].vertex_set)})
-            )
+            # the cover's targets are goal vertices, so the one added must
+            # be next to the cycle
+            on = cycles[-1].vertex_set
+            nearest = min(v for v in g.vertices if v not in on and not on.isdisjoint(g.neighbor_set(v)))
+            grown, log = extend_to_cover(g, cycles[-1], sorted(on | {nearest}))
             cycles.append(grown)
         for c in cycles:
             for target in sorted(set(g.vertices) - c.vertex_set):

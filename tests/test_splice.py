@@ -12,13 +12,15 @@ import random
 import pytest
 
 from clawham.constructions import complete_graph, graph_power, line_graph, path_graph
-from clawham.errors import InternalConsistencyError
+from clawham.errors import InternalConsistencyError, ProgressError
 from clawham.extension import (
     HamiltonCertificate,
     _SpliceCycle,
     apply_path_extension,
+    extend_to_cover,
     finite_hamilton,
     replay_certificate,
+    shortest_cycle_through,
 )
 from clawham.graph import CycleEmbedding, FiniteGraph
 from helpers import (
@@ -156,3 +158,41 @@ def test_replay_agrees_with_reference_on_tampered_logs():
             cert = HamiltonCertificate.from_json_obj(bad)
             live, ref = replay_certificate(g, cert), reference_replay(g, cert)
             assert (live.ok, live.steps_ok) == (ref.ok, ref.steps_ok), ext
+
+
+def _cover_or_stuck(cover, g, c, goal):
+    try:
+        return cover(g, c, goal)
+    except ProgressError:
+        return "stuck"
+
+
+def test_cover_targets_are_its_goal(hypothesis_class_small):
+    """On in-class graphs and seeded goals, ``extend_to_cover`` gives the
+    reference's sorted scan over the goal vertices as targets: the same
+    cycle and log, or both stuck.  Some goals have no vertex next to the
+    cycle; those, and goals whose vertices are reached only through
+    vertices outside them, get stuck."""
+
+    def reference(g, c, goal):
+        return reference_extend_to_cover(g, c, goal, target_pool=goal)
+
+    rng = random.Random(20)
+    graphs = list(hypothesis_class_small) + [
+        relabel(graph_power(path_graph(30), 2), rng),
+        relabel(line_graph(complete_graph(6)).graph, rng),
+    ]
+    stuck = {True: 0, False: 0}
+    far_goals = 0
+    for g in graphs:
+        c = shortest_cycle_through(g, g.vertices[0])
+        goals = [rng.sample(g.vertices, rng.randint(1, len(g))) for _ in range(3)]
+        far = [v for v in g.vertices if (g.neighbor_set(v) | {v}).isdisjoint(c.vertex_set)]
+        if far:
+            goals.append(rng.sample(far, rng.randint(1, len(far))))
+            far_goals += 1
+        for goal in goals:
+            got = _cover_or_stuck(extend_to_cover, g, c, goal)
+            assert got == _cover_or_stuck(reference, g, c, goal)
+            stuck[got == "stuck"] += 1
+    assert far_goals and stuck[True] > far_goals and stuck[False]
