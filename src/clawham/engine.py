@@ -79,8 +79,8 @@ def _within_three(g: FiniteGraph, a) -> frozenset[int]:
 class GoodTupleContext:
     """Frozen per-round data every good-tuple check refers to: the round's
     base cycle, its separator decomposition, and derived neighborhoods,
-    among them ``separator_reach``, S ∪ N³(S), which the next round's gap
-    check reads."""
+    among them ``separator_reach``, S ∪ N³(S), which the round's gap check
+    reads."""
 
     graph: FiniteGraph
     base_cycle: CycleEmbedding
@@ -92,30 +92,19 @@ class GoodTupleContext:
     separator_reach: frozenset[int] = frozenset()
 
     @classmethod
-    def build(
-        cls,
-        g: FiniteGraph,
-        c: CycleEmbedding,
-        dec: SeparatorDecomposition,
-        _carried: _Decomposed | None = None,
-    ) -> "GoodTupleContext":
-        """The context of ``dec``, the decomposition of ``c``; ``_carried``,
-        the decomposition step's result for it, hands over N(V(c)) and the
-        component sets.  The finite component F is a component of G - S
-        and every separator vertex has a neighbor in it, so F ∪ N⁴(F) is
-        F ∪ S ∪ N³(S)."""
-        if _carried is None:
-            nc = neighborhood_k(g, c.order, 1)
-            comps = tuple(map(frozenset, dec.infinite_components))
-        else:
-            nc, comps = _carried.near, _carried.component_sets
-        near2 = frozenset(neighborhood_k(g, nc, 2))
+    def build(cls, g: FiniteGraph, split: _Decomposed) -> "GoodTupleContext":
+        """The context of ``split``, the decomposition step's result for the
+        round's base cycle c, with N(V(c)) and the component sets.  The
+        finite component F is a component of G - S and every separator
+        vertex has a neighbor in it, so F ∪ N⁴(F) is F ∪ S ∪ N³(S)."""
+        dec, comps = split.dec, split.component_sets
+        near2 = frozenset(neighborhood_k(g, split.near, 2))
         reach = _within_three(g, dec.separator)
         zones = tuple(
             comp.intersection(neighborhood_k(g, part, 3))
             for part, comp in zip(dec.parts, comps)
         )
-        return cls(g, c, dec, near2, reach.union(dec.finite_component), comps, zones, reach)
+        return cls(g, split.cycle, dec, near2, reach.union(dec.finite_component), comps, zones, reach)
 
     @cached_property
     def deep_base(self) -> frozenset[int]:
@@ -146,7 +135,8 @@ def check_good_tuple(
     cycle: CycleEmbedding,
     witness_sets: dict[int, frozenset[int]],
 ) -> list[str]:
-    """All violations of the six witness properties; empty means good.
+    """All violations of the six witness properties; empty means good.  A
+    set whose index names no separator part is reported as such.
 
     A set m that holds its (nonempty) component K whole is read around K:
     K is connected, as a component of G - S, so for (e) one search of
@@ -163,6 +153,9 @@ def check_good_tuple(
     if not base_set <= on_cycle:
         problems.append("(a) the cycle lost vertices of the round's base cycle")
     for j in sorted(witness_sets):
+        if not 1 <= j <= ctx.dec.k:
+            problems.append(f"part {j}: no such separator part, of {ctx.dec.k}")
+            continue
         part = frozenset(ctx.dec.parts[j - 1])
         comp = ctx.component_sets[j - 1]
         zone = ctx.part_zones[j - 1]
@@ -471,9 +464,6 @@ class RoundRecord:
     witness_sets: dict[int, frozenset[int]]
     extension_count: int
     checks: dict[str, bool] = field(default_factory=dict)
-    # S ∪ N³(S) for the round's separator S, read by the next round's gap
-    # check; not part of the run log
-    separator_reach: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -541,14 +531,9 @@ def _tree_path(tree_parent: dict[int, int | None], a: int, b: int) -> list[int]:
     return ancestors[: up_index[v] + 1] + list(reversed(tail))
 
 
-def cut_lemma_round(
-    g: FiniteGraph,
-    c: CycleEmbedding,
-    dec: SeparatorDecomposition,
-    index: int = 1,
-    _carried: _Decomposed | None = None,
-) -> RoundRecord:
-    """Enlarge the cycle across every separator part and the finite
+def cut_lemma_round(g: FiniteGraph, split: _Decomposed, index: int = 1) -> RoundRecord:
+    """Enlarge the cycle of ``split``, the result of
+    ``separators._decompose``, across every separator part and the finite
     component, producing the per-end witness sets.
 
     Per part, the round first captures exactly one separator vertex of the
@@ -566,18 +551,18 @@ def cut_lemma_round(
     ``_touch``, and every step ends with its update rule and the check
     ``_good_step``, which costs what the step changed; the full
     ``check_good_tuple`` runs once, on a frozen copy at the round end.
-    ``_carried`` is the decomposition step's result for ``dec``, which
-    ``run`` hands over to ``GoodTupleContext.build``.
+    The recorded separator gap holds when S ∪ N³(S) misses the separator
+    ``split`` was carried from: the two lie at distance 4 or more.
     """
+    c, dec = split.cycle, split.dec
     _require_cycle(g, c)
-    ctx = GoodTupleContext.build(g, c, dec, _carried)
+    ctx = GoodTupleContext.build(g, split)
     _assert_deep_vertex(ctx)
     cycle = _SpliceCycle(c)
     witness: dict[int, set[int]] = {}
     ext_count = 0
     order: list[int] = []
     uncovered = set(range(1, dec.k + 1))
-    base_edges = c.edge_set()
 
     def uncovered_sep() -> set[int]:
         return {v for i in uncovered for v in dec.parts[i - 1]}
@@ -704,7 +689,8 @@ def cut_lemma_round(
 
     new_cycle = cycle.freeze()
     sets = {j: frozenset(m) for j, m in witness.items()}
-    checks = _round_conclusions(ctx, new_cycle, sets, base_edges)
+    checks = _round_conclusions(ctx, new_cycle, sets)
+    checks["separator_gap"] = ctx.separator_reach.isdisjoint(split.previous_separator)
     return RoundRecord(
         index=index,
         dec=dec,
@@ -713,14 +699,14 @@ def cut_lemma_round(
         witness_sets=sets,
         extension_count=ext_count,
         checks=checks,
-        separator_reach=ctx.separator_reach,
     )
 
 
-def _round_conclusions(ctx, new_cycle, sets, base_edges) -> dict[str, bool]:
+def _round_conclusions(ctx, new_cycle, sets) -> dict[str, bool]:
     """The three round conclusions and the good-tuple verdict of the round's
     cycle and witness sets, recorded (not raised) for the run log."""
     g, c = ctx.graph, ctx.base_cycle
+    base_edges = c.edge_set()
     near2 = ctx.near_cycle_2  # distance 1 to 2 from N(C), C ∩ N(C) = ∅
     containment = ctx.around_finite_4 <= new_cycle.vertex_set  # F ∪ S ∪ N³(S)
 
@@ -832,6 +818,12 @@ def _radius_gate(ball: Ball, deepest: int, m: int, rounds: int) -> None:
         )
 
 
+def _read_depth(ball: Ball, vertices) -> int:
+    """The depth of the deepest neighbor of ``vertices``."""
+    depths, g = ball.depths, ball.graph
+    return max((depths[w] for v in vertices for w in g.neighbors(v)), default=0)
+
+
 def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     """Extract a ball, verify the hypotheses on its interior, build the
     initial cycle covering its own 2-neighborhood, then run the requested
@@ -844,7 +836,8 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     is checked on N[C] before the decomposition and on F ∪ S after it; both
     sets only grow, so each depth is a running maximum over the vertices a
     round adds.  A round m too deep suggests deepest + RADIUS_MARGIN +
-    ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5 on every preset."""
+    ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5 on every preset,
+    also from a ball too small to hold round 1's N[C]."""
     if rounds < 0:
         raise DomainError("rounds must be >= 0")
     ball = pres.extract_ball(radius)
@@ -868,31 +861,32 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
     c0, _ = extend_to_cover(g, seed, pool)
     state = RunState(ball, c0, [])
-    cycle, added = c0, c0.order
+    cycle, added = c0, ()
     split = None
-    near_depth = inner_depth = 0
+    near_depth, inner_depth = _read_depth(ball, c0.order), 0
+    probe = radius
+    # a ball whose read of N[C0] fails the depth rule may clip C0, so round 1's
+    # depth is read again at the suggested radius until it passes there
+    while rounds and near_depth + RADIUS_MARGIN > probe:
+        probe = _suggested_radius(near_depth, rounds - 1)
+        start = run(pres, 0, probe)
+        near_depth = max(near_depth, _read_depth(start.ball, start.initial_cycle.order))
     depths = ball.depths
     for m in range(1, rounds + 1):
         # N[C] and F ∪ S only grow, so each depth is a running maximum
-        near_depth = max(
-            near_depth, max((depths[w] for v in added for w in g.neighbors(v)), default=0)
-        )
+        near_depth = max(near_depth, _read_depth(ball, added))
         if m == 1:
             _stability_gate(ball, _suggested_radius(near_depth, rounds - 1))
         _radius_gate(ball, near_depth, m, rounds)
         split = _decompose(g, cycle, ball.boundary, split)
-        dec = split.dec
         inner_depth = max(inner_depth, max(map(depths.__getitem__, split.gained), default=0))
         _radius_gate(ball, inner_depth, m, rounds)
-        record = cut_lemma_round(g, cycle, dec, index=m, _carried=split)
-        added = record.cycle.vertex_set - split.cycle_set
+        record = cut_lemma_round(g, split, index=m)
+        added = record.cycle.vertex_set - cycle.vertex_set
         if len(added) != len(record.cycle) - len(cycle):
             raise InternalConsistencyError(
                 f"round {m} lost vertices of the previous cycle"
             )
-        record.checks["separator_gap"] = (
-            not state.rounds or state.rounds[-1].separator_reach.isdisjoint(dec.separator)
-        )
         if not all(record.checks.values()):
             bad = sorted(k for k, v in record.checks.items() if not v)
             raise InternalConsistencyError(
@@ -1062,9 +1056,13 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
     ]
     w3 = []
     for proxy, chain in chains:
+        sets = [r.witness_sets.get(j) for r, j in zip(state.rounds, chain)]
+        missing = [(r.index, j) for r, j, m in zip(state.rounds, chain, sets) if m is None]
+        if missing:
+            w3.append(("missing-set", proxy[0], tuple(missing)))
+            continue
         for i in range(1, len(state.rounds)):
-            m_prev = state.rounds[i - 1].witness_sets[chain[i - 1]]
-            m_next = state.rounds[i].witness_sets[chain[i]]
+            m_prev, m_next = sets[i - 1], sets[i]
             if not m_next <= m_prev:
                 w3.append(
                     ("not-nested", proxy[0], i + 1, tuple(sorted(m_next - m_prev))[:4])
@@ -1073,8 +1071,8 @@ def check_extraction_conditions(state: RunState) -> ExtractionReport:
             if shed:
                 w3.append(("not-shrinking", proxy[0], i + 1, tuple(sorted(shed))[:4]))
         on_boundary = bset.intersection(proxy)
-        for record, j in zip(state.rounds, chain):
-            if not on_boundary <= record.witness_sets[j]:
+        for record, m in zip(state.rounds, sets):
+            if not on_boundary <= m:
                 w3.append(("proxy-escapes", proxy[0], record.index))
     cond3 = ConditionReport(not w3 and not ambiguous, tuple(w3))
 

@@ -25,6 +25,8 @@ unchanged from the plain definitions:
   also decides local connectivity, with O(d) more C-level set operations
   and no flood fill, so a line-graph vertex costs one split; elsewhere the
   pair scan and the flood fill.
+* ``is_connected``: O(n + m), one component labelling; the first vertex of
+  each of the first two components.
 * ``is_two_connected``: O(n + m), Hopcroft-Tarjan without recursion; the
   smallest cut vertex.
 * ``is_chordal``: O(n + m), maximum cardinality search; only a non-chordal
@@ -41,8 +43,8 @@ from .errors import DomainError
 from .graph import (
     FiniteGraph,
     VertexSet,
+    components,
     components_within,
-    is_connected,
     shortest_path,
 )
 
@@ -204,6 +206,13 @@ def is_locally_connected(g: FiniteGraph) -> PredicateReport:
     return PredicateReport(True)
 
 
+def is_connected(g: FiniteGraph) -> PredicateReport:
+    parts = components(g)
+    if len(parts) > 1:
+        return PredicateReport(False, (parts[0][0], parts[1][0]), "graph is disconnected")
+    return PredicateReport(True)
+
+
 def is_two_connected(g: FiniteGraph) -> PredicateReport:
     if len(g) < 3:
         raise DomainError("2-connectivity is only defined here for >= 3 vertices")
@@ -223,8 +232,7 @@ def is_two_connected(g: FiniteGraph) -> PredicateReport:
                     parent[w] = u
                     stack.append(w)
     if len(disc) < len(g):
-        other = min(v for v in g.vertices if v not in disc)
-        return PredicateReport(False, (root, other), "graph is disconnected")
+        return is_connected(g)
     low = dict(disc)
     cuts = []
     for u in reversed(disc):
@@ -303,5 +311,5 @@ def check_all(g: FiniteGraph) -> dict[str, PredicateReport | None]:
         "chordal": is_chordal(g),
     }
     out["two_connected"] = is_two_connected(g) if len(g) >= 3 else None
-    out["connected"] = PredicateReport(is_connected(g))
+    out["connected"] = is_connected(g)
     return out

@@ -163,17 +163,19 @@ def ray_decomposition(g: FiniteGraph, c: CycleEmbedding, boundary) -> SeparatorD
 
 @dataclass(frozen=True)
 class _Decomposed:
-    """A decomposition with the sets the next round reads: V(c), N(V(c)),
-    each boundary component as a set, the finite component F as a set, and
+    """The decomposition step's result, a round's one input: the cycle c,
+    its decomposition, N(V(c)), each boundary component and F as sets,
     ``gained``, the vertices of F ∪ S that the previous round's F ∪ S
-    lacked (all of F ∪ S for a decomposition from scratch)."""
+    lacked, and ``previous_separator``, the separator it was carried from
+    (all of F ∪ S and empty, from scratch)."""
 
     dec: SeparatorDecomposition
-    cycle_set: frozenset[int]
+    cycle: CycleEmbedding
     near: frozenset[int]
     component_sets: tuple[frozenset[int], ...]
     finite: frozenset[int]
     gained: frozenset[int]
+    previous_separator: VertexSet = ()
 
 
 def _decompose(
@@ -186,34 +188,34 @@ def _decompose(
     if prev is None:
         near = frozenset(neighborhood_k(g, c.order, 1))
     else:
-        grown = map(g.neighbor_set, cset - prev.cycle_set)
+        grown = map(g.neighbor_set, cset - prev.cycle.vertex_set)
         near = prev.near.union(*grown).difference(cset)
     if bset & cset:
         raise DomainError("the cycle touches the boundary layer")
     if not bset.isdisjoint(near):
         raise DomainError("the boundary layer is adjacent to the cycle")
     if prev is not None:
-        return _carry(g, cset, bset, near, prev)
+        return _carry(g, c, bset, near, prev)
     comps, owner = label_components(g, frozenset(g.vertices).difference(near), bset)
     sset = frozenset(s for s in near if any(u in owner for u in g.neighbors(s)))
     finite = _cycle_component(g, c, sset)
-    dec = _split(g, sset, bset, finite, tuple(sorted(finite)), len(owner), comps, owner)
+    dec = _split(g, sset, bset, finite, tuple(sorted(finite)), comps, owner)
     return _Decomposed(
-        dec, cset, near, tuple(map(frozenset, comps)), frozenset(finite), frozenset(finite | sset)
+        dec, c, near, tuple(map(frozenset, comps)), frozenset(finite), frozenset(finite | sset)
     )
 
 
 def _carry(
     g: FiniteGraph,
-    cset: frozenset[int],
+    c: CycleEmbedding,
     bset: frozenset[int],
     near: frozenset[int],
     prev: _Decomposed,
 ) -> _Decomposed:
-    """The decomposition of the cycle on ``cset`` carried over from
-    ``prev``, that of a cycle whose vertices, finite component and
-    separator ``cset`` covers, as every round of ``engine.run`` leaves
-    them; it equals the one from scratch (see the module docstring).
+    """The decomposition of the cycle ``c`` carried over from ``prev``,
+    that of a cycle whose vertices, finite component and separator ``c``
+    covers, as every round of ``engine.run`` leaves them; it equals the one
+    from scratch (see the module docstring).
 
     Each old boundary component K loses its vertices D in N[V(c)]; the
     vertices of D ∩ N(V(c)) with a neighbor left in K join the separator.
@@ -222,7 +224,7 @@ def _carry(
     labelled from scratch, seeded at the boundary.  The finite component
     grows from the old one by a search from the old separator through what
     the boundary side lost, avoiding the new separator."""
-    touched = cset | near
+    touched = c.vertex_set | near
     pieces: list[tuple[VertexSet, frozenset[int], list[int]]] = []
     separator: list[int] = []
     gone = set(prev.dec.separator)
@@ -256,16 +258,15 @@ def _carry(
     sset = frozenset(separator)
     reached = bfs(g, prev.dec.separator, within=gone.difference(sset))
     finite = prev.finite.union(reached)
-    if not cset <= finite:
+    if not c.vertex_set <= finite:
         raise DomainError("no component contains the cycle")
     # F' is sorted already, so this sort is one merge
     order = tuple(sorted([*prev.dec.finite_component, *sorted(reached)]))
-    outer = sum(len(kset) for _, kset, _ in pieces)
     comps = tuple(piece for piece, _, _ in pieces)
-    dec = _split(g, sset, bset, finite, order, outer, comps, owner)
+    dec = _split(g, sset, bset, finite, order, comps, owner)
     return _Decomposed(
-        dec, cset, near, tuple(kset for _, kset, _ in pieces), finite,
-        sset.union(reached).difference(prev.dec.separator),
+        dec, c, near, tuple(kset for _, kset, _ in pieces), finite,
+        sset.union(reached).difference(prev.dec.separator), prev.dec.separator,
     )
 
 
@@ -284,17 +285,16 @@ def _split(
     bset: frozenset[int],
     finite,
     finite_order: VertexSet,
-    outer: int,
     comps: tuple[VertexSet, ...],
     owner: dict[int, int],
 ) -> SeparatorDecomposition:
     """The decomposition of g - ``sset`` into the cycle's component
     ``finite`` (sorted: ``finite_order``) and the boundary components
-    ``comps``, ``outer`` vertices in all, after checking that nothing else
-    is left and that every separator vertex reaches one boundary component
-    and ``finite``.  ``owner`` maps each neighbor of the separator in the
-    boundary components to the index of its component."""
-    if len(finite) + outer + len(sset) != len(g):
+    ``comps``, after checking that nothing else is left and that every
+    separator vertex reaches one boundary component and ``finite``.
+    ``owner`` maps each neighbor of the separator in the boundary
+    components to the index of its component."""
+    if len(finite) + sum(map(len, comps)) + len(sset) != len(g):
         raise RadiusTooSmallError(
             "a component beyond the separator misses the boundary layer; "
             "enlarge the truncation radius",

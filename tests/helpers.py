@@ -971,16 +971,17 @@ def reference_ray_separator(g: FiniteGraph, c: CycleEmbedding, boundary) -> tupl
 def assert_carry_matches_scratch(g, c, boundary, prev, got):
     """``got``, the decomposition of ``c`` carried over from ``prev``, equals
     the one from scratch, sets included; its ``gained`` is what F ∪ S
-    gained over ``prev``."""
+    gained over ``prev``, and it keeps ``prev``'s separator."""
     from clawham.separators import _decompose
 
     want = _decompose(g, c, boundary)
     assert got.dec == want.dec
-    assert (got.cycle_set, got.near, got.component_sets, got.finite) == (
-        want.cycle_set, want.near, want.component_sets, want.finite
+    assert (got.cycle, got.near, got.component_sets, got.finite) == (
+        want.cycle, want.near, want.component_sets, want.finite
     )
     before = set() if prev is None else prev.finite | set(prev.dec.separator)
     assert got.gained == want.finite.union(want.dec.separator) - before
+    assert got.previous_separator == (() if prev is None else prev.dec.separator)
 
 
 def reference_decompose(g: FiniteGraph, c: CycleEmbedding, separator, boundary):
@@ -1352,10 +1353,10 @@ def inject_round_fault(monkeypatch, kind: str) -> str:
     fault, message = ROUND_FAULTS[kind]
     original = engine.cut_lemma_round
 
-    def faulty(g, c, dec, index=1, **carried):
-        record = original(g, c, dec, index=index, **carried)
+    def faulty(g, split, index=1):
+        record = original(g, split, index=index)
         if index == 1:
-            fault(record, c)
+            fault(record, split.cycle)
         return record
 
     monkeypatch.setattr(engine, "cut_lemma_round", faulty)

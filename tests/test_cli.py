@@ -41,6 +41,22 @@ def test_check_claw(tmp_path, capsys):
     assert payload["claw_free"]["witness"] == [0, 1, 2, 3]
 
 
+def test_check_disconnected_reports_a_connectivity_witness(monkeypatch, capsys):
+    """The ``connected`` report names the first vertex of each of the first
+    two components, the witness ``hamilton`` fails with."""
+    text = "0 1\n2 3\n"
+    code, out, _ = run_cli(capsys, "check", stdin=text, monkeypatch=monkeypatch)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["connected"] == {
+        "holds": False, "witness": [0, 2], "note": "graph is disconnected"
+    }
+    assert payload["two_connected"]["witness"] == [0, 2]
+    code, out, _ = run_cli(capsys, "hamilton", stdin=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert (json.loads(out)["predicate"], json.loads(out)["witness"]) == ("connected", [0, 2])
+
+
 def test_check_c5(tmp_path, capsys):
     path = tmp_path / "c5.json"
     path.write_text(graph_to_json(cycle_graph(5)))

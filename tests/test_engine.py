@@ -27,7 +27,7 @@ from clawham.errors import (
 from clawham.extension import find_path_extension, truncate_extension
 from clawham.graph import CycleEmbedding, FiniteGraph, cut, neighborhood_k
 from clawham.presentations import Ball, GraphPresentation, preset
-from clawham.separators import SeparatorDecomposition, ray_decomposition
+from clawham.separators import SeparatorDecomposition, _decompose
 from conftest import double_ray_square_truncation
 
 
@@ -48,8 +48,7 @@ def build_round_one_context():
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
     c, _ = extend_to_cover(g, seed, pool)
     boundary = [ids[i] for i in (-20, -19, 19, 20)]
-    dec = ray_decomposition(g, c, boundary)
-    return g, c, dec, ids
+    return g, _decompose(g, c, boundary), ids
 
 
 def test_empty_tuple_is_good_and_extends():
@@ -57,8 +56,9 @@ def test_empty_tuple_is_good_and_extends():
     from clawham.engine import _splice_step
     from clawham.extension import _SpliceCycle
 
-    g, c, dec, ids = build_round_one_context()
-    ctx = GoodTupleContext.build(g, c, dec)
+    g, split, ids = build_round_one_context()
+    c, dec = split.cycle, split.dec
+    ctx = GoodTupleContext.build(g, split)
     assert check_good_tuple(ctx, c, {}) == []
     # acquire a separator vertex: the smallest one adjacent to the cycle
     target = min(set(dec.separator) & set(neighborhood_k(g, c.order, 1)))
@@ -77,9 +77,9 @@ def test_empty_tuple_is_good_and_extends():
 def test_good_extend_untouched_witness_sets_stay():
     """The round's cycle and witness sets form a good tuple for the
     round's context, built afresh."""
-    g, c, dec, ids = build_round_one_context()
-    record = cut_lemma_round(g, c, dec)
-    ctx = GoodTupleContext.build(g, c, dec)
+    g, split, ids = build_round_one_context()
+    record = cut_lemma_round(g, split)
+    ctx = GoodTupleContext.build(g, split)
     assert check_good_tuple(ctx, record.cycle, record.witness_sets) == []
 
 
@@ -88,8 +88,9 @@ def test_good_extend_rejects_stray_footprint():
     from clawham.engine import _splice_step
     from clawham.extension import ExtensionCase, PathExtension, _SpliceCycle
 
-    g, c, dec, ids = build_round_one_context()
-    ctx = GoodTupleContext.build(g, c, dec)
+    g, split, ids = build_round_one_context()
+    c = split.cycle
+    ctx = GoodTupleContext.build(g, split)
     # a target deep inside an infinite component is outside the allowed region
     deep = ids[12]
     ext = PathExtension(ExtensionCase.ONE, deep, ids[1], (deep, ids[2]), ())
@@ -100,9 +101,10 @@ def test_good_extend_rejects_stray_footprint():
 
 
 def test_check_good_tuple_flags_violations():
-    g, c, dec, ids = build_round_one_context()
-    record = cut_lemma_round(g, c, dec)
-    ctx = GoodTupleContext.build(g, c, dec)
+    g, split, ids = build_round_one_context()
+    dec = split.dec
+    record = cut_lemma_round(g, split)
+    ctx = GoodTupleContext.build(g, split)
     good = record.witness_sets
     j = min(good)
     # (b): a witness set must contain its whole component
@@ -118,9 +120,38 @@ def test_check_good_tuple_flags_violations():
     assert any(p.startswith("(b)") or p.startswith("(c)") for p in problems)
 
 
+@pytest.mark.parametrize("j", [0, 9])
+def test_check_good_tuple_reports_a_set_of_no_part(j):
+    """A witness set whose index names no separator part is a violation,
+    neither an index error nor a check of another part."""
+    g, split, _ = build_round_one_context()
+    record = cut_lemma_round(g, split)
+    ctx = GoodTupleContext.build(g, split)
+    m = record.witness_sets[1]
+    assert check_good_tuple(ctx, record.cycle, {j: m}) == [
+        f"part {j}: no such separator part, of {split.dec.k}"
+    ]
+
+
+def test_extraction_reports_a_missing_witness_set():
+    """A round without the set of a part some end proxy's chain passes
+    through fails condition (iii), reported, not raised."""
+    from dataclasses import replace
+
+    state = small_run(rounds=2, radius=20)
+    second = state.rounds[1]
+    sets = {j: m for j, m in second.witness_sets.items() if j != 2}
+    state = replace(state, rounds=[state.rounds[0], replace(second, witness_sets=sets)])
+    rep = check_extraction_conditions(state)
+    assert not rep.nested_chains.holds and not rep.all_pass()
+    missing = [w for w in rep.nested_chains.witnesses if w[0] == "missing-set"]
+    assert [w[2] for w in missing] == [((2, 2),)]
+
+
 def test_cut_lemma_round_conclusions():
-    g, c, dec, ids = build_round_one_context()
-    record = cut_lemma_round(g, c, dec)
+    g, split, ids = build_round_one_context()
+    dec = split.dec
+    record = cut_lemma_round(g, split)
     assert record.checks["containment"]
     assert record.checks["kept_deep_edges"]
     assert record.checks["new_edge_location"]
@@ -155,7 +186,7 @@ def test_kept_deep_edges_fails_on_a_dropped_deep_edge(near2, kept):
         component_sets=(),
         part_zones=(),
     )
-    checks = _round_conclusions(ctx, new, {}, c.edge_set())
+    checks = _round_conclusions(ctx, new, {})
     assert checks["kept_deep_edges"] is kept
     assert reference_kept_deep_edges(c.edge_set(), new.edge_set(), ctx.near_cycle_2) is kept
 
@@ -164,9 +195,8 @@ def test_cut_lemma_requires_deep_vertex():
     g, ids = double_ray_square_truncation(-8, 8)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-8, -7, 7, 8)]
-    dec = ray_decomposition(g, c, boundary)
     with pytest.raises(DomainError):
-        cut_lemma_round(g, c, dec)  # bare triangle: nothing 3 away from N(c)
+        cut_lemma_round(g, _decompose(g, c, boundary))  # bare triangle: nothing 3 away from N(c)
 
 
 # -- the run loop ---------------------------------------------------------------
@@ -307,11 +337,14 @@ def test_runs_pass_from_the_least_radius_and_suggestions_finish_them(name):
     it, the depth rule suggests exactly 4k + 5 and the end-stability gate
     max(2R, 4k + 5), and the run completes at the suggested radius."""
     finished = set()  # (k, radius) pairs already re-run
+    # answers for every radius run here, and for the larger ball in which a
+    # run too small for round 1 reads that round's depth again
+    pres = _presentation(name, 60)
     for k in (1, 2, 3, 5):
         least = _least_radius(name, k)
         for radius in range(6, least + 2):
             try:
-                run(_presentation(name, radius), k, radius)
+                run(pres, k, radius)
             except RadiusTooSmallError as exc:
                 assert radius < least
                 suggested = exc.suggested_radius
@@ -321,10 +354,26 @@ def test_runs_pass_from_the_least_radius_and_suggestions_finish_them(name):
                     assert re.match(r"round \d+: the construction reached depth", str(exc))
                     assert suggested == 4 * k + 5
                 if (k, suggested) not in finished:
-                    assert len(run(_presentation(name, suggested), k, suggested).rounds) == k
+                    assert len(run(pres, k, suggested).rounds) == k
                     finished.add((k, suggested))
             else:
                 assert radius >= least
+
+
+@pytest.mark.parametrize(
+    "name", ["double-ray-square", "ray-square", "ladder-line-graph", "tri-lattice-line", "tripod-line"]
+)
+def test_suggestion_from_a_clipped_ball_finishes_the_run(name):
+    """At radius 5 or less the ball may clip the neighborhood of the initial
+    cycle, which round 1 reads.  The suggestion is still the one that
+    finishes the run, 4k + 5."""
+    pres = _presentation(name, 40)
+    for k in (2, 3):
+        for radius in range(1, 6):
+            with pytest.raises(RadiusTooSmallError) as exc:
+                run(pres, k, radius)
+            assert exc.value.suggested_radius == 4 * k + 5, (k, radius)
+        assert len(run(pres, k, 4 * k + 5).rounds) == k
 
 
 def test_separator_gap_at_least_four():
@@ -503,14 +552,13 @@ def test_deep_vertex_gate_matches_the_distance_rule():
     """The round precondition fails exactly when every cycle vertex is
     within distance 2 of the cycle neighborhood.  It reads the context's
     ``near_cycle_2``; the decomposition, which the gate does not read, is
-    the trivial one."""
+    the trivial one of an empty boundary."""
     from clawham.engine import _assert_deep_vertex
     from clawham.extension import extend_to_cover, shortest_cycle_through
     from helpers import reference_bfs_distances
 
     def gate(g, c):
-        dec = SeparatorDecomposition((), tuple(g.vertices), (), ())
-        _assert_deep_vertex(GoodTupleContext.build(g, c, dec))
+        _assert_deep_vertex(GoodTupleContext.build(g, _decompose(g, c, ())))
 
     g, ids = double_ray_square_truncation(-15, 15)
     outcomes = set()
@@ -683,9 +731,9 @@ def test_four_cut_crossings_are_counted_exactly():
     by either count."""
     import random
 
-    g, c, dec, _ = build_round_one_context()
-    record = cut_lemma_round(g, c, dec)
-    ctx = GoodTupleContext.build(g, c, dec)
+    g, split, _ = build_round_one_context()
+    record = cut_lemma_round(g, split)
+    ctx = GoodTupleContext.build(g, split)
     cycle, witness = record.cycle, dict(record.witness_sets)
     j = min(witness)
     inner = sorted(
@@ -766,10 +814,10 @@ def test_corrupted_witness_update_is_flagged(monkeypatch, step_verdicts, kind):
         def build():
             run(pres, 2, 13)
     else:
-        g, c, dec, _ = build_round_one_context()
+        g, split, _ = build_round_one_context()
 
         def build():
-            cut_lemma_round(g, c, dec)
+            cut_lemma_round(g, split)
     # the footprint guard sees the extension before the rule runs
     hit = _corrupt_first(
         monkeypatch,
@@ -932,10 +980,10 @@ def _part_state(held_by_older, eleven_on_cycle=False):
          (10, 11), (11, 8), (11, 3), (7, 14), (9, 8), (9, 11), (13, 12), (13, 1)]
         + [(11, 0)] * eleven_on_cycle,
     )
-    c = CycleEmbedding([0, 1, 2, 3])
-    dec = ray_decomposition(g, c, [6, 9])
+    split = _decompose(g, CycleEmbedding([0, 1, 2, 3]), [6, 9])
+    dec = split.dec
     assert dec.separator == (4, 7, 8, 11, 12)
-    ctx = GoodTupleContext.build(g, c, dec)
+    ctx = GoodTupleContext.build(g, split)
     a, b = dec.part_of_vertex(4), dec.part_of_vertex(7)
     order = [0, 4, 5, 6, 12, 1, 2, 7, 8, 3] + [11] * eleven_on_cycle
     cycle = _SpliceCycle(CycleEmbedding(order))
@@ -1098,9 +1146,9 @@ def test_absorption_of_a_component_alone_is_flagged(monkeypatch):
 
 
 def test_separator_gap_matches_set_distance():
-    """The gap check, a separator missing the previous round's recorded
-    ``separator_reach`` (``_within_three`` of its separator), agrees with
-    the whole-ball distance on every pair of consecutive separators of the
+    """The gap check, a separator's ``separator_reach`` (``_within_three``
+    of it) missing the previous round's separator, agrees with the
+    whole-ball distance on every pair of consecutive separators of the
     presets and on seeded pairs."""
     import random
 
@@ -1110,12 +1158,12 @@ def test_separator_gap_matches_set_distance():
 
     pairs = 0
     for name in PRESET_NAMES:
-        state = run(preset(name), 5, 70)
+        state, contexts = _round_run(name, 70, 5, 7)
         g = state.graph
-        for a, b in zip(state.rounds, state.rounds[1:]):
-            assert a.separator_reach == _within_three(g, a.dec.separator)
+        for a, b, ctx in zip(state.rounds, state.rounds[1:], contexts[1:]):
+            assert ctx.separator_reach == _within_three(g, b.dec.separator)
             far = reference_set_distance(g, a.dec.separator, b.dec.separator) >= 4
-            assert a.separator_reach.isdisjoint(b.dec.separator) == far
+            assert ctx.separator_reach.isdisjoint(a.dec.separator) == far
             assert b.checks["separator_gap"] == far
             pairs += 1
     assert pairs == 4 * len(PRESET_NAMES)
@@ -1184,18 +1232,46 @@ ROUND_RUNS = DIFFERENTIAL_RUNS + [
 @functools.cache
 def _round_run(name, radius, rounds, seed):
     """The run, with the stability gate bypassed for cactus-line, and the
-    context of each of its rounds."""
+    context of each of its rounds, built from the round's input."""
     import clawham.engine as engine
+
+    splits = []
+    round_of = engine.cut_lemma_round
+
+    def recorded(g, split, index):
+        splits.append(split)
+        return round_of(g, split, index)
 
     with pytest.MonkeyPatch.context() as mp:
         if name == "cactus-line":
             mp.setattr(engine, "_stability_gate", lambda ball, least: None)
+        mp.setattr(engine, "cut_lemma_round", recorded)
         state = run(_presentation(name, radius, seed), rounds, radius)
-    contexts = [
-        GoodTupleContext.build(state.graph, c, r.dec)
-        for c, r in zip(state.cycles(), state.rounds)
+    return state, [GoodTupleContext.build(state.graph, split) for split in splits]
+
+
+@pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
+def test_round_separator_gap_matches_the_previous_reach(name, radius, rounds, seed):
+    """Every round records its own separator gap, its reach missing the
+    previous separator; the verdict equals the previous round's reach
+    missing its separator, and holds for round 1."""
+    state, contexts = _round_run(name, radius, rounds, seed)
+    gaps = [r.checks["separator_gap"] for r in state.rounds]
+    previous = [ctx.separator_reach for ctx in contexts[:-1]]
+    assert gaps == [True] + [
+        reach.isdisjoint(r.dec.separator) for reach, r in zip(previous, state.rounds[1:])
     ]
-    return state, contexts
+
+
+def test_round_records_a_separator_gap_that_fails():
+    """A round whose input was carried from a decomposition with the same
+    separator records a failing gap."""
+    from dataclasses import replace
+
+    g, split, _ = build_round_one_context()
+    assert cut_lemma_round(g, split).checks["separator_gap"]
+    near = replace(split, previous_separator=split.dec.separator)
+    assert not cut_lemma_round(g, near).checks["separator_gap"]
 
 
 @pytest.mark.parametrize("name, radius, rounds, seed", ROUND_RUNS)
@@ -1255,9 +1331,8 @@ def test_carried_decomposition_matches_from_scratch(monkeypatch, name, radius, r
     for (c, prev, got), record in zip(seen, state.rounds):
         assert_carry_matches_scratch(g, c, boundary, prev, got)
         finite = set(got.dec.finite_component)
-        ctx = GoodTupleContext.build(g, c, got.dec, got)
+        ctx = GoodTupleContext.build(g, got)
         assert ctx.around_finite_4 == finite.union(neighborhood_k(g, finite, 4))
-        assert ctx.separator_reach == record.separator_reach
     if (name, radius) == ("cactus-line", 13):
         assert [r.dec.k for r in state.rounds] == [14, 224]
 

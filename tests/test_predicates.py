@@ -184,8 +184,10 @@ def assert_matches_references(g):
         assert _report(live, g) == expected[name], (name, g.edges())
     if len(g) < 3:
         expected["two_connected"] = None
-    expected["connected"] = {
-        "holds": len(reference_components(g)) <= 1, "witness": None, "note": ""}
+    comps = reference_components(g)
+    expected["connected"] = (
+        {"holds": True, "witness": None, "note": ""} if len(comps) <= 1 else
+        {"holds": False, "witness": [comps[0][0], comps[1][0]], "note": "graph is disconnected"})
     reports = {name: rep if rep is None else rep.to_json_obj()
                for name, rep in check_all(g).items()}
     assert reports == expected, g.edges()
