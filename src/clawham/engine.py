@@ -64,7 +64,7 @@ from .graph import (
 )
 from .predicates import claw_at, hypotheses_hold_at
 from .presentations import Ball, GraphPresentation
-from .separators import SeparatorDecomposition, _decompose, _Decomposed
+from .separators import CycleSplit, SeparatorDecomposition, split_cycle
 
 # -- good tuples --------------------------------------------------------------
 
@@ -92,7 +92,7 @@ class GoodTupleContext:
     separator_reach: frozenset[int] = frozenset()
 
     @classmethod
-    def build(cls, g: FiniteGraph, split: _Decomposed) -> "GoodTupleContext":
+    def build(cls, g: FiniteGraph, split: CycleSplit) -> "GoodTupleContext":
         """The context of ``split``, the decomposition step's result for the
         round's base cycle c, with N(V(c)) and the component sets.  The
         finite component F is a component of G - S and every separator
@@ -531,9 +531,9 @@ def _tree_path(tree_parent: dict[int, int | None], a: int, b: int) -> list[int]:
     return ancestors[: up_index[v] + 1] + list(reversed(tail))
 
 
-def cut_lemma_round(g: FiniteGraph, split: _Decomposed, index: int = 1) -> RoundRecord:
+def cut_lemma_round(g: FiniteGraph, split: CycleSplit, index: int = 1) -> RoundRecord:
     """Enlarge the cycle of ``split``, the result of
-    ``separators._decompose``, across every separator part and the finite
+    ``separators.split_cycle``, across every separator part and the finite
     component, producing the per-end witness sets.
 
     Per part, the round first captures exactly one separator vertex of the
@@ -824,6 +824,14 @@ def _read_depth(ball: Ball, vertices) -> int:
     return max((depths[w] for v in vertices for w in g.neighbors(v)), default=0)
 
 
+def _initial_cycle(g: FiniteGraph) -> CycleEmbedding:
+    """The shortest cycle through the root, extended to cover its own
+    2-neighborhood."""
+    seed = shortest_cycle_through(g, g.vertices[0])
+    pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
+    return extend_to_cover(g, seed, pool)[0]
+
+
 def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     """Extract a ball, verify the hypotheses on its interior, build the
     initial cycle covering its own 2-neighborhood, then run the requested
@@ -836,8 +844,9 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     is checked on N[C] before the decomposition and on F ∪ S after it; both
     sets only grow, so each depth is a running maximum over the vertices a
     round adds.  A round m too deep suggests deepest + RADIUS_MARGIN +
-    ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5 on every preset,
-    also from a ball too small to hold round 1's N[C]."""
+    ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5 on every preset.
+    A read of round 1's N[C] that reaches the ball's last layer may be
+    clipped, so only then is it read again in a ball of the suggested radius."""
     if rounds < 0:
         raise DomainError("rounds must be >= 0")
     ball = pres.extract_ball(radius)
@@ -857,20 +866,16 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
             sorted({v} | set(g.neighbors(v))),
             f"disconnected neighborhood at interior vertex {v}",
         )
-    seed = shortest_cycle_through(g, ball.graph.vertices[0])
-    pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
-    c0, _ = extend_to_cover(g, seed, pool)
+    c0 = _initial_cycle(g)
     state = RunState(ball, c0, [])
     cycle, added = c0, ()
     split = None
     near_depth, inner_depth = _read_depth(ball, c0.order), 0
     probe = radius
-    # a ball whose read of N[C0] fails the depth rule may clip C0, so round 1's
-    # depth is read again at the suggested radius until it passes there
-    while rounds and near_depth + RADIUS_MARGIN > probe:
+    while rounds and near_depth >= probe:
         probe = _suggested_radius(near_depth, rounds - 1)
-        start = run(pres, 0, probe)
-        near_depth = max(near_depth, _read_depth(start.ball, start.initial_cycle.order))
+        wider = pres.extract_ball(probe)
+        near_depth = max(near_depth, _read_depth(wider, _initial_cycle(wider.graph).order))
     depths = ball.depths
     for m in range(1, rounds + 1):
         # N[C] and F ∪ S only grow, so each depth is a running maximum
@@ -878,7 +883,7 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
         if m == 1:
             _stability_gate(ball, _suggested_radius(near_depth, rounds - 1))
         _radius_gate(ball, near_depth, m, rounds)
-        split = _decompose(g, cycle, ball.boundary, split)
+        split = split_cycle(g, cycle, ball.boundary, split)
         inner_depth = max(inner_depth, max(map(depths.__getitem__, split.gained), default=0))
         _radius_gate(ball, inner_depth, m, rounds)
         record = cut_lemma_round(g, split, index=m)

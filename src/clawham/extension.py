@@ -40,7 +40,7 @@ from .graph import (
     shortest_path,
     validate_cycle,
 )
-from .predicates import is_claw_free, is_connected, is_locally_connected
+from .predicates import connected_report, is_claw_free, is_locally_connected
 
 
 class ExtensionCase(Enum):
@@ -566,7 +566,7 @@ def finite_hamilton(g: FiniteGraph) -> HamiltonCertificate:
     """
     if len(g) < 3:
         raise DomainError("need at least 3 vertices")
-    for name, check in (("connected", is_connected), ("claw_free", is_claw_free),
+    for name, check in (("connected", connected_report), ("claw_free", is_claw_free),
                         ("locally_connected", is_locally_connected)):
         report = check(g)
         if not report.holds:

@@ -25,7 +25,7 @@ unchanged from the plain definitions:
   also decides local connectivity, with O(d) more C-level set operations
   and no flood fill, so a line-graph vertex costs one split; elsewhere the
   pair scan and the flood fill.
-* ``is_connected``: O(n + m), one component labelling; the first vertex of
+* ``connected_report``: O(n + m), one component labelling; the first vertex of
   each of the first two components.
 * ``is_two_connected``: O(n + m), Hopcroft-Tarjan without recursion; the
   smallest cut vertex.
@@ -206,7 +206,7 @@ def is_locally_connected(g: FiniteGraph) -> PredicateReport:
     return PredicateReport(True)
 
 
-def is_connected(g: FiniteGraph) -> PredicateReport:
+def connected_report(g: FiniteGraph) -> PredicateReport:
     parts = components(g)
     if len(parts) > 1:
         return PredicateReport(False, (parts[0][0], parts[1][0]), "graph is disconnected")
@@ -232,7 +232,7 @@ def is_two_connected(g: FiniteGraph) -> PredicateReport:
                     parent[w] = u
                     stack.append(w)
     if len(disc) < len(g):
-        return is_connected(g)
+        return connected_report(g)
     low = dict(disc)
     cuts = []
     for u in reversed(disc):
@@ -311,5 +311,5 @@ def check_all(g: FiniteGraph) -> dict[str, PredicateReport | None]:
         "chordal": is_chordal(g),
     }
     out["two_connected"] = is_two_connected(g) if len(g) >= 3 else None
-    out["connected"] = is_connected(g)
+    out["connected"] = connected_report(g)
     return out

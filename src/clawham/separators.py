@@ -158,12 +158,12 @@ def ray_decomposition(g: FiniteGraph, c: CycleEmbedding, boundary) -> SeparatorD
     inconsistency.  Both failures put an induced claw at a separator vertex,
     so ``engine.run``, whose depth rule keeps N[V(c)] interior, meets neither.
     """
-    return _decompose(g, c, boundary).dec
+    return split_cycle(g, c, boundary).dec
 
 
 @dataclass(frozen=True)
-class _Decomposed:
-    """The decomposition step's result, a round's one input: the cycle c,
+class CycleSplit:
+    """The result of ``split_cycle``, a round's one input: the cycle c,
     its decomposition, N(V(c)), each boundary component and F as sets,
     ``gained``, the vertices of F ∪ S that the previous round's F ∪ S
     lacked, and ``previous_separator``, the separator it was carried from
@@ -178,11 +178,13 @@ class _Decomposed:
     previous_separator: VertexSet = ()
 
 
-def _decompose(
-    g: FiniteGraph, c: CycleEmbedding, boundary, prev: _Decomposed | None = None
-) -> _Decomposed:
-    """``ray_decomposition`` with its sets, from scratch or, given the
-    previous round's ``prev``, carried over from it (see ``_carry``)."""
+def split_cycle(
+    g: FiniteGraph, c: CycleEmbedding, boundary, prev: CycleSplit | None = None
+) -> CycleSplit:
+    """The decomposition step: ``ray_decomposition`` of the cycle ``c``
+    with its sets, from scratch or, given the previous round's ``prev``,
+    carried over from it (see ``_carry``).  Its result is the one input of
+    ``engine.cut_lemma_round`` and ``GoodTupleContext.build``."""
     bset = g.require_subset(boundary)
     cset = c.vertex_set
     if prev is None:
@@ -198,11 +200,12 @@ def _decompose(
         return _carry(g, c, bset, near, prev)
     comps, owner = label_components(g, frozenset(g.vertices).difference(near), bset)
     sset = frozenset(s for s in near if any(u in owner for u in g.neighbors(s)))
-    finite = _cycle_component(g, c, sset)
+    # F, the component of G - S holding the cycle
+    finite = frozenset(bfs(g, c.order[:1], within=frozenset(g.vertices).difference(sset)))
+    if not cset <= finite:
+        raise DomainError("no component contains the cycle")
     dec = _split(g, sset, bset, finite, tuple(sorted(finite)), comps, owner)
-    return _Decomposed(
-        dec, c, near, tuple(map(frozenset, comps)), frozenset(finite), frozenset(finite | sset)
-    )
+    return CycleSplit(dec, c, near, tuple(map(frozenset, comps)), finite, finite | sset)
 
 
 def _carry(
@@ -210,8 +213,8 @@ def _carry(
     c: CycleEmbedding,
     bset: frozenset[int],
     near: frozenset[int],
-    prev: _Decomposed,
-) -> _Decomposed:
+    prev: CycleSplit,
+) -> CycleSplit:
     """The decomposition of the cycle ``c`` carried over from ``prev``,
     that of a cycle whose vertices, finite component and separator ``c``
     covers, as every round of ``engine.run`` leaves them; it equals the one
@@ -264,19 +267,10 @@ def _carry(
     order = tuple(sorted([*prev.dec.finite_component, *sorted(reached)]))
     comps = tuple(piece for piece, _, _ in pieces)
     dec = _split(g, sset, bset, finite, order, comps, owner)
-    return _Decomposed(
+    return CycleSplit(
         dec, c, near, tuple(kset for _, kset, _ in pieces), finite,
         sset.union(reached).difference(prev.dec.separator), prev.dec.separator,
     )
-
-
-def _cycle_component(g: FiniteGraph, c: CycleEmbedding, sset) -> set[int]:
-    """The vertex set of the component of g - ``sset`` holding the cycle."""
-    allowed = frozenset(g.vertices).difference(sset)
-    finite = set(bfs(g, c.order[:1], within=allowed))
-    if not c.vertex_set <= finite:
-        raise DomainError("no component contains the cycle")
-    return finite
 
 
 def _split(

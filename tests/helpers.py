@@ -972,9 +972,9 @@ def assert_carry_matches_scratch(g, c, boundary, prev, got):
     """``got``, the decomposition of ``c`` carried over from ``prev``, equals
     the one from scratch, sets included; its ``gained`` is what F ∪ S
     gained over ``prev``, and it keeps ``prev``'s separator."""
-    from clawham.separators import _decompose
+    from clawham.separators import split_cycle
 
-    want = _decompose(g, c, boundary)
+    want = split_cycle(g, c, boundary)
     assert got.dec == want.dec
     assert (got.cycle, got.near, got.component_sets, got.finite) == (
         want.cycle, want.near, want.component_sets, want.finite

@@ -27,7 +27,7 @@ from clawham.errors import (
 from clawham.extension import find_path_extension, truncate_extension
 from clawham.graph import CycleEmbedding, FiniteGraph, cut, neighborhood_k
 from clawham.presentations import Ball, GraphPresentation, preset
-from clawham.separators import SeparatorDecomposition, _decompose
+from clawham.separators import SeparatorDecomposition, split_cycle
 from conftest import double_ray_square_truncation
 
 
@@ -48,7 +48,7 @@ def build_round_one_context():
     pool = set(seed.order) | set(neighborhood_k(g, seed.order, 2))
     c, _ = extend_to_cover(g, seed, pool)
     boundary = [ids[i] for i in (-20, -19, 19, 20)]
-    return g, _decompose(g, c, boundary), ids
+    return g, split_cycle(g, c, boundary), ids
 
 
 def test_empty_tuple_is_good_and_extends():
@@ -196,7 +196,7 @@ def test_cut_lemma_requires_deep_vertex():
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-8, -7, 7, 8)]
     with pytest.raises(DomainError):
-        cut_lemma_round(g, _decompose(g, c, boundary))  # bare triangle: nothing 3 away from N(c)
+        cut_lemma_round(g, split_cycle(g, c, boundary))  # bare triangle: nothing 3 away from N(c)
 
 
 # -- the run loop ---------------------------------------------------------------
@@ -337,14 +337,13 @@ def test_runs_pass_from_the_least_radius_and_suggestions_finish_them(name):
     it, the depth rule suggests exactly 4k + 5 and the end-stability gate
     max(2R, 4k + 5), and the run completes at the suggested radius."""
     finished = set()  # (k, radius) pairs already re-run
-    # answers for every radius run here, and for the larger ball in which a
-    # run too small for round 1 reads that round's depth again
-    pres = _presentation(name, 60)
     for k in (1, 2, 3, 5):
         least = _least_radius(name, k)
         for radius in range(6, least + 2):
             try:
-                run(pres, k, radius)
+                # a bench oracle answers only within the radius it was built
+                # for, so this also checks that the run reads no further
+                run(_presentation(name, radius), k, radius)
             except RadiusTooSmallError as exc:
                 assert radius < least
                 suggested = exc.suggested_radius
@@ -354,7 +353,7 @@ def test_runs_pass_from_the_least_radius_and_suggestions_finish_them(name):
                     assert re.match(r"round \d+: the construction reached depth", str(exc))
                     assert suggested == 4 * k + 5
                 if (k, suggested) not in finished:
-                    assert len(run(pres, k, suggested).rounds) == k
+                    assert len(run(_presentation(name, suggested), k, suggested).rounds) == k
                     finished.add((k, suggested))
             else:
                 assert radius >= least
@@ -366,7 +365,8 @@ def test_runs_pass_from_the_least_radius_and_suggestions_finish_them(name):
 def test_suggestion_from_a_clipped_ball_finishes_the_run(name):
     """At radius 5 or less the ball may clip the neighborhood of the initial
     cycle, which round 1 reads.  The suggestion is still the one that
-    finishes the run, 4k + 5."""
+    finishes the run, 4k + 5.  Such a run reads its presentation past
+    the radius asked for, so a bench oracle here answers to radius 40."""
     pres = _presentation(name, 40)
     for k in (2, 3):
         for radius in range(1, 6):
@@ -558,7 +558,7 @@ def test_deep_vertex_gate_matches_the_distance_rule():
     from helpers import reference_bfs_distances
 
     def gate(g, c):
-        _assert_deep_vertex(GoodTupleContext.build(g, _decompose(g, c, ())))
+        _assert_deep_vertex(GoodTupleContext.build(g, split_cycle(g, c, ())))
 
     g, ids = double_ray_square_truncation(-15, 15)
     outcomes = set()
@@ -980,7 +980,7 @@ def _part_state(held_by_older, eleven_on_cycle=False):
          (10, 11), (11, 8), (11, 3), (7, 14), (9, 8), (9, 11), (13, 12), (13, 1)]
         + [(11, 0)] * eleven_on_cycle,
     )
-    split = _decompose(g, CycleEmbedding([0, 1, 2, 3]), [6, 9])
+    split = split_cycle(g, CycleEmbedding([0, 1, 2, 3]), [6, 9])
     dec = split.dec
     assert dec.separator == (4, 7, 8, 11, 12)
     ctx = GoodTupleContext.build(g, split)
@@ -1314,14 +1314,14 @@ def test_carried_decomposition_matches_from_scratch(monkeypatch, name, radius, r
     from helpers import assert_carry_matches_scratch
 
     seen = []
-    decompose = engine._decompose
+    decompose = engine.split_cycle
 
     def recorded(g, c, boundary, prev=None):
         got = decompose(g, c, boundary, prev)
         seen.append((c, prev, got))
         return got
 
-    monkeypatch.setattr(engine, "_decompose", recorded)
+    monkeypatch.setattr(engine, "split_cycle", recorded)
     if name == "cactus-line":
         monkeypatch.setattr(engine, "_stability_gate", lambda ball, least: None)
     state = run(_presentation(name, radius, seed), rounds, radius)

@@ -397,14 +397,14 @@ def test_carried_component_that_splits_is_labelled_again(tree, extra, boundary):
     boundary component beyond the triangle (0, 1, 2) splits once the cycle
     covers the trunk up to 10: the carried decomposition labels it again,
     and its result, or its error, is the one from scratch."""
-    from clawham.separators import _decompose
+    from clawham.separators import split_cycle
 
     g = _tree_square(tree, extra)
-    first = _decompose(g, CycleEmbedding([0, 1, 2]), boundary)
+    first = split_cycle(g, CycleEmbedding([0, 1, 2]), boundary)
     assert (first.dec.separator, first.dec.k) == ((3, 4), 1)
     trunk = CycleEmbedding([0, 1, 3, 5, 7, 9, 10, 8, 6, 4, 2])
     want = full_outcome(ray_decomposition, g, trunk, boundary)
-    got = full_outcome(_decompose, g, trunk, boundary, first)
+    got = full_outcome(split_cycle, g, trunk, boundary, first)
     if extra:
         assert want[0] is RadiusTooSmallError and got == want
         return
