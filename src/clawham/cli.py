@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run the four hypothesis predicates")
+    p = sub.add_parser("check", help="report claw-freeness, local connectivity, "
+                       "chordality, 2-connectivity and connectivity, with witnesses")
     p.add_argument("graph", nargs="?", help="graph file (JSON or edge list); default stdin")
     p.set_defaults(func=cmd_check)
 

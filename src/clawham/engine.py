@@ -62,7 +62,13 @@ from .graph import (
     label_components,
     neighborhood_k,
 )
-from .predicates import claw_at, hypotheses_hold_at
+from .predicates import (
+    _confirmed_claw,
+    _confirmed_split,
+    claw_at,
+    hypothesis_failures,
+    neighborhood_components,
+)
 from .presentations import Ball, GraphPresentation
 from .separators import CycleSplit, SeparatorDecomposition, split_cycle
 
@@ -835,10 +841,12 @@ def _initial_cycle(g: FiniteGraph) -> CycleEmbedding:
 def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     """Extract a ball, verify the hypotheses on its interior, build the
     initial cycle covering its own 2-neighborhood, then run the requested
-    number of enlargement rounds.  Each interior vertex costs one
-    ``hypotheses_hold_at``, which at a line-graph vertex of degree 7 or more
-    is one two-clique split; only the first vertex that fails pays for
-    ``claw_at``'s witness.  Round 1 decomposes from scratch, as
+    number of enlargement rounds.  The interior is checked by one
+    ``hypothesis_failures`` sweep, which decides a vertex of degree 4 or less
+    from the local degrees of its neighbors and a line-graph vertex of degree
+    7 or more by one two-clique split; only the first vertex that fails pays
+    for a witness, confirmed by ``claw_at`` or ``neighborhood_components``.
+    Round 1 decomposes from scratch, as
     ``ray_decomposition`` does, and each later round carries the previous
     round's decomposition over, which gives the same one.  The depth rule
     is checked on N[C] before the decomposition and on F ∪ S after it; both
@@ -853,14 +861,15 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     g = ball.graph
     if len(g) < 3:
         raise DomainError("the ball has fewer than 3 vertices")
-    for v in ball.interior:
-        if hypotheses_hold_at(g, v):
-            continue
-        triple = claw_at(g, v)  # only the first failing vertex pays for a witness
-        if triple is not None:
+    failures = hypothesis_failures(g, ball.interior)
+    if failures:
+        v, claw_free, _ = failures[0]
+        if not claw_free:
+            triple = _confirmed_claw(v, claw_at(g, v))
             raise HypothesisError(
                 "claw_free", sorted((v,) + triple), f"induced claw at interior vertex {v}"
             )
+        _confirmed_split(v, neighborhood_components(g, v))
         raise HypothesisError(
             "locally_connected",
             sorted({v} | set(g.neighbors(v))),

@@ -40,7 +40,7 @@ from .graph import (
     shortest_path,
     validate_cycle,
 )
-from .predicates import connected_report, is_claw_free, is_locally_connected
+from .predicates import _local_reports, connected_report
 
 
 class ExtensionCase(Enum):
@@ -110,61 +110,64 @@ def validate_extension(g: FiniteGraph, c: CycleEmbedding, ext: PathExtension) ->
     path = ext.extension_path
     if len(path) < 2:
         return [f"extension path too short: {path}"]
-    if len(set(path)) != len(path):
+    on_path, bridged = set(path), set(ext.bridged)
+    if len(on_path) != len(path):
         problems.append("extension path repeats a vertex")
-    if len(set(ext.bridged)) != len(ext.bridged):
+    if len(bridged) != len(ext.bridged):
         problems.append("bridged set repeats a vertex")
     if path[0] != ext.target:
         problems.append("path must start at the target")
     for v in path:
         if v not in g:
             return [f"unknown vertex {v} on path"]
+    base = ext.base
     if ext.target in c:
         problems.append("target already on the cycle")
-    if ext.base not in c:
+    if base not in c:
         problems.append("base not on the cycle")
         return problems
-    if not g.has_edge(ext.base, ext.target):
+    base_nbrs = g.neighbor_set(base)
+    if ext.target not in base_nbrs:
         problems.append("base is not adjacent to the target")
-    base_nbrs = g.neighbor_set(ext.base)
     for v in path:
         if v not in base_nbrs:
             problems.append(f"path vertex {v} is outside the base neighborhood")
     for u, v in zip(path, path[1:]):
         if not g.has_edge(u, v):
             problems.append(f"path uses the non-edge ({u}, {v})")
-    up, um = c.succ(ext.base), c.pred(ext.base)
+    up, um = c.succ(base), c.pred(base)
+    ends = {up, um}
     interior_on_cycle = {v for v in path[1:-1] if v in c}
+    last = path[-1]
     if ext.case is ExtensionCase.ONE:
-        x = path[-1]
-        if x not in (up, um):
+        if last not in ends:
             problems.append("case-one endvertex is not a cycle-neighbor of the base")
-        hits = {v for v in path if v in (up, um)}
-        if hits != {x}:
+        if on_path & ends != {last}:
             problems.append("path meets the base's cycle-neighbors off its endpoint")
-        if set(ext.bridged) != interior_on_cycle:
+        if bridged != interior_on_cycle:
             problems.append("bridged set must be the interior path vertices on the cycle")
     else:
-        w = path[-1]
         if not g.has_edge(up, um):
             problems.append("case two requires the base's cycle-neighbors adjacent")
-        if w not in c or w in (up, um) or w not in base_nbrs:
+        last_on_cycle = last in c
+        if not last_on_cycle or last in ends or last not in base_nbrs:
             problems.append("case-two endvertex must be a cycle neighbor of the base "
                             "other than its cycle-neighbors")
-        forbidden = {up, um}
-        if w in c:
-            forbidden |= {c.succ(w), c.pred(w)}
-            if ext.reattach is None or ext.reattach not in (c.succ(w), c.pred(w)):
+        forbidden = ends
+        if last_on_cycle:
+            around_last = (c.succ(last), c.pred(last))
+            forbidden = ends.union(around_last)
+            if ext.reattach is None or ext.reattach not in around_last:
                 problems.append("reattach vertex must neighbor the endvertex on the cycle")
             elif ext.reattach not in base_nbrs:
                 problems.append("reattach vertex must be adjacent to the base")
-        if forbidden & set(path):
+        if not forbidden.isdisjoint(on_path):
             problems.append("path meets a vertex the splice needs to keep in place")
-        if set(ext.bridged) != interior_on_cycle | {ext.base}:
+        if bridged != interior_on_cycle | {base}:
             problems.append("case-two bridged set must be interior cycle vertices plus the base")
     for z in sorted(interior_on_cycle):
         zs, zp = c.succ(z), c.pred(z)
-        if zs in path or zp in path:
+        if zs in on_path or zp in on_path:
             problems.append(f"cycle-neighbors of bridged vertex {z} lie on the path")
         if not g.has_edge(zs, zp):
             problems.append(f"bridged vertex {z} has non-adjacent cycle-neighbors")
@@ -190,6 +193,9 @@ def find_path_extension(
         )
     nbrs = g.neighbor_set(base)
     up, um = c.succ(base), c.pred(base)
+    if up in g.neighbor_set(target):
+        # the walk's first step reaches up: case one, bridging nothing
+        return PathExtension(ExtensionCase.ONE, target, base, (target, up), ())
     walk = shortest_path(g, target, {up}, allowed=nbrs)
     if walk is None:
         comp = set(bfs(g, [target], within=nbrs))
@@ -344,13 +350,11 @@ class _SpliceCycle:
             gained += self.insert(g, ext.reattach, path[-1], (ext.base,) + path[:-1])
         base, nbrs = ext.base, g.neighbor_set(ext.base)
         for u, v in gained:
-            if not all(
-                p == base or p in nbrs or not nbrs.isdisjoint(g.neighbor_set(p))
-                for p in (u, v)
-            ):
-                raise InternalConsistencyError(
-                    f"new edge ({u}, {v}) strays farther than distance 2 from base {base}"
-                )
+            for p in (u, v):
+                if p != base and p not in nbrs and nbrs.isdisjoint(g.neighbor_set(p)):
+                    raise InternalConsistencyError(
+                        f"new edge ({u}, {v}) strays farther than distance 2 from base {base}"
+                    )
         if len(self._succ) != size + len(fresh):
             raise InternalConsistencyError(
                 "splicing a validated extension did not produce a spanning cycle",
@@ -380,7 +384,7 @@ class _SpliceCycle:
                     f"insertion ends {a} and {b} are not adjacent on the cycle"
                 )
             a, b, seq = b, a, seq[::-1]
-        if not seq or len(set(seq)) != len(seq) or any(v in succ for v in seq):
+        if not seq or len(set(seq)) != len(seq) or not succ.keys().isdisjoint(seq):
             raise InternalConsistencyError(
                 f"inserted vertices {list(seq)} are not distinct and off the cycle"
             )
@@ -561,14 +565,17 @@ def finite_hamilton(g: FiniteGraph) -> HamiltonCertificate:
     """Hamilton cycle for a connected, locally connected, claw-free graph.
 
     The hypotheses are checked up front (hypothesis error with witness when
-    they fail); afterwards the construction cannot get stuck, so any
-    stuck-state is converted into an internal-consistency report.
+    they fail): connectivity, then claw-freeness and local connectivity from
+    one sweep, a claw reported first.  Afterwards the construction cannot
+    get stuck, so any stuck-state is converted into an internal-consistency
+    report.
     """
     if len(g) < 3:
         raise DomainError("need at least 3 vertices")
-    for name, check in (("connected", connected_report), ("claw_free", is_claw_free),
-                        ("locally_connected", is_locally_connected)):
-        report = check(g)
+    report = connected_report(g)
+    if not report.holds:
+        raise HypothesisError("connected", report.witness, report.note)
+    for name, report in zip(("claw_free", "locally_connected"), _local_reports(g)):
         if not report.holds:
             raise HypothesisError(name, report.witness, report.note)
     start = shortest_cycle_through(g, g.vertices[0])

@@ -7,24 +7,28 @@ graph-core primitives.
 Costs for n vertices, m edges and maximum degree d; the witnesses are
 unchanged from the plain definitions:
 
-* ``is_claw_free``: the pair scan keeps, at C level, each neighbor a's r_a
-  later non-neighbors in N(v), then tests them in turn against the rest of
-  that list: sum of r_a^2 membership tests at v, which is about d^3 / 8 when
-  N(v) is two disjoint cliques of d / 2 (a claw-free line-graph
-  neighborhood), so O(n d^3) in all.  From degree ``_COVER_MIN_DEGREE`` on,
-  ``claw_at`` first tries to split N(v) into two cliques, which proves v
-  claw-free with O(d) C-level set operations, O(d^2) membership tests; every
-  neighborhood of a line graph has such a split (Krausz, 1943).  The
-  witness, the lexicographically first claw, always comes from the scan.
-* ``is_locally_connected``: O(n d^2) at worst, one flood fill over each
-  N(v) by set differences that stops as soon as it has reached all of N(v)
-  (on L(K_n) after two or three steps); only the first vertex that fails
-  pays for listing its neighborhood components.
-* ``hypotheses_hold_at``, both of the above at one vertex with no witness:
-  from degree ``_COVER_MIN_DEGREE`` on, a two-clique split that succeeds
-  also decides local connectivity, with O(d) more C-level set operations
-  and no flood fill, so a line-graph vertex costs one split; elsewhere the
-  pair scan and the flood fill.
+* ``claw_at``: the pair scan keeps, at C level, each neighbor a's r_a later
+  non-neighbors in N(v), then tests them in turn against the rest of that
+  list: sum of r_a^2 membership tests at v, which is about d^3 / 8 when N(v)
+  is two disjoint cliques of d / 2 (a claw-free line-graph neighborhood).
+  From degree ``_COVER_MIN_DEGREE`` on, it first tries to split N(v) into
+  two cliques, which proves v claw-free with O(d) C-level set operations,
+  O(d^2) membership tests; every neighborhood of a line graph has such a
+  split (Krausz, 1943).  The witness, the lexicographically first claw,
+  always comes from the scan.
+* ``locally_connected_at``: O(d^2) at worst, one flood fill over N(v) by
+  set differences that stops as soon as it has reached all of N(v) (on
+  L(K_n) after two or three steps).
+* ``hypothesis_failures``, both questions at every vertex in one sweep, with
+  no witness: up to degree 4, d set intersections per vertex, since both
+  verdicts follow from the local degrees |N(a) & N(v)|; from degree
+  ``_COVER_MIN_DEGREE`` on, a two-clique split that succeeds also decides
+  local connectivity, with O(d) more C-level set operations and no flood
+  fill, so a line-graph vertex costs one split; elsewhere the pair scan and
+  the flood fill.  ``is_claw_free``, ``is_locally_connected``, ``check_all``,
+  ``extension.finite_hamilton`` and ``engine.run`` read it, so O(n d^3) in
+  all; only the first failing vertex of each kind pays for a witness, and
+  ``claw_at`` or ``neighborhood_components`` there must confirm the sweep.
 * ``connected_report``: O(n + m), one component labelling; the first vertex of
   each of the first two components.
 * ``is_two_connected``: O(n + m), Hopcroft-Tarjan without recursion; the
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations, filterfalse
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 from .graph import (
     FiniteGraph,
     VertexSet,
@@ -66,7 +70,7 @@ class PredicateReport:
         }
 
 
-# The least degree at which ``claw_at`` and ``hypotheses_hold_at`` first try
+# The least degree at which ``claw_at`` and ``_hypotheses_at`` first try
 # the two-clique cover.
 # Below it the cover's fixed set-up outweighs the scan it saves.  Per vertex
 # on L(K_{a,b}) and L(K_n), CPython 3.11 on a shared 2-core Xeon VM, the cover
@@ -147,15 +151,6 @@ def claw_at(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
     return _claw_scan(g, v)
 
 
-def is_claw_free(g: FiniteGraph) -> PredicateReport:
-    for v in g.vertices:
-        triple = claw_at(g, v)
-        if triple is not None:
-            witness = tuple(sorted((v,) + triple))
-            return PredicateReport(False, witness, f"induced claw centered at {v}")
-    return PredicateReport(True)
-
-
 def neighborhood_components(g: FiniteGraph, v: int) -> tuple[VertexSet, ...]:
     return components_within(g, g.neighbors(v))
 
@@ -178,32 +173,110 @@ def locally_connected_at(g: FiniteGraph, v: int) -> bool:
     return len(seen) == len(nbrs)
 
 
-def hypotheses_hold_at(g: FiniteGraph, v: int) -> bool:
-    """Whether v centers no claw and G[N(v)] is connected: the value of
-    ``claw_at(g, v) is None and locally_connected_at(g, v)``, with no
-    witness.  From degree ``_COVER_MIN_DEGREE`` on, a two-clique split of
-    N(v) that succeeds decides both, and one that finds the first neighbor
-    adjacent to all of N(v) decides local connectivity; the pair scan and the
-    flood fill decide what is left."""
+def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
+    """Whether v centers no claw, and whether G[N(v)] is connected: the
+    values of ``claw_at(g, v) is None`` and ``locally_connected_at(g, v)``,
+    with no witness.
+
+    Up to degree 4 both follow from the local degrees |N(a) & N(v)| of the
+    neighbors a, whose sum is twice the number m of edges in G[N(v)].  Below
+    degree 3 there is no claw, and N(v) is connected when it has fewer than
+    two vertices or an edge.  At degree 3, a claw is three neighbors with no
+    edge, and a graph on three vertices is connected when it has two edges.
+    At degree 4, three neighbors are independent exactly when every edge of
+    G[N(v)] meets the fourth, whose local degree is then m; and a graph on
+    four vertices is connected with four or more edges, never with two or
+    fewer, and with three unless they form a triangle, which leaves one
+    neighbor of local degree 0.  From degree ``_COVER_MIN_DEGREE`` on, a
+    two-clique split of N(v) that succeeds decides both, and one that finds
+    the first neighbor adjacent to all of N(v) decides local connectivity;
+    the pair scan and the flood fill decide what is left."""
+    nbrs = g.neighbors(v)
+    d = len(nbrs)
+    if d < 3:
+        return True, d < 2 or nbrs[1] in g.neighbor_set(nbrs[0])
+    if d <= 4:
+        neighbor_set = g.neighbor_set
+        local = list(map(len, map(neighbor_set(v).intersection, map(neighbor_set, nbrs))))
+        m = sum(local) // 2
+        if d == 3:
+            return m > 0, m >= 2
+        return m not in local, m >= 4 or (m == 3 and 0 not in local)
     connected = None
-    if len(g.neighbors(v)) >= _COVER_MIN_DEGREE:
+    if d >= _COVER_MIN_DEGREE:
         covered, connected = _two_clique_split(g, v)
         if covered:
-            return connected
+            return True, connected
     if connected is None:
         connected = locally_connected_at(g, v)
-    return connected and _claw_scan(g, v) is None
+    return _claw_scan(g, v) is None, connected
+
+
+def hypothesis_failures(g: FiniteGraph, vertices) -> list[tuple[int, bool, bool]]:
+    """``(v, claw_free, connected)`` at each of ``vertices``, in order, where
+    v centers a claw or G[N(v)] is disconnected, up to the first vertex by
+    which both kinds of failure have shown up: the first failure, and the
+    first of each kind, are all any caller reads.  One step per vertex
+    decides both hypotheses (``_hypotheses_at``); the list is built eagerly,
+    so a span around this function times the whole sweep."""
+    failures = []
+    seen_claw = seen_split = False
+    for v in vertices:
+        claw_free, connected = _hypotheses_at(g, v)
+        if claw_free and connected:
+            continue
+        failures.append((v, claw_free, connected))
+        seen_claw = seen_claw or not claw_free
+        seen_split = seen_split or not connected
+        if seen_claw and seen_split:
+            break
+    return failures
+
+
+def _confirmed_claw(v: int, triple: tuple[int, int, int] | None) -> tuple[int, int, int]:
+    """``claw_at``'s triple at v, where the sweep reported a claw; None
+    means the two disagree."""
+    if triple is None:
+        raise InternalConsistencyError(
+            f"the hypothesis sweep reports a claw at {v} that claw_at does not find")
+    return triple
+
+
+def _confirmed_split(v: int, comps: tuple[VertexSet, ...]) -> tuple[VertexSet, ...]:
+    """``neighborhood_components`` at v, where the sweep reported N(v)
+    disconnected; fewer than two means the two disagree."""
+    if len(comps) < 2:
+        raise InternalConsistencyError(
+            f"the hypothesis sweep reports the neighborhood of {v} disconnected, "
+            f"but it has {len(comps)} component(s)")
+    return comps
+
+
+def _local_reports(g: FiniteGraph) -> tuple[PredicateReport, PredicateReport]:
+    """The claw-freeness and local-connectivity reports from one sweep of
+    ``hypothesis_failures``.  The first vertex with a claw gets the
+    lexicographically first claw there as its witness; the first with a
+    disconnected neighborhood gets its first two neighborhood components."""
+    claw_free = locally_connected = PredicateReport(True)
+    for v, no_claw, connected in hypothesis_failures(g, g.vertices):
+        if not no_claw and claw_free.holds:
+            triple = _confirmed_claw(v, claw_at(g, v))
+            claw_free = PredicateReport(
+                False, tuple(sorted((v,) + triple)), f"induced claw centered at {v}")
+        if not connected and locally_connected.holds:
+            comps = _confirmed_split(v, neighborhood_components(g, v))
+            locally_connected = PredicateReport(
+                False, tuple(sorted({v}.union(comps[0], comps[1]))),
+                f"neighborhood of {v} splits into {len(comps)} parts")
+    return claw_free, locally_connected
+
+
+def is_claw_free(g: FiniteGraph) -> PredicateReport:
+    return _local_reports(g)[0]
 
 
 def is_locally_connected(g: FiniteGraph) -> PredicateReport:
-    for v in g.vertices:
-        if not locally_connected_at(g, v):
-            comps = neighborhood_components(g, v)
-            witness = tuple(sorted({v} | set(comps[0]) | set(comps[1])))
-            return PredicateReport(
-                False, witness, f"neighborhood of {v} splits into {len(comps)} parts"
-            )
-    return PredicateReport(True)
+    return _local_reports(g)[1]
 
 
 def connected_report(g: FiniteGraph) -> PredicateReport:
@@ -303,11 +376,13 @@ def is_chordal(g: FiniteGraph) -> PredicateReport:
 
 
 def check_all(g: FiniteGraph) -> dict[str, PredicateReport | None]:
-    """The four hypothesis predicates and connectivity in one sweep: five
-    reports, ``two_connected`` None below 3 vertices (CLI `check` payload)."""
+    """Five reports, the CLI `check` payload: claw-freeness and local
+    connectivity from one sweep, chordality, 2-connectivity (None below 3
+    vertices) and connectivity."""
+    claw_free, locally_connected = _local_reports(g)
     out: dict[str, PredicateReport | None] = {
-        "claw_free": is_claw_free(g),
-        "locally_connected": is_locally_connected(g),
+        "claw_free": claw_free,
+        "locally_connected": locally_connected,
         "chordal": is_chordal(g),
     }
     out["two_connected"] = is_two_connected(g) if len(g) >= 3 else None

@@ -362,6 +362,77 @@ def reference_apply(g: FiniteGraph, c: CycleEmbedding, ext) -> CycleEmbedding:
     return new_cycle
 
 
+# ``extension.validate_extension`` as it was before it computed each fact
+# once: the same checks, messages and order, each set and cycle-neighbor
+# looked up again where it is used.
+
+
+def reference_validate_extension(g: FiniteGraph, c, ext) -> list[str]:
+    problems: list[str] = []
+    path = ext.extension_path
+    if len(path) < 2:
+        return [f"extension path too short: {path}"]
+    if len(set(path)) != len(path):
+        problems.append("extension path repeats a vertex")
+    if len(set(ext.bridged)) != len(ext.bridged):
+        problems.append("bridged set repeats a vertex")
+    if path[0] != ext.target:
+        problems.append("path must start at the target")
+    for v in path:
+        if v not in g:
+            return [f"unknown vertex {v} on path"]
+    if ext.target in c:
+        problems.append("target already on the cycle")
+    if ext.base not in c:
+        problems.append("base not on the cycle")
+        return problems
+    if not g.has_edge(ext.base, ext.target):
+        problems.append("base is not adjacent to the target")
+    base_nbrs = g.neighbor_set(ext.base)
+    for v in path:
+        if v not in base_nbrs:
+            problems.append(f"path vertex {v} is outside the base neighborhood")
+    for u, v in zip(path, path[1:]):
+        if not g.has_edge(u, v):
+            problems.append(f"path uses the non-edge ({u}, {v})")
+    up, um = c.succ(ext.base), c.pred(ext.base)
+    interior_on_cycle = {v for v in path[1:-1] if v in c}
+    if ext.case is ExtensionCase.ONE:
+        x = path[-1]
+        if x not in (up, um):
+            problems.append("case-one endvertex is not a cycle-neighbor of the base")
+        hits = {v for v in path if v in (up, um)}
+        if hits != {x}:
+            problems.append("path meets the base's cycle-neighbors off its endpoint")
+        if set(ext.bridged) != interior_on_cycle:
+            problems.append("bridged set must be the interior path vertices on the cycle")
+    else:
+        w = path[-1]
+        if not g.has_edge(up, um):
+            problems.append("case two requires the base's cycle-neighbors adjacent")
+        if w not in c or w in (up, um) or w not in base_nbrs:
+            problems.append("case-two endvertex must be a cycle neighbor of the base "
+                            "other than its cycle-neighbors")
+        forbidden = {up, um}
+        if w in c:
+            forbidden |= {c.succ(w), c.pred(w)}
+            if ext.reattach is None or ext.reattach not in (c.succ(w), c.pred(w)):
+                problems.append("reattach vertex must neighbor the endvertex on the cycle")
+            elif ext.reattach not in base_nbrs:
+                problems.append("reattach vertex must be adjacent to the base")
+        if forbidden & set(path):
+            problems.append("path meets a vertex the splice needs to keep in place")
+        if set(ext.bridged) != interior_on_cycle | {ext.base}:
+            problems.append("case-two bridged set must be interior cycle vertices plus the base")
+    for z in sorted(interior_on_cycle):
+        zs, zp = c.succ(z), c.pred(z)
+        if zs in path or zp in path:
+            problems.append(f"cycle-neighbors of bridged vertex {z} lie on the path")
+        if not g.has_edge(zs, zp):
+            problems.append(f"bridged vertex {z} has non-adjacent cycle-neighbors")
+    return problems
+
+
 def reference_extend_to_cover(g, c, goal, target_pool=None):
     """The sorted-scan covering loop over ``reference_apply``."""
     goalset = frozenset(goal)
@@ -1398,6 +1469,69 @@ def reference_locally_connected_at(g: FiniteGraph, v: int) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(nbrs)
+
+
+# -- the hypothesis gates before the one sweep -------------------------------------
+#
+# ``finite_hamilton``'s gate and ``run``'s interior scan as they were before
+# ``predicates.hypothesis_failures`` decided both hypotheses in one pass: one
+# loop per predicate, or one loop asking ``claw_at`` and then
+# ``locally_connected_at`` at each vertex.
+
+
+# Connected and claw-free, but the hub's neighborhood is two edges; past a
+# gate that misses this, the splice search meets the split.
+BOWTIE = FiniteGraph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+BOWTIE_FAULT = ("construction failed although all hypotheses were verified: "
+                "neighborhood of 0 does not connect 3 to 1")
+
+
+def reference_hypothesis_failures(g: FiniteGraph, vertices) -> list[tuple[int, bool, bool]]:
+    """The sweep's contract from ``claw_at`` and ``locally_connected_at``:
+    ``(v, claw_free, connected)`` at each failing vertex in order, up to the
+    first vertex by which both kinds of failure have shown up."""
+    from clawham.predicates import claw_at, locally_connected_at
+
+    out = []
+    for v in vertices:
+        verdict = (claw_at(g, v) is None, locally_connected_at(g, v))
+        if all(verdict):
+            continue
+        out.append((v, *verdict))
+        if not all(cf for _, cf, _ in out) and not all(ok for _, _, ok in out):
+            break
+    return out
+
+
+def reference_gate(g: FiniteGraph):
+    """``finite_hamilton``'s gate as it was: connectivity, then a claw loop,
+    then a local-connectivity loop, here the plain-definition ones.  The
+    first failing report as (predicate, witness, note), or None."""
+    from clawham.predicates import connected_report
+
+    for name, check in (("connected", connected_report), ("claw_free", reference_is_claw_free),
+                        ("locally_connected", reference_is_locally_connected)):
+        report = check(g)
+        if not report.holds:
+            return name, report.witness, report.note
+    return None
+
+
+def reference_interior_failure(g: FiniteGraph, interior):
+    """``run``'s interior scan as it was: at the first vertex with a claw or
+    a disconnected neighborhood, (predicate, witness, message), the claw
+    first; None when every vertex passes."""
+    from clawham.predicates import claw_at, locally_connected_at
+
+    for v in interior:
+        triple = claw_at(g, v)
+        if triple is not None:
+            return ("claw_free", tuple(sorted((v,) + triple)),
+                    f"induced claw at interior vertex {v}")
+        if not locally_connected_at(g, v):
+            return ("locally_connected", tuple(sorted({v, *g.neighbors(v)})),
+                    f"disconnected neighborhood at interior vertex {v}")
+    return None
 
 
 def reference_shortest_cycle_through(g: FiniteGraph, v: int) -> CycleEmbedding:

@@ -275,6 +275,22 @@ def test_infinite_run_reports_a_faulty_round_with_exit_3(monkeypatch, capsys, ki
     assert "Traceback" not in err
 
 
+def test_hamilton_past_a_gate_that_misses_the_bowtie_exits_3(monkeypatch, capsys):
+    """A hypothesis sweep that passes the bowtie lets the construction meet
+    the split neighborhood: exit 3, the JSON payload on stderr, no
+    traceback."""
+    import clawham.predicates as predicates
+    from helpers import BOWTIE, BOWTIE_FAULT
+
+    monkeypatch.setattr(predicates, "hypothesis_failures", lambda g, vertices: [])
+    stdin = "".join(f"{u} {v}\n" for u, v in BOWTIE.edges())
+    code, out, err = run_cli(capsys, "hamilton", stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "InternalConsistencyError", "message": BOWTIE_FAULT}
+    assert "Traceback" not in err
+
+
 def test_gen_roundtrips_into_other_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gen", "octahedron")
     assert code == 0

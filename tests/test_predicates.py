@@ -16,10 +16,10 @@ from clawham.errors import DomainError
 from clawham.graph import FiniteGraph, is_connected
 from clawham.predicates import (
     _COVER_MIN_DEGREE,
+    _hypotheses_at,
     _two_clique_split,
     check_all,
     claw_at,
-    hypotheses_hold_at,
     is_chordal,
     is_claw_free,
     is_locally_connected,
@@ -177,7 +177,7 @@ def _report(fn, g):
 def assert_matches_references(g):
     """Every report, ``check_all``'s included, equals the reference one;
     each vertex's claw and flood fill equal both the definition and the scans
-    they replaced, the fused verdict equals their conjunction, and whatever
+    they replaced, the fused verdicts equal them, and whatever
     the two-clique split decides agrees with them."""
     expected = {name: _report(ref, g) for name, (_, ref) in REFERENCES.items()}
     for name, (live, _) in REFERENCES.items():
@@ -198,7 +198,7 @@ def assert_matches_references(g):
         assert neighborhood_components(g, v) == comps
         flood = locally_connected_at(g, v)
         assert flood == reference_locally_connected_at(g, v) == (len(comps) <= 1), (v, g.edges())
-        assert hypotheses_hold_at(g, v) == (triple is None and flood), (v, g.edges())
+        assert _hypotheses_at(g, v) == (triple is None, flood), (v, g.edges())
         if g.degree(v):
             covered, connected = _two_clique_split(g, v)
             assert not covered or triple is None, (v, g.edges())
@@ -265,7 +265,7 @@ def test_claw_only_the_last_a_starts():
                                          for b in range(a + 1, n_nbrs + 1)])
         assert _two_clique_split(g, 0) == (False, True)
         assert claw_at(g, 0) == last
-        assert not hypotheses_hold_at(g, 0)
+        assert _hypotheses_at(g, 0) == (False, True)
         assert is_claw_free(g).to_json_obj() == {
             "holds": False, "witness": [0, *last], "note": "induced claw centered at 0"}
         assert_matches_references(g)
@@ -297,7 +297,7 @@ def test_claw_free_neighborhood_without_a_two_clique_cover(n_nbrs, nbr_edges):
     assert _two_clique_split(g, 0) == (False, None)
     assert claw_at(g, 0) is None
     assert is_claw_free(g).holds
-    assert hypotheses_hold_at(g, 0)
+    assert _hypotheses_at(g, 0) == (True, True)
     assert_matches_references(g)
 
 
@@ -308,7 +308,7 @@ def test_first_neighbor_adjacent_to_all_of_the_neighborhood():
                             + [(6, 7), (6, 8), (7, 8), (3, 7)])
     assert _two_clique_split(g, 0) == (False, True)
     assert claw_at(g, 0) is None
-    assert hypotheses_hold_at(g, 0)
+    assert _hypotheses_at(g, 0) == (True, True)
     assert_matches_references(g)
 
 
@@ -324,7 +324,7 @@ def test_two_clique_cover_the_greedy_split_misses():
     assert _all_adjacent(g, p) and _all_adjacent(g, q)
     assert _two_clique_split(g, 0) == (False, None)
     assert claw_at(g, 0) is None
-    assert hypotheses_hold_at(g, 0)
+    assert _hypotheses_at(g, 0) == (True, True)
     assert_matches_references(g)
 
 
@@ -372,13 +372,13 @@ def test_two_clique_neighborhoods_with_no_or_one_cross_edge(n_nbrs):
         edges = [(a, b) for side in sides for i, a in enumerate(side) for b in side[i + 1:]]
         g = _neighborhood_graph(n_nbrs, edges)
         assert _two_clique_split(g, 0) == (True, False)
-        assert not hypotheses_hold_at(g, 0)
+        assert _hypotheses_at(g, 0) == (True, False)
         assert_matches_references(g)
         for cross in {(sides[0][0], sides[1][0]), (sides[0][-1], sides[1][-1]),
                       (min(sides[0]), max(sides[1]))}:
             g = _neighborhood_graph(n_nbrs, edges + [cross])
             assert _two_clique_split(g, 0)[1] is True
-            assert hypotheses_hold_at(g, 0)
+            assert _hypotheses_at(g, 0) == (True, True)
             assert_matches_references(g)
 
 

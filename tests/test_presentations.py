@@ -8,8 +8,8 @@ from clawham import presentations
 from clawham.errors import DomainError, GraphInputError
 from clawham.graph import is_connected
 from clawham.predicates import (
+    _hypotheses_at,
     claw_at,
-    hypotheses_hold_at,
     is_claw_free,
     locally_connected_at,
 )
@@ -179,8 +179,8 @@ def test_extract_ball_matches_reference(name, radius):
     """Ids given on discovery build the same ball as answers kept by label,
     on every preset, both bench oracles and cactus-line.  The graph built
     from the checked neighbor sets answers ``neighbor_set`` as the sorted
-    lists do, and on every interior vertex the fused hypothesis verdict
-    equals the claw and flood checks it stands for."""
+    lists do, and on every interior vertex the fused hypothesis verdicts
+    equal the claw and flood checks they stand for."""
     from helpers import bench_oracles, cactus_line_presentation, reference_extract_ball
 
     if name in presentations.PRESET_NAMES:
@@ -194,8 +194,8 @@ def test_extract_ball_matches_reference(name, radius):
     g = ball.graph
     assert all(g.neighbor_set(v) == frozenset(g.neighbors(v)) for v in g.vertices)
     for v in ball.interior:
-        assert hypotheses_hold_at(g, v) == (
-            claw_at(g, v) is None and locally_connected_at(g, v)), v
+        assert _hypotheses_at(g, v) == (
+            claw_at(g, v) is None, locally_connected_at(g, v)), v
 
 
 def test_extract_ball_errors_match_reference(monkeypatch):

@@ -12,22 +12,26 @@ import random
 import pytest
 
 from clawham.constructions import complete_graph, graph_power, line_graph, path_graph
-from clawham.errors import InternalConsistencyError, ProgressError
+from clawham.errors import DomainError, InternalConsistencyError, ProgressError
 from clawham.extension import (
+    ExtensionCase,
     HamiltonCertificate,
+    PathExtension,
     _SpliceCycle,
     apply_path_extension,
     extend_to_cover,
     finite_hamilton,
     replay_certificate,
     shortest_cycle_through,
+    validate_extension,
 )
-from clawham.graph import CycleEmbedding, FiniteGraph
+from clawham.graph import CycleEmbedding, FiniteGraph, shortest_path
 from helpers import (
     cycle_from_edge_set,
     reference_apply,
     reference_extend_to_cover,
     reference_replay,
+    reference_validate_extension,
 )
 
 
@@ -136,6 +140,50 @@ def test_insert_checks_the_segment():
     assert live.freeze() == CycleEmbedding([0, 4, 1, 2, 3])
 
 
+def _cycle_graph_with(n: int, *extra) -> FiniteGraph:
+    return FiniteGraph(range(n + 1), [(i, (i + 1) % n) for i in range(n)] + list(extra))
+
+
+# A splice the validator refuses, and the message of the splice's own check
+# that refuses it when the validator lets everything through.  Each adds
+# vertex n through base 0, inserted between 0 and 1, and bridges ``bridged``.
+SPLICE_BACKSTOPS = {
+    # K_3: after 1 is bridged, 0 and 2 are a 2-cycle
+    "two-cycle": (_cycle_graph_with(3, (3, 0), (3, 1)), (1, 2),
+                  "bridging 2 would leave a 2-cycle"),
+    # C_4: bridging 2 joins 1 and 3, which are not adjacent
+    "non-edge": (_cycle_graph_with(4, (4, 0), (4, 1)), (2,),
+                 "the splice adds the non-edge (1, 3)"),
+    # C_8 with the chord 3-5: bridging 4 adds the chord, three steps from 0
+    "distance-2": (_cycle_graph_with(8, (3, 5), (8, 0), (8, 1)), (4,),
+                   "new edge (3, 5) strays farther than distance 2 from base 0"),
+    # C_6 with the chord 1-3: bridging 2 drops a vertex that no path
+    # vertex puts back, so the cycle does not grow
+    "size": (_cycle_graph_with(6, (1, 3), (6, 0), (6, 1)), (2,),
+             "splicing a validated extension did not produce a spanning cycle"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLICE_BACKSTOPS))
+def test_splice_backstops_fire_past_an_accepting_validator(monkeypatch, kind):
+    """``_SpliceCycle.splice`` re-checks what it builds.  With
+    ``validate_extension`` accepting everything, each of its own checks
+    refuses its bad splice with its message."""
+    import clawham.extension as extension
+
+    g, bridged, message = SPLICE_BACKSTOPS[kind]
+    n = len(g) - 1
+    c = CycleEmbedding(range(n))
+    ext = PathExtension(ExtensionCase.ONE, n, 0, (n, 1), bridged)
+    assert extension.validate_extension(g, c, ext)
+    monkeypatch.setattr(extension, "validate_extension", lambda g, c, ext: [])
+    with pytest.raises(InternalConsistencyError) as exc:
+        _SpliceCycle(c).splice(g, ext)
+    assert str(exc.value) == message
+    if kind == "size":
+        assert exc.value.witness == ext.to_json_obj()
+
+
 def test_replay_agrees_with_reference_on_tampered_logs():
     """Seeded edits of one splice record: both replays must reject or
     accept alike, at the same step."""
@@ -158,6 +206,82 @@ def test_replay_agrees_with_reference_on_tampered_logs():
             cert = HamiltonCertificate.from_json_obj(bad)
             live, ref = replay_certificate(g, cert), reference_replay(g, cert)
             assert (live.ok, live.steps_ok) == (ref.ok, ref.steps_ok), ext
+
+
+def _problems(validate, g, c, ext):
+    try:
+        return validate(g, c, ext)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def _tampered(rng: random.Random, ext: PathExtension, ids: list[int]) -> PathExtension:
+    """``ext`` with one or two seeded edits of its fields."""
+    obj = ext.to_json_obj()
+    for _ in range(rng.randint(1, 2)):
+        key = rng.choice(["base", "target", "reattach", "path", "path", "bridged", "case"])
+        if key == "case":
+            obj[key] = "two" if obj[key] == "one" else "one"
+        elif key in ("path", "bridged"):
+            seq = list(obj[key])
+            edit = rng.choice(["set", "drop", "add"] if seq else ["add"])
+            if edit == "set":
+                seq[rng.randrange(len(seq))] = rng.choice(ids)
+            elif edit == "drop":
+                del seq[rng.randrange(len(seq))]
+            else:
+                seq.insert(rng.randint(0, len(seq)), rng.choice(ids))
+            obj[key] = seq
+        else:
+            obj[key] = rng.choice(ids + [None] * (key == "reattach"))
+    return PathExtension.from_json_obj(obj)
+
+
+def test_validate_extension_matches_reference_on_tampered_steps():
+    """At every step of three constructions, seeded edits of the step's
+    extension (and the step itself) get the same problem list, in the same
+    order, from ``validate_extension`` as from the version that looked each
+    fact up again, on the frozen cycle and on the live one."""
+    rng = random.Random(23)
+    seen = set()
+    for g in (graph_power(path_graph(14), 2), line_graph(complete_graph(6)).graph,
+              complete_graph(7)):
+        cert = finite_hamilton(g)
+        ids = list(g.vertices) + [len(g) + 3]
+        cycle = cert.initial_cycle
+        for ext in cert.extensions:
+            live = _SpliceCycle(cycle)
+            for bad in [ext] + [_tampered(rng, ext, ids) for _ in range(60)]:
+                want = _problems(reference_validate_extension, g, cycle, bad)
+                assert _problems(validate_extension, g, cycle, bad) == want, bad
+                assert _problems(validate_extension, g, live, bad) == want, bad
+                seen.update(want if isinstance(want, list) else [want[0]])
+            cycle = apply_path_extension(g, cycle, ext)
+    assert len(seen) > 15
+
+
+def test_shortcut_is_the_searchs_first_step(hypothesis_class_small):
+    """When the target sees succ(base), the walk toward it inside N(base) is
+    that one edge, and the extension is case one along it, bridging
+    nothing; every other step walks further."""
+    shortcuts = 0
+    graphs = list(hypothesis_class_small) + [graph_power(path_graph(30), 2),
+                                             line_graph(complete_graph(6)).graph]
+    for g in graphs:
+        cert = finite_hamilton(g)
+        cycle = cert.initial_cycle
+        for ext in cert.extensions:
+            t, base = ext.target, ext.base
+            up = cycle.succ(base)
+            walk = shortest_path(g, t, {up}, allowed=g.neighbor_set(base))
+            if g.has_edge(t, up):
+                shortcuts += 1
+                assert walk == [t, up]
+                assert ext == PathExtension(ExtensionCase.ONE, t, base, (t, up), ())
+            else:
+                assert walk is None or len(walk) > 2
+            cycle = apply_path_extension(g, cycle, ext)
+    assert shortcuts > 100
 
 
 def _cover_or_stuck(cover, g, c, goal):
