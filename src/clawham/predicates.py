@@ -20,8 +20,8 @@ unchanged from the plain definitions:
   set differences that stops as soon as it has reached all of N(v) (on
   L(K_n) after two or three steps).
 * ``hypothesis_failures``, both questions at every vertex in one sweep, with
-  no witness: up to degree 4, d set intersections per vertex, since both
-  verdicts follow from the local degrees |N(a) & N(v)|; from degree
+  no witness: up to degree 4, at most six adjacency tests per vertex, since
+  both verdicts follow from the local degrees |N(a) & N(v)|; from degree
   ``_COVER_MIN_DEGREE`` on, a two-clique split that succeeds also decides
   local connectivity, with O(d) more C-level set operations and no flood
   fill, so a line-graph vertex costs one split; elsewhere the pair scan and
@@ -179,7 +179,8 @@ def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
     with no witness.
 
     Up to degree 4 both follow from the local degrees |N(a) & N(v)| of the
-    neighbors a, whose sum is twice the number m of edges in G[N(v)].  Below
+    neighbors a, whose sum is twice the number m of edges in G[N(v)]; one
+    adjacency test per pair of neighbors finds those edges.  Below
     degree 3 there is no claw, and N(v) is connected when it has fewer than
     two vertices or an edge.  At degree 3, a claw is three neighbors with no
     edge, and a graph on three vertices is connected when it has two edges.
@@ -196,11 +197,16 @@ def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
     if d < 3:
         return True, d < 2 or nbrs[1] in g.neighbor_set(nbrs[0])
     if d <= 4:
-        neighbor_set = g.neighbor_set
-        local = list(map(len, map(neighbor_set(v).intersection, map(neighbor_set, nbrs))))
-        m = sum(local) // 2
+        a, b, c = nbrs[:3]
+        na, nb = g.neighbor_set(a), g.neighbor_set(b)
+        ab, ac, bc = b in na, c in na, c in nb
         if d == 3:
+            m = ab + ac + bc
             return m > 0, m >= 2
+        x = nbrs[3]
+        ax, bx, cx = x in na, x in nb, x in g.neighbor_set(c)
+        m = ab + ac + bc + ax + bx + cx
+        local = (ab + ac + ax, ab + bc + bx, ac + bc + cx, ax + bx + cx)
         return m not in local, m >= 4 or (m == 3 and 0 not in local)
     connected = None
     if d >= _COVER_MIN_DEGREE:
