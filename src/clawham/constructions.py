@@ -9,7 +9,11 @@ presentations alike (``presentations``' ``ladder-line-graph``).
 
 The generator grows graphs one vertex at a time and deduplicates through a
 canonical adjacency form (color refinement plus individualization search),
-so each isomorphism class appears exactly once and in a stable order.
+so each isomorphism class appears exactly once and in a stable order.  A
+class is kept as its canonical key, a plain int that fixes the graph: the
+keys of every size built are cached for the life of the process, and each
+call of ``enumerate_graphs`` builds its graphs from them anew, so no
+enumerated graph outlives the caller's list.
 
 The search is pruned by the automorphisms it finds (McKay & Piperno,
 *Practical graph isomorphism II*, 2014).  Two leaves with equal bit strings
@@ -40,9 +44,9 @@ finds the swap.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import DomainError
 from .graph import Edge, FiniteGraph, is_connected, neighborhood_k
@@ -217,22 +221,40 @@ def _refine(
         cells = len(order)
 
 
+def _root(n: int, nbrs: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
+    """``_refine(n, nbrs, (0,) * n, 1)``, the root of the search.
+
+    Its first pass from one cell ranks the vertices by degree, so this
+    starts from the degree ranks; a regular graph is stable at once.
+    """
+    degrees = [len(row) for row in nbrs]
+    distinct = sorted(set(degrees))
+    if len(distinct) == 1:
+        return (0,) * n, 1
+    rank = {d: i for i, d in enumerate(distinct)}
+    return _refine(n, nbrs, tuple([rank[d] for d in degrees]), len(distinct))
+
+
 def _neighbor_lists(n: int, adj_masks: list[int]) -> list[tuple[int, ...]]:
-    """Neighbor tuples of a simple graph given as adjacency bit masks."""
+    """Neighbor tuples of a simple graph given as adjacency bit masks,
+    which are checked to describe one."""
     if len(adj_masks) != n:
         raise DomainError(f"need {n} adjacency masks, got {len(adj_masks)}")
-    nbrs = []
+    nbrs = _neighbor_rows(n, adj_masks)
     for v, mask in enumerate(adj_masks):
         if mask < 0 or mask >> n:
             raise DomainError(f"adjacency mask of vertex {v} has a bit outside 0..{n - 1}")
         if mask >> v & 1:
             raise DomainError(f"self-loop at vertex {v}")
-        row = tuple(u for u in range(n) if mask >> u & 1)
-        for u in row:
+        for u in nbrs[v]:
             if not adj_masks[u] >> v & 1:
                 raise DomainError(f"adjacency masks are not symmetric: {v} -> {u} only")
-        nbrs.append(row)
     return nbrs
+
+
+def _neighbor_rows(n: int, masks: list[int]) -> list[tuple[int, ...]]:
+    """Sorted neighbor tuples of masks known to describe a simple graph."""
+    return [tuple(u for u in range(n) if mask >> u & 1) for mask in masks]
 
 
 def canonical_key(
@@ -266,7 +288,7 @@ def canonical_key(
     nbrs = _neighbor_lists(n, adj_masks)
     if n <= 1:
         return 0
-    key, found = _search(n, adj_masks, nbrs, _refine(n, nbrs, (0,) * n, 1), ())
+    key, found = _search(n, adj_masks, nbrs, _root(n, nbrs), ())
     if automorphisms is not None:
         automorphisms.extend(found)
     return key
@@ -280,7 +302,9 @@ def _search(
     known: Sequence[tuple[int, ...]],
 ) -> tuple[int, list[tuple[int, ...]]]:
     """The search of ``canonical_key`` on valid masks with n >= 2, started
-    from ``root = _refine(n, nbrs, (0,) * n, 1)``.
+    from ``root = _root(n, nbrs)``.  A split that individualizes one of two
+    vertices in the only non-singleton cell leaves n cells, so it is a leaf
+    as it stands and is not refined.
 
     ``known`` holds automorphisms of the graph, as image tuples; the pruning
     uses them as if the search had found them.  Its argument needs only that
@@ -322,7 +346,10 @@ def _search(
             if v in covered:
                 continue
             split = tuple(c * 2 if u != v else c * 2 - 1 for u, c in enumerate(colors))
-            descend(*_refine(n, nbrs, split, cells + 1), prefix + (v,))
+            if cells + 1 < n:
+                descend(*_refine(n, nbrs, split, cells + 1), prefix + (v,))
+            else:
+                descend(split, n, prefix + (v,))
             covered.add(v)
             gens = [g for g in found if all(g[x] == x for x in prefix)]
             stack = list(covered)
@@ -340,18 +367,29 @@ def _search(
     return best, [tuple(position[g[u]] for u in best_perm) for g in found]
 
 
-def _graph_from_key(n: int, key: int) -> FiniteGraph:
-    edges = []
+def _key_masks(n: int, key: int) -> list[int]:
+    """Adjacency bit masks of the graph whose upper-triangle bits are
+    ``key``, the pair (0, 1) in the highest bit."""
+    masks = [0] * n
     pos = n * (n - 1) // 2
     for i in range(n):
         for j in range(i + 1, n):
             pos -= 1
             if key >> pos & 1:
-                edges.append((i, j))
-    return FiniteGraph(range(n), edges)
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
 
 
-_ENUM_CACHE: dict[int, list[FiniteGraph]] = {}
+def _graph_from_key(n: int, key: int) -> FiniteGraph:
+    # a key's masks are symmetric, loop-free and within 0..n-1, so the
+    # graph is built without the validating constructor; each frozenset is
+    # copied from a set, which keeps its table as small as the
+    # constructor's
+    rows = _neighbor_rows(n, _key_masks(n, key))
+    return FiniteGraph._from_neighbor_sets([frozenset(set(row)) for row in rows])
+
+
 _KEY_CACHE: dict[int, list[int]] = {1: [0]}
 # key -> automorphisms of _graph_from_key(n, key) that its search found, for
 # the largest n built so far; the next level uses them to skip attachments.
@@ -396,23 +434,24 @@ def _keys_for(n: int) -> list[int]:
     subset of the old ones.  Subsets in one orbit of the parent's known
     automorphisms give isomorphic children, so one per orbit is considered.
     A child is keyed only when n - 1 lies in its last cell, the cell of
-    largest color in ``_refine(n, nbrs, (0,) * n, 1)``.  No class is lost:
+    largest color in ``_root(n, nbrs)``.  No class is lost:
     refinement commutes with relabeling, so the last cell is an isomorphism
     invariant; every graph G' on n vertices has a vertex v in it, and G' - v
     is one of the parents; and the children of one attachment orbit are
     isomorphic by maps that fix n - 1, so the representative's n - 1 is in
-    its last cell too.  The first refinement pass ranks vertices by degree,
-    so a child whose new vertex has less than the largest degree is dropped
-    before any refinement.
+    its last cell too.  The root starts from the degree ranks, so a child
+    whose new vertex has less than the largest degree is dropped before it
+    is built: a vertex u of the parent has degree deg(u) + [u in S] there.
 
     The search of a child with attachment set S is seeded with the parent's
     stored automorphisms g with g(S) = S, extended by n - 1 -> n - 1.  g
     maps the parent's edges onto themselves and the new vertex's edges
     {u, n - 1}, u in S, onto {g(u), n - 1} with g(u) in S, so it is an
     automorphism of the child.  ``canonical_key``'s pruning argument asks
-    only that, so the key does not change.  The child's neighbor tuples
-    extend the parent's, and its root refinement, already computed for the
-    last-cell filter, starts the search.
+    only that, so the key does not change.  The parent's masks and
+    neighbor tuples are read from its key, the child's extend them, and its
+    root refinement, already computed for the last-cell filter, starts the
+    search.
     """
     if n in _KEY_CACHE:
         return _KEY_CACHE[n]
@@ -420,24 +459,24 @@ def _keys_for(n: int) -> list[int]:
     parent_autos = _AUTOMORPHISMS.pop(n - 1, {})
     found: dict[int, list[tuple[int, ...]]] = {}
     for key in prev:
-        base = _graph_from_key(n - 1, key)
-        masks = [0] * n
-        for u, v in base.edges():
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        base_nbrs = [base.neighbors(u) for u in range(n - 1)]
+        parent = _key_masks(n - 1, key)
+        base_nbrs = _neighbor_rows(n - 1, parent)
+        masks = parent + [0]
+        top = max(map(len, base_nbrs))
+        at_top = sum(1 << u for u, row in enumerate(base_nbrs) if len(row) == top)
         gens = parent_autos.get(key, [])
         for attach in _attachment_orbits(n - 1, gens):
+            size = attach.bit_count()
+            if top > size or (top == size and attach & at_top):
+                continue
             masks2 = list(masks)
             masks2[n - 1] = attach
             attached = [u for u in range(n - 1) if attach >> u & 1]
             for u in attached:
                 masks2[u] |= 1 << (n - 1)
-            if max(map(int.bit_count, masks2)) > len(attached):
-                continue
             nbrs = [row + (n - 1,) if attach >> u & 1 else row for u, row in enumerate(base_nbrs)]
             nbrs.append(tuple(attached))
-            root = _refine(n, nbrs, (0,) * n, 1)
+            root = _root(n, nbrs)
             if root[0][n - 1] != max(root[0]):
                 continue
             seeds = [g + (n - 1,) for g in gens if sum(1 << g[u] for u in attached) == attach]
@@ -449,18 +488,24 @@ def _keys_for(n: int) -> list[int]:
     return keys
 
 
-def enumerate_graphs(n: int) -> list[FiniteGraph]:
-    """All graphs on n vertices, one canonical representative per class."""
+def _graphs(n: int) -> Iterator[FiniteGraph]:
+    """The graphs of ``_keys_for(n)``, each built when it is reached."""
     if n < 1:
         raise DomainError("need n >= 1")
-    if n not in _ENUM_CACHE:
-        _ENUM_CACHE[n] = [_graph_from_key(n, key) for key in _keys_for(n)]
-    return list(_ENUM_CACHE[n])
+    return map(_graph_from_key, repeat(n), _keys_for(n))
+
+
+def enumerate_graphs(n: int) -> list[FiniteGraph]:
+    """All graphs on n vertices, one canonical representative per class.
+
+    Only the keys are cached; every call builds new graphs from them."""
+    return list(_graphs(n))
 
 
 def enumerate_connected_graphs(n: int) -> list[FiniteGraph]:
-    """The connected graphs of ``enumerate_graphs(n)``, in the same order."""
-    return [g for g in enumerate_graphs(n) if is_connected(g)]
+    """The connected graphs of ``enumerate_graphs(n)``, in the same order;
+    no disconnected graph is kept."""
+    return list(filter(is_connected, _graphs(n)))
 
 
 # -- corollary pipeline -------------------------------------------------------

@@ -26,6 +26,14 @@ def small_graphs():
 
 
 @pytest.fixture(scope="session")
+def graphs_on_eight():
+    """All 12346 graphs on 8 vertices, one per isomorphism class.  The
+    enumeration builds new graphs on every call, so the tests that need
+    them share this list."""
+    return enumerate_graphs(8)
+
+
+@pytest.fixture(scope="session")
 def connected_small_graphs(small_graphs):
     return {n: [g for g in small_graphs[n] if _connected(g)] for n in range(1, 8)}
 

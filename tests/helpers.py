@@ -12,7 +12,7 @@ from functools import cache
 from itertools import combinations
 from pathlib import Path
 
-from clawham.constructions import _attachment_orbits, _graph_from_key, canonical_key
+from clawham.constructions import _attachment_orbits, canonical_key
 from clawham.errors import DomainError, InternalConsistencyError, ProgressError
 from clawham.extension import (
     ExtensionCase,
@@ -848,6 +848,19 @@ def reference_canonical_key(n: int, adj_masks: list[int]) -> int:
     return best
 
 
+def reference_graph_from_key(n: int, key: int) -> FiniteGraph:
+    """The graph whose upper-triangle adjacency bits are ``key``, the pair
+    (0, 1) in the highest bit, built through the validating constructor."""
+    edges = []
+    pos = n * (n - 1) // 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            pos -= 1
+            if key >> pos & 1:
+                edges.append((i, j))
+    return FiniteGraph(range(n), edges)
+
+
 @cache
 def _reference_level(n: int) -> tuple[tuple[int, ...], dict[int, list[tuple[int, ...]]]]:
     """Keys on n vertices and, per key, the automorphisms its search found."""
@@ -857,7 +870,7 @@ def _reference_level(n: int) -> tuple[tuple[int, ...], dict[int, list[tuple[int,
     found: dict[int, list[tuple[int, ...]]] = {}
     for key in prev:
         masks = [0] * n
-        for u, v in _graph_from_key(n - 1, key).edges():
+        for u, v in reference_graph_from_key(n - 1, key).edges():
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         for attach in _attachment_orbits(n - 1, parent_autos.get(key, [])):

@@ -46,6 +46,7 @@ from clawham.graph import (
     FiniteGraph,
     components,
     cut,
+    is_connected,
     neighborhood_k,
     validate_cycle,
 )
@@ -69,12 +70,13 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def test_criterion_1_finite_theorem_exhaustive():
+def test_criterion_1_finite_theorem_exhaustive(connected_small_graphs, graphs_on_eight):
     """Every connected, locally connected, claw-free graph on 3..8 vertices
     gets a verified Hamilton certificate, agreeing with a brute-force oracle."""
+    connected = {**connected_small_graphs, 8: [g for g in graphs_on_eight if is_connected(g)]}
     instances = 0
     for n in range(3, 9):
-        for g in enumerate_connected_graphs(n):
+        for g in connected[n]:
             if not (is_claw_free(g).holds and is_locally_connected(g).holds):
                 continue
             instances += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -12,6 +13,7 @@ from clawham.constructions import (
     complete_multipartite,
     cube_graph,
     cycle_graph,
+    enumerate_connected_graphs,
     enumerate_graphs,
     graph_power,
     line_graph,
@@ -29,6 +31,7 @@ from helpers import (
     adjacency_dict,
     bfs_distance_oracle,
     reference_canonical_key,
+    reference_graph_from_key,
     reference_keys_for,
 )
 
@@ -145,15 +148,56 @@ def test_line_graph_rejects_edgeless():
         line_graph(FiniteGraph(range(3), []))
 
 
-def test_enumeration_counts_match_literature(small_graphs):
+def test_enumeration_counts_match_literature(small_graphs, graphs_on_eight):
     # numbers of graphs / connected graphs per vertex count, up to isomorphism
-    graphs = {**small_graphs, 8: enumerate_graphs(8)}
+    graphs = {**small_graphs, 8: graphs_on_eight}
     assert [len(graphs[n]) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
     connected = [len([g for g in graphs[n] if is_connected(g)]) for n in range(1, 9)]
     assert connected == [1, 1, 2, 6, 21, 112, 853, 11117]
     # claw-free graphs, connected or not (OEIS A086991)
     claw_free = [len([g for g in graphs[n] if is_claw_free(g).holds]) for n in range(3, 9)]
     assert claw_free == [4, 10, 26, 85, 302, 1285]
+
+
+def test_graphs_built_from_keys_match_the_validating_constructor():
+    for n in range(1, 9):
+        for key in constructions._keys_for(n):
+            g = constructions._graph_from_key(n, key)
+            want = reference_graph_from_key(n, key)
+            assert g.vertices == want.vertices == tuple(range(n))
+            for v in range(n):
+                assert g.neighbors(v) == want.neighbors(v), (n, key, v)
+                assert g.neighbor_set(v) == want.neighbor_set(v), (n, key, v)
+
+
+def test_enumeration_builds_new_graphs_on_every_call():
+    for enumerate_n in (enumerate_graphs, enumerate_connected_graphs):
+        a, b = enumerate_n(5), enumerate_n(5)
+        assert a == b
+        assert a[0] is not b[0]
+
+
+@pytest.mark.parametrize("enumerate_n", [enumerate_graphs, enumerate_connected_graphs])
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumeration_rejects_sizes_below_one(enumerate_n, n):
+    with pytest.raises(DomainError):
+        enumerate_n(n)
+
+
+def _live_graphs() -> int:
+    gc.collect()
+    return sum(isinstance(x, FiniteGraph) for x in gc.get_objects())
+
+
+def test_enumeration_keeps_no_graphs(monkeypatch):
+    # cold caches, so the calls below build every level they need
+    monkeypatch.setattr(constructions, "_KEY_CACHE", {1: [0]})
+    monkeypatch.setattr(constructions, "_AUTOMORPHISMS", {})
+    monkeypatch.setattr(constructions, "_ENUM_CACHE", {}, raising=False)
+    before = _live_graphs()
+    assert len(enumerate_graphs(6)) == 156
+    assert len(enumerate_connected_graphs(6)) == 112
+    assert _live_graphs() <= before
 
 
 def test_enumeration_on_eight_vertices_is_pinned():
@@ -220,8 +264,9 @@ def test_keys_for_searches_about_once_per_class(monkeypatch):
     # keeps 1253 for a search
     assert len(searches) == 1253
     # 9838 calls when the searches start without the parent's automorphisms
-    # and refine the root again
-    assert refines <= 5000
+    # and refine the root again, and 4531 when every root starts from one
+    # cell and every discrete split is refined once more; 3211 now
+    assert refines <= 3500
 
 
 def test_seeded_searches_keep_keys(monkeypatch):
