@@ -6,11 +6,11 @@ On a strip of the square of the double ray (integers, edges between
 numbers at distance 1 or 2), one search from the strip ends finds the
 minimal subset of a central triangle's neighborhood that separates the
 triangle from them, and splits it into per-end parts around the one finite
-component (``ray_decomposition``).
+component (``split_cycle``).
 """
 
 from clawham import CycleEmbedding, FiniteGraph
-from clawham.separators import check_complete_neighborhood, ray_decomposition, separates
+from clawham.separators import check_complete_neighborhood, separates, split_cycle
 
 LO, HI = -10, 10
 ids = {i: i - LO for i in range(LO, HI + 1)}
@@ -22,7 +22,7 @@ cycle = CycleEmbedding([ids[0], ids[1], ids[2]])
 boundary = [ids[i] for i in (LO, LO + 1, HI - 1, HI)]
 print(f"strip {LO}..{HI}, cycle on {{0, 1, 2}}, boundary = ends of the strip")
 
-dec = ray_decomposition(g, cycle, boundary)
+dec = split_cycle(g, cycle, boundary).dec
 sep = dec.separator
 print("minimal separator:", sorted(back[v] for v in sep))
 for v in sep:

@@ -29,13 +29,18 @@ from .presentations import PRESET_NAMES, preset
 
 
 def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+    """The UTF-8 text of the file ``path``, or of stdin for None or '-'."""
+    from_stdin = path is None or path == "-"
+    source = "stdin" if from_stdin else path
     try:
+        if from_stdin:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(f"{source} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
-        raise GraphInputError(f"cannot read {path}: {exc}") from exc
+        raise GraphInputError(f"cannot read {source}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -79,7 +84,7 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     try:
         cert_obj = json.loads(_read_text(args.certificate))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphInputError(f"certificate is not valid JSON: {exc}") from exc
     cert = HamiltonCertificate.from_json_obj(cert_obj)
     report = replay_certificate(g, cert)

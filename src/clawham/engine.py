@@ -314,8 +314,8 @@ def _good_step(
     and none for a splice (F lies in the allowed region), P ∪ K and K's
     index for a part P with component K.  Premises: the tuple was good
     before the step; the context is built by ``GoodTupleContext.build``
-    from a decomposition of ``ray_decomposition``, so a component's
-    neighbors outside it lie in its part; no edit drops a cycle vertex
+    from a decomposition of ``split_cycle``, so a component's neighbors
+    outside it lie in its part; no edit drops a cycle vertex
     (``_SpliceCycle.splice`` raises when one would); and the update changes
     sets only inside ``moved``, where it also puts every set it creates.
     For a set W before and m after the update (W = ∅ for a new set), let
@@ -846,15 +846,15 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     from the local degrees of its neighbors and a line-graph vertex of degree
     7 or more by one two-clique split; only the first vertex that fails pays
     for a witness, confirmed by ``claw_at`` or ``neighborhood_components``.
-    Round 1 decomposes from scratch, as
-    ``ray_decomposition`` does, and each later round carries the previous
-    round's decomposition over, which gives the same one.  The depth rule
-    is checked on N[C] before the decomposition and on F ∪ S after it; both
-    sets only grow, so each depth is a running maximum over the vertices a
-    round adds.  A round m too deep suggests deepest + RADIUS_MARGIN +
-    ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5 on every preset.
-    A read of round 1's N[C] that reaches the ball's last layer may be
-    clipped, so only then is it read again in a ball of the suggested radius."""
+    Round 1 decomposes from scratch (``split_cycle``), and each later round
+    carries the previous round's decomposition over, which gives the same
+    one.  The depth rule is checked on N[C] before the decomposition and on
+    F ∪ S after it; both sets only grow, so each depth is a running maximum
+    over the vertices a round adds.  A round m too deep suggests deepest +
+    RADIUS_MARGIN + ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5
+    on every preset.  A read of round 1's N[C] that reaches the ball's last
+    layer may be clipped, so only then is it read again in a ball of the
+    suggested radius."""
     if rounds < 0:
         raise DomainError("rounds must be >= 0")
     ball = pres.extract_ball(radius)

@@ -217,10 +217,10 @@ def find_path_extension(
         )
     if not g.has_edge(up, um):
         # The target must see one of the base's cycle-neighbors, else the
-        # four of them induce a claw.  Prefer the predecessor side.
-        for x in (um, up):
-            if g.has_edge(target, x):
-                return PathExtension(ExtensionCase.ONE, target, base, (target, x), ())
+        # four of them induce a claw; it misses up, or the shortcut above
+        # would have returned.
+        if g.has_edge(target, um):
+            return PathExtension(ExtensionCase.ONE, target, base, (target, um), ())
         raise HypothesisError(
             "claw_free",
             sorted((base, target, up, um)),

@@ -67,7 +67,7 @@ def parse_graph(text: str) -> FiniteGraph:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphInputError(f"invalid JSON: {exc}") from exc
         return graph_from_json_obj(obj)
     return graph_from_edge_list(text)

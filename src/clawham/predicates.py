@@ -7,25 +7,24 @@ graph-core primitives.
 Costs for n vertices, m edges and maximum degree d; the witnesses are
 unchanged from the plain definitions:
 
-* ``claw_at``: the pair scan keeps, at C level, each neighbor a's r_a later
-  non-neighbors in N(v), then tests them in turn against the rest of that
-  list: sum of r_a^2 membership tests at v, which is about d^3 / 8 when N(v)
-  is two disjoint cliques of d / 2 (a claw-free line-graph neighborhood).
-  From degree ``_COVER_MIN_DEGREE`` on, it first tries to split N(v) into
-  two cliques, which proves v claw-free with O(d) C-level set operations,
-  O(d^2) membership tests; every neighborhood of a line graph has such a
-  split (Krausz, 1943).  The witness, the lexicographically first claw,
-  always comes from the scan.
+* ``claw_at``: the pair scan alone.  It keeps, at C level, each neighbor
+  a's r_a later non-neighbors in N(v), then tests them in turn against the
+  rest of that list: sum of r_a^2 membership tests at v, which is about
+  d^3 / 8 when N(v) is two disjoint cliques of d / 2 (a claw-free
+  line-graph neighborhood).  Its answer, the lexicographically first claw,
+  never consults the sweep's two-clique split.
 * ``locally_connected_at``: O(d^2) at worst, one flood fill over N(v) by
   set differences that stops as soon as it has reached all of N(v) (on
   L(K_n) after two or three steps).
 * ``hypothesis_failures``, both questions at every vertex in one sweep, with
   no witness: up to degree 4, at most six adjacency tests per vertex, since
   both verdicts follow from the local degrees |N(a) & N(v)|; from degree
-  ``_COVER_MIN_DEGREE`` on, a two-clique split that succeeds also decides
-  local connectivity, with O(d) more C-level set operations and no flood
-  fill, so a line-graph vertex costs one split; elsewhere the pair scan and
-  the flood fill.  ``is_claw_free``, ``is_locally_connected``, ``check_all``,
+  ``_COVER_MIN_DEGREE`` on, a split of N(v) into two cliques, which every
+  line-graph neighborhood has (Krausz, 1943), proves v claw-free with O(d)
+  C-level set operations, O(d^2) membership tests, and decides local
+  connectivity with O(d) more and no flood fill, so a line-graph vertex
+  costs one split; elsewhere ``claw_at`` and the flood fill.
+  ``is_claw_free``, ``is_locally_connected``, ``check_all``,
   ``extension.finite_hamilton`` and ``engine.run`` read it, so O(n d^3) in
   all; only the first failing vertex of each kind pays for a witness, and
   ``claw_at`` or ``neighborhood_components`` there must confirm the sweep.
@@ -70,12 +69,17 @@ class PredicateReport:
         }
 
 
-# The least degree at which ``claw_at`` and ``_hypotheses_at`` first try
-# the two-clique cover.
-# Below it the cover's fixed set-up outweighs the scan it saves.  Per vertex
-# on L(K_{a,b}) and L(K_n), CPython 3.11 on a shared 2-core Xeon VM, the cover
-# took 1.0-1.4x the scan's time at degree 6, 0.75-1.05x at degrees 7 and 8,
-# 0.55-0.9x at degree 10 and 0.25x at degree 28.
+# The least degree at which the sweep, ``_hypotheses_at``, first tries the
+# two-clique split.  A split that succeeds saves ``claw_at`` and the flood
+# fill; one that fails adds to them.  Process time, CPython 3.11 on a shared
+# 2-core Xeon VM: on the degree-6 line-graph vertices of the engine-1d
+# benchmark's ``ladder-line-graph`` and ``tripod-line`` balls (793 and 841)
+# the split took 0.6-0.8x the time of the scan and the flood (best of 5);
+# but most vertices of degree 5 and 6 in the 994 connected graphs on 3..7
+# vertices have no split, and trying it from degree 5 on raised their sweep
+# from 7.7 to 9.1 ms (best of 15).  Whole small-sweep and engine passes
+# with the gate at 5 and at 7 differed by less than their spread, so it
+# stays at 7.
 _COVER_MIN_DEGREE = 7
 
 
@@ -125,8 +129,9 @@ def _two_clique_split(g: FiniteGraph, v: int) -> tuple[bool, bool | None]:
     return True, bool(common) or not all(map(q.isdisjoint, p_sets))
 
 
-def _claw_scan(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
-    """The pair scan: the lexicographically first claw at v, or None."""
+def claw_at(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
+    """Three pairwise non-adjacent neighbors of v, lexicographically first,
+    or None: the pair scan, which never consults the sweep's split."""
     nbrs = g.neighbors(v)
     neighbor_set = g.neighbor_set
     for i in range(len(nbrs) - 2):
@@ -138,17 +143,6 @@ def _claw_scan(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
             if not nb.issuperset(rest):
                 return (a, b, next(c for c in rest if c not in nb))
     return None
-
-
-def claw_at(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
-    """Three pairwise non-adjacent neighbors of v, lexicographically first.
-
-    From degree ``_COVER_MIN_DEGREE`` on, a two-clique cover of N(v) (every
-    neighborhood of a line graph has one) proves there is none; otherwise
-    the pair scan decides, and only it names a claw."""
-    if len(g.neighbors(v)) >= _COVER_MIN_DEGREE and _two_clique_split(g, v)[0]:
-        return None
-    return _claw_scan(g, v)
 
 
 def neighborhood_components(g: FiniteGraph, v: int) -> tuple[VertexSet, ...]:
@@ -191,7 +185,7 @@ def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
     neighbor of local degree 0.  From degree ``_COVER_MIN_DEGREE`` on, a
     two-clique split of N(v) that succeeds decides both, and one that finds
     the first neighbor adjacent to all of N(v) decides local connectivity;
-    the pair scan and the flood fill decide what is left."""
+    ``claw_at`` and the flood fill decide what is left."""
     nbrs = g.neighbors(v)
     d = len(nbrs)
     if d < 3:
@@ -215,7 +209,7 @@ def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
             return True, connected
     if connected is None:
         connected = locally_connected_at(g, v)
-    return _claw_scan(g, v) is None, connected
+    return claw_at(g, v) is None, connected
 
 
 def hypothesis_failures(g: FiniteGraph, vertices) -> list[tuple[int, bool, bool]]:

@@ -15,7 +15,7 @@ G - S that meets B holds a vertex of R and so is that vertex's component of
 G - X.  So the boundary components of G - S are exactly the components of
 G - X that meet B, and one ``graph.label_components`` call, which labels
 the components of G - X seeded at B, yields both S and them
-(``ray_decomposition``).  What is left, V - R - S, must be the one
+(``split_cycle``).  What is left, V - R - S, must be the one
 component of G - S that holds C: a search from C avoiding S and the count
 |F| + |R| + |S| = |V| for its result F confirm it, and a failed count means
 some component misses both C and B, so the radius is too small.
@@ -142,25 +142,6 @@ class SeparatorDecomposition:
         }
 
 
-def ray_decomposition(g: FiniteGraph, c: CycleEmbedding, boundary) -> SeparatorDecomposition:
-    """The minimal ray separator of the cycle ``c`` and its split into
-    per-end parts, from one search beyond N(V(c)), which it computes.
-
-    The separator is the inclusion-minimal subset of N(V(c)) that meets
-    every path from the cycle to the ``boundary`` layer; see the module
-    docstring.  The boundary side is one ``label_components`` call: the
-    components of G - N(V(c)) that meet the boundary, with their owner
-    map.  The component of G - S holding the cycle is the finite one, and
-    every other component must touch the boundary, otherwise the
-    truncation radius is too small to be faithful.  A separator vertex with
-    neighbors in two boundary-touching components yields an induced claw,
-    which is impossible in a claw-free graph and reported as an internal
-    inconsistency.  Both failures put an induced claw at a separator vertex,
-    so ``engine.run``, whose depth rule keeps N[V(c)] interior, meets neither.
-    """
-    return split_cycle(g, c, boundary).dec
-
-
 @dataclass(frozen=True)
 class CycleSplit:
     """The result of ``split_cycle``, a round's one input: the cycle c,
@@ -181,10 +162,25 @@ class CycleSplit:
 def split_cycle(
     g: FiniteGraph, c: CycleEmbedding, boundary, prev: CycleSplit | None = None
 ) -> CycleSplit:
-    """The decomposition step: ``ray_decomposition`` of the cycle ``c``
-    with its sets, from scratch or, given the previous round's ``prev``,
-    carried over from it (see ``_carry``).  Its result is the one input of
-    ``engine.cut_lemma_round`` and ``GoodTupleContext.build``."""
+    """The decomposition step, the one entry point for a cycle's separator:
+    the minimal ray separator of the cycle ``c``, its split into per-end
+    parts (``.dec``) and its sets, from one search beyond N(V(c)), which it
+    computes, or, given the previous round's ``prev``, carried over from it
+    (see ``_carry``).  Its result is the one input of
+    ``engine.cut_lemma_round`` and ``GoodTupleContext.build``.
+
+    The separator is the inclusion-minimal subset of N(V(c)) that meets
+    every path from the cycle to the ``boundary`` layer; see the module
+    docstring.  From scratch, the boundary side is one ``label_components``
+    call: the components of G - N(V(c)) that meet the boundary, with their
+    owner map.  The component of G - S holding the cycle is the finite one,
+    and every other component must touch the boundary, otherwise the
+    truncation radius is too small to be faithful.  A separator vertex with
+    neighbors in two boundary-touching components yields an induced claw,
+    which is impossible in a claw-free graph and reported as an internal
+    inconsistency.  Both failures put an induced claw at a separator vertex,
+    so ``engine.run``, whose depth rule keeps N[V(c)] interior, meets
+    neither."""
     bset = g.require_subset(boundary)
     cset = c.vertex_set
     if prev is None:

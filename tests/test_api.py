@@ -70,10 +70,11 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(clawham, name) is not None
 
 
-# The second witness-update path and the second decomposition path, retired:
-# steps go through the engine's step check and rounds through
-# ``separators.ray_decomposition``.
-RETIRED = ["GoodTuple", "good_extend", "decompose", "shrink_to_minimal_ray_separator"]
+# The second witness-update path and the second decomposition paths,
+# retired: steps go through the engine's step check and rounds through
+# ``separators.split_cycle``.
+RETIRED = ["GoodTuple", "good_extend", "decompose", "shrink_to_minimal_ray_separator",
+           "ray_decomposition"]
 
 
 @pytest.mark.parametrize("module", [clawham, clawham.engine, clawham.separators])

@@ -188,17 +188,23 @@ def test_verify_rejects_non_integer_vertex_ids(tmp_path, capsys, edit):
     assert "vertex ids must be non-negative integers" in payload["message"]
 
 
+NOT_UTF8 = b"\xff\xfe0 1\n"
+NESTED = '{"vertices": ' + "[" * 100_000
+
+
 @pytest.mark.parametrize("text, error", [
     ("{this is not json", "GraphInputError"),
     (json.dumps({**K4_CERTIFICATE, "initial_cycle": [0, 1.5, 2]}), "DomainError"),
+    pytest.param(NOT_UTF8, "GraphInputError", id="not-utf8"),
+    pytest.param("[" * 100_000, "GraphInputError", id="deeply-nested"),
 ])
 def test_bad_certificate_error_names(tmp_path, capsys, text, error):
-    # a file that is not JSON is bad input; a JSON record that breaks a rule
-    # is a domain error; both exit 2
+    # a file that is not UTF-8 JSON is bad input; a JSON record that breaks
+    # a rule is a domain error; both exit 2
     graph_path = tmp_path / "k4.json"
     graph_path.write_text(graph_to_json(complete_graph(4)))
     cert_path = tmp_path / "cert.json"
-    cert_path.write_text(text)
+    cert_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run_cli(
         capsys, "verify-certificate", str(graph_path), "--certificate", str(cert_path)
     )
@@ -212,6 +218,50 @@ def test_malformed_graph_is_status_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "error" in json.loads(err)
+
+
+def assert_input_error(code, out, err, message):
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "GraphInputError"
+    assert message in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["check", "hamilton", "verify-certificate"])
+def test_graph_file_that_is_not_utf8_is_status_2(tmp_path, capsys, command):
+    path = tmp_path / "g.txt"
+    path.write_bytes(NOT_UTF8)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(K4_CERTIFICATE))
+    extra = ["--certificate", str(cert)] if command == "verify-certificate" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert_input_error(code, out, err, f"{path} is not UTF-8 text")
+
+
+def test_stdin_that_is_not_utf8_is_status_2():
+    """Under strict UTF-8 stdin, as under a UTF-8 locale, undecodable bytes
+    on stdin are bad input, not a traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clawham.cli", "check"],
+        input=NOT_UTF8, capture_output=True, env=env, timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert_input_error(proc.returncode, proc.stdout.decode(), err, "stdin is not UTF-8 text")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_deeply_nested_graph_json_is_status_2(tmp_path, capsys, monkeypatch, source):
+    if source == "file":
+        path = tmp_path / "g.json"
+        path.write_text(NESTED)
+        code, out, err = run_cli(capsys, "check", str(path))
+    else:
+        code, out, err = run_cli(capsys, "check", stdin=NESTED, monkeypatch=monkeypatch)
+    assert_input_error(code, out, err, "invalid JSON: maximum recursion depth exceeded")
 
 
 def test_infinite_run_payload(tmp_path, capsys):

@@ -315,7 +315,7 @@ def test_run_rejects_a_faulty_round(monkeypatch, kind):
 def test_cycle_neighborhood_on_the_boundary_is_a_radius_error():
     """At radius 4 the initial cycle's neighborhood reaches the boundary
     layer of ``ray-square``.  The depth rule rejects the round before
-    ``ray_decomposition`` would refuse the cycle, and suggests 4 + 5."""
+    ``split_cycle`` would refuse the cycle, and suggests 4 + 5."""
     with pytest.raises(RadiusTooSmallError) as exc:
         run(preset("ray-square"), 1, 4)
     assert str(exc.value).startswith("round 1: the construction reached depth 4 of radius 4")
@@ -1308,7 +1308,7 @@ CARRY_RUNS = ROUND_RUNS + [("cactus-line", 13, 2, 7)]
 @pytest.mark.parametrize("name, radius, rounds, seed", CARRY_RUNS)
 def test_carried_decomposition_matches_from_scratch(monkeypatch, name, radius, rounds, seed):
     """Every round after the first carries its decomposition over from the
-    previous round's; it equals ``ray_decomposition`` from scratch.  The
+    previous round's; it equals ``split_cycle`` from scratch.  The
     round's context reads F ∪ S ∪ N³(S) as F ∪ N⁴(F)."""
     import clawham.engine as engine
     from helpers import assert_carry_matches_scratch

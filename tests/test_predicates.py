@@ -328,6 +328,26 @@ def test_two_clique_cover_the_greedy_split_misses():
     assert_matches_references(g)
 
 
+def test_claw_at_never_tries_the_two_clique_split(monkeypatch):
+    """``claw_at`` is the pair scan alone: with the split made to raise, it
+    still gives the reference's answer at every vertex from the split's
+    gate on, so a witness shares nothing with the sweep's shortcut."""
+    import clawham.predicates as predicates
+
+    def refuse(g, v):
+        raise AssertionError("claw_at tried the two-clique split")
+
+    monkeypatch.setattr(predicates, "_two_clique_split", refuse)
+    outcomes = set()
+    for g in dense_neighborhood_graphs():
+        for v in g.vertices:
+            if g.degree(v) >= _COVER_MIN_DEGREE:
+                triple = claw_at(g, v)
+                assert triple == reference_claw_scan(g, v), (v, g.edges())
+                outcomes.add(triple is None)
+    assert outcomes == {True, False}
+
+
 def test_claw_at_matches_references_on_perturbed_two_clique_neighborhoods():
     """Vertex 0 with 7..12 neighbors split into two cliques with random edges
     between them, some clique edges removed and the neighbors relabelled:

@@ -20,8 +20,8 @@ from clawham.separators import (
     check_complete_neighborhood,
     is_minimal_separator,
     minimal_separator_components,
-    ray_decomposition,
     separates,
+    split_cycle,
 )
 from conftest import double_ray_square_truncation
 from helpers import (
@@ -33,6 +33,11 @@ from helpers import (
     reference_separates,
     reference_shrink,
 )
+
+
+def decomposition(g, c, boundary):
+    """The decomposition of the cycle ``c`` that ``split_cycle`` computes from scratch."""
+    return split_cycle(g, c, boundary).dec
 
 
 def outcome(f, *args):
@@ -80,7 +85,7 @@ def test_shrink_on_double_ray_square():
     g, ids = double_ray_square_truncation(-10, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-10, -9, 9, 10)]
-    sep = ray_decomposition(g, c, boundary).separator
+    sep = decomposition(g, c, boundary).separator
     assert sep == tuple(sorted(ids[i] for i in (-2, -1, 3, 4)))
     # oracle: every proper subset fails to separate
     sset = set(sep)
@@ -93,7 +98,7 @@ def test_shrink_on_ray_square():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[9], ids[10]]
-    sep = ray_decomposition(g, c, boundary).separator
+    sep = decomposition(g, c, boundary).separator
     assert sep == (ids[3], ids[4])
     for v in sep:
         assert not separates(g, set(sep) - {v}, c.order, boundary)
@@ -103,14 +108,14 @@ def test_shrink_rejects_cycle_touching_boundary():
     g, ids = double_ray_square_truncation(0, 4)
     c = CycleEmbedding([ids[2], ids[3], ids[4]])
     with pytest.raises(DomainError, match="the cycle touches the boundary layer"):
-        ray_decomposition(g, c, [ids[4]])
+        decomposition(g, c, [ids[4]])
 
 
 def test_decompose_double_ray_square():
     g, ids = double_ray_square_truncation(-10, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
     boundary = [ids[i] for i in (-10, -9, 9, 10)]
-    dec = ray_decomposition(g, c, boundary)
+    dec = decomposition(g, c, boundary)
     assert dec.k == 2
     assert dec.finite_component == tuple(sorted(ids[i] for i in (0, 1, 2)))
     assert dec.infinite_components == (
@@ -137,7 +142,7 @@ def test_decompose_double_ray_square():
 def test_decompose_ray_square():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[0], ids[1], ids[2]])
-    dec = ray_decomposition(g, c, [ids[9], ids[10]])
+    dec = decomposition(g, c, [ids[9], ids[10]])
     assert dec.k == 1
     assert dec.finite_component == (ids[0], ids[1], ids[2])
     assert dec.parts == ((ids[3], ids[4]),)
@@ -168,7 +173,7 @@ def test_decompose_two_sided_separator_vertex_reports_claw():
     )
     c = CycleEmbedding([0, 1, 2])
     with pytest.raises(InternalConsistencyError) as exc:
-        ray_decomposition(g, c, [6, 7])
+        decomposition(g, c, [6, 7])
     assert exc.value.exit_code == 3
     witness = exc.value.witness
     assert witness is not None
@@ -219,7 +224,7 @@ def test_separates_matches_reference_on_random_inputs():
 def test_shrink_matches_greedy_reference_on_random_triples():
     """On empty boundaries, boundaries beyond N(c), some with vertices in
     components the cycle cannot reach, and boundaries that break a
-    precondition, ``ray_decomposition`` raises the greedy reference's
+    precondition, ``split_cycle`` raises the greedy reference's
     error, or its separator is the reference's: it decomposes as the
     whole-ball reference does with that separator, or fails as it does.
     The one exception is a cycle stand-in that meets several components
@@ -242,7 +247,7 @@ def test_shrink_matches_greedy_reference_on_random_triples():
         else:
             boundary = rng.sample(range(n), rng.randint(1, 3))
         sep = outcome(reference_shrink, g, c, boundary)
-        got = outcome(ray_decomposition, g, c, boundary)
+        got = outcome(decomposition, g, c, boundary)
         if sep and isinstance(sep[0], type):
             assert got == sep
             continue
@@ -260,7 +265,7 @@ def test_shrink_matches_greedy_reference_on_every_round(name):
     state = run(preset(name), rounds=5, radius=70)
     boundary = state.ball.boundary
     for cycle, record in zip(state.cycles()[:-1], state.rounds):
-        dec = ray_decomposition(state.graph, cycle, boundary)
+        dec = decomposition(state.graph, cycle, boundary)
         assert dec == record.dec
         assert dec.separator == reference_shrink(state.graph, cycle, boundary)
 
@@ -269,7 +274,7 @@ def test_shrink_preconditions_raise_as_before():
     g, ids = double_ray_square_truncation(0, 10)
     c = CycleEmbedding([ids[2], ids[3], ids[4]])
     for boundary in ([ids[4], ids[10]], [ids[5], ids[10]]):
-        got = outcome(ray_decomposition, g, c, boundary)
+        got = outcome(decomposition, g, c, boundary)
         assert got[0] is DomainError
         assert got == outcome(reference_shrink, g, c, boundary)
 
@@ -315,7 +320,7 @@ def connected_triple(rng: random.Random, g: FiniteGraph):
 
 
 def test_decompose_matches_whole_ball_reference_on_random_inputs():
-    """``ray_decomposition`` gives the reference's result on the closed-form
+    """``split_cycle`` gives the reference's result on the closed-form
     separator, or its error class, message, witness and suggested radius,
     on random graphs, connected cycle stand-ins and boundaries; stray
     components and two-sided separator vertices both occur."""
@@ -337,7 +342,7 @@ def test_decompose_matches_whole_ball_reference_on_random_inputs():
         want = full_outcome(
             reference_decompose, g, c, reference_ray_separator(g, c, boundary), boundary
         )
-        assert full_outcome(ray_decomposition, g, c, boundary) == want
+        assert full_outcome(decomposition, g, c, boundary) == want
         if isinstance(want, tuple):
             seen[want[0]] += 1
             seen["two-sided"] += "reaches two" in want[1]
@@ -354,7 +359,7 @@ def test_stray_finite_component_means_the_radius_is_too_small():
     c = CycleEmbedding([0, 1, 2])
     want = full_outcome(reference_decompose, g, c, [3], [5])
     assert want[0] is RadiusTooSmallError
-    assert full_outcome(ray_decomposition, g, c, [5]) == want
+    assert full_outcome(decomposition, g, c, [5]) == want
 
 
 def test_two_sided_separator_vertex_keeps_its_witness():
@@ -367,7 +372,7 @@ def test_two_sided_separator_vertex_keeps_its_witness():
     c = CycleEmbedding([0, 1, 2])
     want = full_outcome(reference_decompose, g, c, [3], [6, 7])
     assert want[0] is InternalConsistencyError and want[2] == (2, 3, 4, 5)
-    assert full_outcome(ray_decomposition, g, c, [6, 7]) == want
+    assert full_outcome(decomposition, g, c, [6, 7]) == want
 
 
 def _tree_square(tree, extra=()):
@@ -397,13 +402,11 @@ def test_carried_component_that_splits_is_labelled_again(tree, extra, boundary):
     boundary component beyond the triangle (0, 1, 2) splits once the cycle
     covers the trunk up to 10: the carried decomposition labels it again,
     and its result, or its error, is the one from scratch."""
-    from clawham.separators import split_cycle
-
     g = _tree_square(tree, extra)
     first = split_cycle(g, CycleEmbedding([0, 1, 2]), boundary)
     assert (first.dec.separator, first.dec.k) == ((3, 4), 1)
     trunk = CycleEmbedding([0, 1, 3, 5, 7, 9, 10, 8, 6, 4, 2])
-    want = full_outcome(ray_decomposition, g, trunk, boundary)
+    want = full_outcome(decomposition, g, trunk, boundary)
     got = full_outcome(split_cycle, g, trunk, boundary, first)
     if extra:
         assert want[0] is RadiusTooSmallError and got == want
