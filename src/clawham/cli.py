@@ -29,14 +29,25 @@ from .presentations import PRESET_NAMES, preset
 
 
 def _read_text(path: str | None) -> str:
-    """The UTF-8 text of the file ``path``, or of stdin for None or '-'."""
+    """The UTF-8 text of the file ``path``, or of stdin for None or '-'.
+
+    Both are read as bytes and decoded strictly, so bytes that are not
+    UTF-8 are refused with one message whatever the locale; the text
+    stream of stdin would decode by the locale's rules.  A text stream put
+    in place of ``sys.stdin`` has no bytes beneath it and is read as text.
+    """
     from_stdin = path is None or path == "-"
     source = "stdin" if from_stdin else path
     try:
         if from_stdin:
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            stream = getattr(sys.stdin, "buffer", None)
+            if stream is None:
+                return sys.stdin.read()
+            data = stream.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphInputError(f"{source} is not UTF-8 text: {exc}") from exc
     except OSError as exc:

@@ -17,6 +17,12 @@ insertion must go between cycle-adjacent vertices and add only vertices off
 the cycle, and the cycle must grow by exactly the new path vertices.  With
 the input cycle validated once, these keep every intermediate cycle a single
 cycle of the graph.
+
+Finding an extension walks inside N(base) from the target to the base's
+cycle-successor.  A walk of one or two edges is read from a membership test
+or one intersection of three neighbor sets, and equals the walk the
+breadth-first search would return (``find_path_extension``); only longer
+walks run the search.
 """
 
 from __future__ import annotations
@@ -185,6 +191,15 @@ def find_path_extension(
     interior cycle vertex has a cycle-neighbor adjacent to the base.
     Structural hypotheses are only consumed lazily: a missing edge or a
     disconnected neighborhood raises a hypothesis error with a witness.
+
+    The walk is the breadth-first search's from the target to ``up`` =
+    succ(base) within N(base), and its first two depths need no search.
+    Depth 1 is the edge (target, up), when the target sees ``up``.  Else
+    layer 1 is N(target) & N(base) in sorted order, and the search reaches
+    ``up`` from the first vertex of it that sees ``up``, so when
+    x = min(N(target) & N(up) & N(base)) exists the walk is
+    [target, x, up], and the cut at the first of ``up`` and ``um`` applies
+    to it unchanged.  Only a walk of three or more edges runs the search.
     """
     if target in c or target not in g.neighbor_set(base) or base not in c:
         raise DomainError(
@@ -196,7 +211,11 @@ def find_path_extension(
     if up in g.neighbor_set(target):
         # the walk's first step reaches up: case one, bridging nothing
         return PathExtension(ExtensionCase.ONE, target, base, (target, up), ())
-    walk = shortest_path(g, target, {up}, allowed=nbrs)
+    via = nbrs.intersection(g.neighbor_set(target), g.neighbor_set(up))
+    if via:
+        walk = [target, min(via), up]
+    else:
+        walk = shortest_path(g, target, {up}, allowed=nbrs)
     if walk is None:
         comp = set(bfs(g, [target], within=nbrs))
         raise HypothesisError(

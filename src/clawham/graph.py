@@ -261,7 +261,8 @@ def components(g: FiniteGraph) -> tuple[VertexSet, ...]:
 
 
 def is_connected(g: FiniteGraph) -> bool:
-    return len(components(g)) <= 1
+    """Whether one breadth-first search from the least vertex reaches all."""
+    return len(bfs(g, g.vertices[:1])) == len(g)
 
 
 def bfs_distances(g: FiniteGraph, sources: Iterable[int]) -> dict[int, int]:

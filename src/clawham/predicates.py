@@ -20,16 +20,21 @@ unchanged from the plain definitions:
   no witness: up to degree 4, at most six adjacency tests per vertex, since
   both verdicts follow from the local degrees |N(a) & N(v)|; from degree
   ``_COVER_MIN_DEGREE`` on, a split of N(v) into two cliques, which every
-  line-graph neighborhood has (Krausz, 1943), proves v claw-free with O(d)
-  C-level set operations, O(d^2) membership tests, and decides local
-  connectivity with O(d) more and no flood fill, so a line-graph vertex
-  costs one split; elsewhere ``claw_at`` and the flood fill.
+  line-graph neighborhood has (Krausz, 1943), proves v claw-free and
+  decides local connectivity with O(d) C-level set operations and no flood
+  fill.  Its two clique tests go through a store that the sweep shares,
+  keyed by the clique plus v, so a clique of c vertices is tested once per
+  sweep, with O(c^2) membership tests, and its entry is dropped once its
+  other members have read it.  A line graph's Krausz cliques hold each edge
+  once, so its clique tests cost O(m) in all, where testing both sides at
+  every vertex cost O(n d^2).  Elsewhere ``claw_at`` and the flood fill.
   ``is_claw_free``, ``is_locally_connected``, ``check_all``,
   ``extension.finite_hamilton`` and ``engine.run`` read it, so O(n d^3) in
   all; only the first failing vertex of each kind pays for a witness, and
   ``claw_at`` or ``neighborhood_components`` there must confirm the sweep.
-* ``connected_report``: O(n + m), one component labelling; the first vertex of
-  each of the first two components.
+* ``connected_report``: O(n + m), one breadth-first search from the least
+  vertex; that vertex and the least one it does not reach, the first vertex
+  of each of the first two components.
 * ``is_two_connected``: O(n + m), Hopcroft-Tarjan without recursion; the
   smallest cut vertex.
 * ``is_chordal``: O(n + m), maximum cardinality search; only a non-chordal
@@ -39,14 +44,14 @@ unchanged from the plain definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, filterfalse
+from itertools import chain, combinations, filterfalse
 from typing import Iterable
 
 from .errors import DomainError, InternalConsistencyError
 from .graph import (
     FiniteGraph,
     VertexSet,
-    components,
+    bfs,
     components_within,
     shortest_path,
 )
@@ -89,7 +94,9 @@ def _is_clique(s: frozenset[int], neighbor_sets: Iterable[frozenset[int]]) -> bo
     return sum(map(len, map(s.difference, neighbor_sets))) == len(s)
 
 
-def _two_clique_split(g: FiniteGraph, v: int) -> tuple[bool, bool | None]:
+def _two_clique_split(
+    g: FiniteGraph, v: int, verdicts: dict | None = None
+) -> tuple[bool, bool | None]:
     """Whether one greedy split of N(v) into two cliques P and Q succeeds,
     and whether G[N(v)] is connected, None where the attempt does not tell.
 
@@ -105,7 +112,15 @@ def _two_clique_split(g: FiniteGraph, v: int) -> tuple[bool, bool | None]:
     nor b, or P or Q is not a clique), not that v has a claw; when a sees
     all of N(v), N(v) is connected through a.  Each step is one C-level set
     operation over N(v) or a pass over P or Q.
+
+    P is tested whole, seed and joiners at once: each joiner sees all of
+    the seed, so P is a clique exactly when the seed and the joiners each
+    are.  Each clique test goes through ``verdicts``, the store of one
+    sweep (``_clique_verdict``); without one, the split tests both cliques
+    itself.
     """
+    if verdicts is None:
+        verdicts = {}
     neighbor_set = g.neighbor_set
     around = neighbor_set(v)
     a = g.neighbors(v)[0]
@@ -115,18 +130,42 @@ def _two_clique_split(g: FiniteGraph, v: int) -> tuple[bool, bool | None]:
         return False, True
     b = min(q)
     nb = neighbor_set(b)
-    p = around.difference(nb, (b,))
-    p_sets = list(map(neighbor_set, p))
-    if not _is_clique(p, p_sets):
-        return False, None
+    seed = around.difference(nb, (b,))
+    seed_sets = list(map(neighbor_set, seed))
     common = around.intersection(na, nb)
-    joins_p = common.intersection(*p_sets)
-    if len(joins_p) > 1 and not _is_clique(joins_p, map(neighbor_set, joins_p)):
+    joins_p = common.intersection(*seed_sets)
+    p = seed.union(joins_p)
+    if not _clique_verdict(verdicts, v, p, chain(seed_sets, map(neighbor_set, joins_p))):
         return False, None
     q = q.union(common.difference(joins_p))
-    if not _is_clique(q, map(neighbor_set, q)):
+    if not _clique_verdict(verdicts, v, q, map(neighbor_set, q)):
         return False, None
-    return True, bool(common) or not all(map(q.isdisjoint, p_sets))
+    return True, bool(common) or not all(map(q.isdisjoint, seed_sets))
+
+
+def _clique_verdict(verdicts: dict, v: int, s: frozenset[int],
+                    neighbor_sets: Iterable[frozenset[int]]) -> bool:
+    """Whether s, a set of neighbors of v, is a clique, tested at most once
+    per sweep.
+
+    Since v sees all of s, s is a clique exactly when s | {v} is.  So the
+    verdict, True or False, also answers each later member w of s | {v}
+    whose split meets s | {v} less w as one side.  ``verdicts`` maps
+    s | {v} to the verdict and the number of its other members yet to read
+    it, and drops the entry at the last read.  In a line graph each side is
+    a Krausz clique less one vertex, so each clique is tested once and each
+    vertex reads its two.  ``neighbor_sets`` are those of the members of s,
+    read only on a miss."""
+    key = s.union((v,))
+    entry = verdicts.get(key)
+    if entry is None:
+        verdict = _is_clique(s, neighbor_sets)
+        verdicts[key] = [verdict, len(s)]
+        return verdict
+    entry[1] -= 1
+    if not entry[1]:
+        del verdicts[key]
+    return entry[0]
 
 
 def claw_at(g: FiniteGraph, v: int) -> tuple[int, int, int] | None:
@@ -167,7 +206,7 @@ def locally_connected_at(g: FiniteGraph, v: int) -> bool:
     return len(seen) == len(nbrs)
 
 
-def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
+def _hypotheses_at(g: FiniteGraph, v: int, verdicts: dict | None = None) -> tuple[bool, bool]:
     """Whether v centers no claw, and whether G[N(v)] is connected: the
     values of ``claw_at(g, v) is None`` and ``locally_connected_at(g, v)``,
     with no witness.
@@ -185,7 +224,8 @@ def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
     neighbor of local degree 0.  From degree ``_COVER_MIN_DEGREE`` on, a
     two-clique split of N(v) that succeeds decides both, and one that finds
     the first neighbor adjacent to all of N(v) decides local connectivity;
-    ``claw_at`` and the flood fill decide what is left."""
+    ``claw_at`` and the flood fill decide what is left.  ``verdicts`` is
+    the sweep's clique store, which the split reads and fills."""
     nbrs = g.neighbors(v)
     d = len(nbrs)
     if d < 3:
@@ -204,7 +244,7 @@ def _hypotheses_at(g: FiniteGraph, v: int) -> tuple[bool, bool]:
         return m not in local, m >= 4 or (m == 3 and 0 not in local)
     connected = None
     if d >= _COVER_MIN_DEGREE:
-        covered, connected = _two_clique_split(g, v)
+        covered, connected = _two_clique_split(g, v, verdicts)
         if covered:
             return True, connected
     if connected is None:
@@ -218,11 +258,15 @@ def hypothesis_failures(g: FiniteGraph, vertices) -> list[tuple[int, bool, bool]
     which both kinds of failure have shown up: the first failure, and the
     first of each kind, are all any caller reads.  One step per vertex
     decides both hypotheses (``_hypotheses_at``); the list is built eagerly,
-    so a span around this function times the whole sweep."""
+    so a span around this function times the whole sweep.  The steps share
+    one store of clique verdicts, so each clique of a two-clique split is
+    tested once in the sweep (``_clique_verdict``); the store lives for this
+    call only."""
     failures = []
     seen_claw = seen_split = False
+    verdicts: dict = {}
     for v in vertices:
-        claw_free, connected = _hypotheses_at(g, v)
+        claw_free, connected = _hypotheses_at(g, v, verdicts)
         if claw_free and connected:
             continue
         failures.append((v, claw_free, connected))
@@ -280,9 +324,13 @@ def is_locally_connected(g: FiniteGraph) -> PredicateReport:
 
 
 def connected_report(g: FiniteGraph) -> PredicateReport:
-    parts = components(g)
-    if len(parts) > 1:
-        return PredicateReport(False, (parts[0][0], parts[1][0]), "graph is disconnected")
+    """One breadth-first search from the least vertex.  The witness of a
+    disconnected graph is that vertex and the least one it does not reach,
+    the first vertices of the first two components."""
+    reached = bfs(g, g.vertices[:1])
+    if len(reached) < len(g):
+        missed = next(v for v in g.vertices if v not in reached)
+        return PredicateReport(False, (g.vertices[0], missed), "graph is disconnected")
     return PredicateReport(True)
 
 

@@ -17,6 +17,7 @@ from clawham.errors import DomainError, InternalConsistencyError, ProgressError
 from clawham.extension import (
     ExtensionCase,
     HamiltonCertificate,
+    PathExtension,
     ReplayReport,
     find_path_extension,
     finite_hamilton,
@@ -1616,3 +1617,106 @@ def dense_neighborhood_graphs() -> list[FiniteGraph]:
         out.append(FiniteGraph(range(n), [
             (i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.9]))
     return out + finite_family_instances()
+
+
+# -- the finite splice search from the reference BFS -------------------------------
+#
+# ``extension.find_path_extension`` as the constructive argument states it:
+# every walk from the reference search, with neither the one-edge nor the
+# two-edge shortcut.  For in-class inputs, where the search always reaches
+# the base's successor and no claw is met.
+
+
+def reference_find_path_extension(g: FiniteGraph, c, target: int, base: int):
+    nbrs = g.neighbor_set(base)
+    up, um = c.succ(base), c.pred(base)
+    walk = reference_shortest_path(g, target, {up}, allowed=nbrs)
+    stop = next(i for i, v in enumerate(walk) if v in (up, um))
+    path = tuple(walk[: stop + 1])
+    interior = [v for v in path[1:-1] if v in c]
+    nonsingular = [z for z in interior if c.succ(z) in nbrs or c.pred(z) in nbrs]
+    if not nonsingular:
+        return PathExtension(ExtensionCase.ONE, target, base, path, tuple(sorted(interior)))
+    if not g.has_edge(up, um):
+        return PathExtension(ExtensionCase.ONE, target, base, (target, um), ())
+    w = nonsingular[0]
+    pw = path[: path.index(w) + 1]
+    ws, wp = c.succ(w), c.pred(w)
+    bridged = tuple(sorted([v for v in pw[1:-1] if v in c] + [base]))
+    return PathExtension(ExtensionCase.TWO, target, base, pw, bridged, ws if ws in nbrs else wp)
+
+
+# -- seeded finite generators beyond n <= 8 ----------------------------------------
+#
+# Two families that are claw-free and locally connected by construction,
+# large and dense enough that case two, bridging and the confined search
+# happen: line graphs of random k-trees (every edge of a k-tree, k >= 2,
+# lies in a triangle, so its line graph is locally connected), and circular
+# interval graphs (claw-free quasi-line graphs, not line graphs in general).
+# Arcs that reach only one point past their start can leave a vertex inside
+# no arc, so such draws serve as out-of-class controls.
+
+
+def relabel(g: FiniteGraph, rng) -> FiniteGraph:
+    """g with its vertex ids permuted at random."""
+    perm = list(g.vertices)
+    rng.shuffle(perm)
+    to = dict(zip(g.vertices, perm))
+    return FiniteGraph(perm, [(to[u], to[v]) for u, v in g.edges()])
+
+
+def random_k_tree(rng, k: int, n: int) -> FiniteGraph:
+    """A k-tree on n > k vertices: K_{k+1}, then each further vertex joined
+    to a k-clique drawn uniformly from those built so far."""
+    cliques = list(combinations(range(k + 1), k))
+    edges = list(combinations(range(k + 1), 2))
+    for v in range(k + 1, n):
+        clique = rng.choice(cliques)
+        edges += [(u, v) for u in clique]
+        cliques += [tuple(x for x in clique if x != u) + (v,) for u in clique]
+    return FiniteGraph(range(n), edges)
+
+
+def k_tree_line_graph(seed: int, k: int, n: int) -> FiniteGraph:
+    """The line graph of a random k-tree on n vertices, relabelled at random."""
+    import random
+
+    rng = random.Random(seed)
+    return relabel(reference_line_graph(random_k_tree(rng, k, n)).graph, rng)
+
+
+def circular_interval_graph(seed: int, n: int, reach: tuple[int, int]) -> FiniteGraph:
+    """n points on a circle; each point i and the next r_i points form a
+    clique, r_i drawn uniformly from ``reach`` (both ends included, below
+    n); relabelled at random.  With every r_i >= 2 each point lies inside
+    the arc of its predecessor, so the graph is locally connected."""
+    import random
+
+    rng = random.Random(seed)
+    edges = set()
+    for i in range(n):
+        arc = [(i + j) % n for j in range(rng.randint(*reach) + 1)]
+        edges.update(map(edge_key, *zip(*combinations(arc, 2))))
+    return relabel(FiniteGraph(range(n), edges), rng)
+
+
+def generated_draws() -> list[tuple[str, FiniteGraph]]:
+    """Seeded in-class draws of 50 to 300 vertices: line graphs of 2- and
+    3-trees and circular interval graphs with arcs reaching 2 to 6 points
+    past their start, each named by its family, parameters and seed."""
+    draws = []
+    for seed in range(8):
+        for k, n in ((2, 27 + 16 * seed), (3, 19 + 11 * seed)):
+            draws.append((f"L({k}-tree) n={n} seed={seed}", k_tree_line_graph(seed, k, n)))
+        n = 50 + 35 * seed
+        draws.append((f"circ n={n} reach=2..6 seed={seed}",
+                      circular_interval_graph(seed, n, (2, 6))))
+    return draws
+
+
+def control_draws() -> list[tuple[str, FiniteGraph]]:
+    """Circular interval graphs with arcs reaching 1 to 6 points past their
+    start, 50 to 300 vertices; at these seeds each has a vertex inside no
+    arc, so none is locally connected."""
+    return [(f"circ n={n} reach=1..6 seed={seed}", circular_interval_graph(seed, n, (1, 6)))
+            for seed, n in enumerate(range(50, 301, 50))]

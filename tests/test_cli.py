@@ -253,6 +253,29 @@ def test_stdin_that_is_not_utf8_is_status_2():
     assert_input_error(proc.returncode, proc.stdout.decode(), err, "stdin is not UTF-8 text")
 
 
+def test_stdin_that_is_not_utf8_is_refused_whatever_the_locale(tmp_path, capsys):
+    """Under the C.UTF-8 locale and no PYTHONIOENCODING, the text stream of
+    stdin would pass undecodable bytes on as lone surrogates; stdin is read
+    as bytes and decoded strictly, so the refusal reads as a file's does."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert_input_error(code, out, err, f"{path} is not UTF-8 text: ")
+    reason = json.loads(err)["message"].split(" is not UTF-8 text: ", 1)[1]
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(LC_ALL="C.UTF-8", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clawham.cli", "check"],
+        input=NOT_UTF8, capture_output=True, env=env, timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert_input_error(proc.returncode, proc.stdout.decode(), err, "stdin is not UTF-8 text: ")
+    assert json.loads(err)["message"] == f"stdin is not UTF-8 text: {reason}"
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_deeply_nested_graph_json_is_status_2(tmp_path, capsys, monkeypatch, source):
     if source == "file":

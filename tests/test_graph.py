@@ -17,6 +17,7 @@ from clawham.graph import (
     components_within,
     cut,
     induced_subgraph,
+    is_connected,
     label_components,
     neighborhood_k,
     shortest_path,
@@ -283,6 +284,33 @@ def test_components_within_matches_reference():
         for _ in range(6):
             x = _random_subset(rng, g.vertices)
             assert components_within(g, x) == reference_components_within(g, x)
+
+
+def test_connectivity_is_one_search_matching_the_components():
+    """``is_connected`` and ``connected_report`` search from the least
+    vertex only; their verdict, and the witness of the least vertex and the
+    least one it does not reach, equal the reference components' on random
+    graphs, relabelled disconnected ones and graphs on 0 to 2 vertices."""
+    from clawham.predicates import connected_report
+
+    rng = random.Random(3)
+    tiny = [FiniteGraph([], []), FiniteGraph([4], []), FiniteGraph([2, 9], []),
+            FiniteGraph([2, 9], [(2, 9)])]
+    graphs = tiny + seeded_random_graphs()
+    for g in seeded_random_graphs():
+        to = dict(zip(g.vertices, rng.sample(range(200), len(g))))
+        graphs.append(FiniteGraph(to.values(), [(to[u], to[v]) for u, v in g.edges()]))
+    disconnected = 0
+    for g in graphs:
+        comps = reference_components(g)
+        assert is_connected(g) == (len(comps) <= 1), g.edges()
+        report = connected_report(g)
+        if len(comps) <= 1:
+            assert report.holds and report.witness is None
+            continue
+        disconnected += 1
+        assert (report.holds, report.witness) == (False, (comps[0][0], comps[1][0])), g.edges()
+    assert disconnected > 30
 
 
 def test_components_within_rejects_unknown_vertices():

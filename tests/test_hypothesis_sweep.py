@@ -12,12 +12,13 @@ the class, and a sweep that lies is caught.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 import clawham.engine as engine
 import clawham.predicates as predicates
-from clawham.constructions import complete_graph, star_graph
+from clawham.constructions import complete_graph, line_graph, star_graph
 from clawham.engine import run
 from clawham.errors import DomainError, HypothesisError, InternalConsistencyError
 from clawham.extension import finite_hamilton
@@ -35,20 +36,17 @@ from clawham.presentations import GraphPresentation, preset
 from helpers import (
     BOWTIE,
     BOWTIE_FAULT,
+    control_draws,
     dense_neighborhood_graphs,
+    generated_draws,
     reference_gate,
     reference_hypothesis_failures,
     reference_interior_failure,
     reference_is_claw_free,
     reference_is_locally_connected,
+    relabel,
     seeded_random_graphs,
 )
-
-def relabel(g: FiniteGraph, rng: random.Random) -> FiniteGraph:
-    perm = list(g.vertices)
-    rng.shuffle(perm)
-    to = dict(zip(g.vertices, perm))
-    return FiniteGraph(perm, [(to[u], to[v]) for u, v in g.edges()])
 
 
 def assert_sweep_matches(g: FiniteGraph) -> int:
@@ -79,6 +77,77 @@ def test_sweep_matches_on_dense_and_relabelled_random_graphs():
     for g in seeded_random_graphs():
         assert_sweep_matches(g)
         assert_sweep_matches(relabel(g, rng))
+
+
+def test_sweep_matches_on_large_line_graphs_and_generated_draws():
+    """L(K_n) up to n = 24 and the generated draws, in id order and in two
+    seeded orders: the shared clique store changes no verdict."""
+    rng = random.Random(31)
+    graphs = [line_graph(complete_graph(n)).graph for n in range(17, 25)]
+    for g in graphs + [g for _, g in generated_draws() + control_draws()]:
+        orders = [list(g.vertices)] + [rng.sample(g.vertices, len(g)) for _ in range(2)]
+        for order in orders:
+            assert hypothesis_failures(g, order) == reference_hypothesis_failures(g, order)
+
+
+def _stored_false_graph() -> FiniteGraph:
+    """0 and 1 are adjacent and both see 2 and 3, which are not: their
+    splits each meet {0, 1, 2, 3} less themselves as one side, and that is
+    no clique.  0's other side is the clique 4..7 and 1's is 8..11; the
+    edge 3-7 keeps N(0) connected, so 0 fails only by its claw and the
+    sweep goes on to 1."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 7)]
+    edges += [(0, u) for u in range(4, 8)] + [(1, u) for u in range(8, 12)]
+    edges += [e for block in (range(4, 8), range(8, 12)) for e in combinations(block, 2)]
+    return FiniteGraph(range(12), edges)
+
+
+def test_a_stored_false_verdict_is_reused(monkeypatch):
+    """The split at 0 stores {0, 1, 2, 3} as no clique; the split at 1 reads
+    that verdict without testing a clique, and the sweep equals the
+    reference."""
+    g = _stored_false_graph()
+    verdicts = {}
+    assert predicates._two_clique_split(g, 0, verdicts) == (False, None)
+    assert verdicts == {frozenset(range(4)): [False, 3]}
+
+    def refuse(s, neighbor_sets):
+        raise AssertionError("the verdict is in the store")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(predicates, "_is_clique", refuse)
+        assert predicates._two_clique_split(g, 1, verdicts) == (False, None)
+    assert verdicts == {frozenset(range(4)): [False, 2]}
+    assert predicates._two_clique_split(g, 1) == (False, None)
+    expected = reference_hypothesis_failures(g, g.vertices)
+    assert expected == [(0, False, True), (1, False, False)]
+    assert hypothesis_failures(g, g.vertices) == expected
+
+
+@pytest.mark.parametrize("n", [6, 7, 12, 24])
+def test_line_graph_of_complete_graph_tests_each_star_once(monkeypatch, n):
+    """L(K_n) has n Krausz cliques, the stars, and every vertex splits into
+    two of them: a full sweep runs n clique tests, where testing both sides
+    at every vertex would run n(n - 1), and every verdict is read by all of
+    its clique's members, so the store ends empty."""
+    g = line_graph(complete_graph(n)).graph
+    tests, stores = [], []
+    is_clique, hypotheses_at = predicates._is_clique, predicates._hypotheses_at
+
+    def counted(s, neighbor_sets):
+        tests.append(len(s))
+        return is_clique(s, neighbor_sets)
+
+    def spied(g, v, verdicts=None):
+        stores.append(verdicts)
+        return hypotheses_at(g, v, verdicts)
+
+    monkeypatch.setattr(predicates, "_is_clique", counted)
+    monkeypatch.setattr(predicates, "_hypotheses_at", spied)
+    assert hypothesis_failures(g, g.vertices) == []
+    assert tests == [n - 2] * n
+    assert len(stores) == len(g) and all(s is stores[0] for s in stores)
+    assert stores[0] == {}
 
 
 def test_closed_form_cases_at_degree_four():

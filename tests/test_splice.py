@@ -8,9 +8,11 @@ and checks only what changed.  The two must agree at every step.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+import clawham.extension as extension
 from clawham.constructions import complete_graph, graph_power, line_graph, path_graph
 from clawham.errors import DomainError, InternalConsistencyError, ProgressError
 from clawham.extension import (
@@ -28,18 +30,15 @@ from clawham.extension import (
 from clawham.graph import CycleEmbedding, FiniteGraph, shortest_path
 from helpers import (
     cycle_from_edge_set,
+    generated_draws,
     reference_apply,
     reference_extend_to_cover,
+    reference_find_path_extension,
     reference_replay,
+    reference_shortest_path,
     reference_validate_extension,
+    relabel,
 )
-
-
-def relabel(g: FiniteGraph, rng: random.Random) -> FiniteGraph:
-    perm = list(g.vertices)
-    rng.shuffle(perm)
-    to = dict(zip(g.vertices, perm))
-    return FiniteGraph(perm, [(to[u], to[v]) for u, v in g.edges()])
 
 
 def assert_same_as_reference(g: FiniteGraph) -> HamiltonCertificate:
@@ -282,6 +281,30 @@ def test_shortcut_is_the_searchs_first_step(hypothesis_class_small):
                 assert walk is None or len(walk) > 2
             cycle = apply_path_extension(g, cycle, ext)
     assert shortcuts > 100
+
+
+def test_extension_equals_the_reference_walks(monkeypatch, hypothesis_class_small):
+    """At every (target, base) pair the construction meets, the extension
+    equals the one cut from the reference search's walk, with no shortcut:
+    on the small class, P_30^2, L(K_6) and the generated draws.  Walks of
+    one, two and more edges all occur."""
+    real = extension.find_path_extension
+    lengths = Counter()
+
+    def compared(g, cycle, target, base):
+        walk = reference_shortest_path(g, target, {cycle.succ(base)},
+                                       allowed=g.neighbor_set(base))
+        lengths[min(len(walk) - 1, 3)] += 1
+        ext = real(g, cycle, target, base)
+        assert ext == reference_find_path_extension(g, cycle, target, base)
+        return ext
+
+    monkeypatch.setattr(extension, "find_path_extension", compared)
+    graphs = list(hypothesis_class_small) + [graph_power(path_graph(30), 2),
+                                             line_graph(complete_graph(6)).graph]
+    for g in graphs + [g for _, g in generated_draws()]:
+        finite_hamilton(g)
+    assert lengths[1] > 1000 and lengths[2] > 1000 and lengths[3] > 200, lengths
 
 
 def _cover_or_stuck(cover, g, c, goal):
