@@ -92,6 +92,12 @@ def cmd_hamilton(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.certificate == "-" and args.graph in (None, "-"):
+        # the graph read would take all of stdin and leave the certificate none
+        raise GraphInputError(
+            "the graph and the certificate cannot both be read from stdin; "
+            "give one of them as a file"
+        )
     g = _load_graph(args.graph)
     try:
         cert_obj = json.loads(_read_text(args.certificate))

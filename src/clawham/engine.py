@@ -854,7 +854,10 @@ def run(pres: GraphPresentation, rounds: int, radius: int) -> RunState:
     RADIUS_MARGIN + ROUND_DEPTH·(rounds − m), so k rounds need R ≥ 4k + 5
     on every preset.  A read of round 1's N[C] that reaches the ball's last
     layer may be clipped, so only then is it read again in a ball of the
-    suggested radius."""
+    suggested radius.  ``extract_ball`` refuses a radius that is not an
+    integer before it asks the oracle anything."""
+    if not isinstance(rounds, int) or isinstance(rounds, bool):
+        raise DomainError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 0:
         raise DomainError("rounds must be >= 0")
     ball = pres.extract_ball(radius)

@@ -10,13 +10,24 @@ the new cycle covers the old one plus the target.
 Both extension cases are one delete-and-insert on a successor/predecessor
 map: the bridged vertices are unlinked, then one segment is inserted between
 two cycle-adjacent vertices.  A splice therefore costs O(path length), not
-O(cycle length).  Its checks are local too.  ``validate_extension`` runs in
-full; then every edge the splice adds must be an edge of the graph within
-distance 2 of the base, every bridge must join two distinct vertices, every
-insertion must go between cycle-adjacent vertices and add only vertices off
-the cycle, and the cycle must grow by exactly the new path vertices.  With
-the input cycle validated once, these keep every intermediate cycle a single
-cycle of the graph.
+O(cycle length).  Its checks are local too.  Most splices are plain
+insertions: case one, bridging nothing, an off-cycle path put between the
+base and one of its cycle-neighbors.  At benchmark seed 7 they are 1428 of
+the 1450 finite-families splices, 1704 of 1786 on small-sweep, 607 of 769
+on engine-1d and 732 of 975 on engine-2d.  A plain insertion is checked and
+linked in one pass: its path lies in N(base), starts at the target, repeats
+no vertex, follows edges of the graph, has only its last vertex on the
+cycle, and ends at a cycle-neighbor of the base.  These are
+``validate_extension``'s case-one conditions with nothing bridged, and they
+imply every backstop below: the new edges lie in N[base], the insertion
+ends are cycle-adjacent, and the cycle grows by exactly the fresh path
+vertices.  Every other splice, and a plain one failing a condition, runs
+``validate_extension`` in full; then every edge the splice adds must be an
+edge of the graph within distance 2 of the base, every bridge must join two
+distinct vertices, every insertion must go between cycle-adjacent vertices
+and add only vertices off the cycle, and the cycle must grow by exactly the
+new path vertices.  With the input cycle validated once, these keep every
+intermediate cycle a single cycle of the graph.
 
 Finding an extension walks inside N(base) from the target to the base's
 cycle-successor.  A walk of one or two edges is read from a membership test
@@ -355,19 +366,52 @@ class _SpliceCycle:
         return CycleEmbedding(order)
 
     def splice(self, g: FiniteGraph, ext: PathExtension) -> tuple[int, ...]:
-        """Apply a path extension in place; return the vertices it added."""
+        """Apply a path extension in place; return the vertices it added.
+
+        A plain insertion, case one bridging nothing, is checked and linked
+        in one pass: the base is on the cycle, the path has two or more
+        vertices and starts at the target, lies in N(base), has no vertex
+        but its last on the cycle, repeats no vertex, follows edges of
+        ``g``, and ends at the base's successor or predecessor.  These are
+        ``validate_extension``'s case-one conditions with nothing bridged:
+        off the cycle, the target sees the base and the path meets the
+        base's cycle-neighbors at its end alone, with no interior cycle
+        vertex to bridge.  They also imply every backstop of the general
+        path: each new edge (the base to the target, the path's edges, the
+        last fresh vertex to the end) joins vertices of N[base]; nothing is
+        bridged; the insertion ends, the base and the end, are
+        cycle-adjacent; the inserted vertices ``path[:-1]`` are distinct
+        and off the cycle; so the cycle grows by exactly them.  Any other
+        extension, or one that fails a condition, goes through
+        ``validate_extension`` and the checked bridge-and-insert, so each
+        refusal keeps its exception and message.
+        """
+        path, base = ext.extension_path, ext.base
+        succ = self._succ
+        if ext.case is ExtensionCase.ONE and not ext.bridged and base in succ and len(path) > 1:
+            fresh, end = path[:-1], path[-1]
+            if (path[0] == ext.target
+                    and g.neighbor_set(base).issuperset(path)
+                    and succ.keys().isdisjoint(fresh)
+                    and len(set(path)) == len(path)
+                    and all(map(g.has_edge, fresh, path[1:]))):
+                if succ[base] == end:
+                    self._link((base, *fresh, end))
+                    return fresh
+                if self._pred[base] == end:
+                    self._link((end, *fresh[::-1], base))
+                    return fresh
         problems = validate_extension(g, self, ext)
         if problems:
             raise DomainError("invalid path extension: " + "; ".join(problems))
-        path = ext.extension_path
-        fresh = tuple(v for v in path if v not in self._succ)
-        size = len(self._succ)
+        fresh = tuple(v for v in path if v not in succ)
+        size = len(succ)
         gained = [self._bridge(g, b) for b in ext.bridged]
         if ext.case is ExtensionCase.ONE:
-            gained += self.insert(g, ext.base, path[-1], path[:-1])
+            gained += self.insert(g, base, path[-1], path[:-1])
         else:
-            gained += self.insert(g, ext.reattach, path[-1], (ext.base,) + path[:-1])
-        base, nbrs = ext.base, g.neighbor_set(ext.base)
+            gained += self.insert(g, ext.reattach, path[-1], (base,) + path[:-1])
+        nbrs = g.neighbor_set(base)
         for u, v in gained:
             for p in (u, v):
                 if p != base and p not in nbrs and nbrs.isdisjoint(g.neighbor_set(p)):
@@ -414,13 +458,20 @@ class _SpliceCycle:
                 raise InternalConsistencyError(
                     f"the splice adds the non-edge {edge_key(u, v)}"
                 )
-        for u, v in links:
+        self._link(chain)
+        return [edge_key(u, v) for u, v in links]
+
+    def _link(self, chain) -> None:
+        """Link ``chain`` in order, its ends ``chain[0]`` and then
+        ``chain[-1]`` consecutive on the cycle and its interior off it, and
+        turn the maps round if the canonical orientation asks for it."""
+        succ, pred = self._succ, self._pred
+        for u, v in zip(chain, chain[1:]):
             succ[u] = v
             pred[v] = u
-        self._low = low = min(self._low, min(seq))
+        self._low = low = min(self._low, min(chain))
         if succ[low] > pred[low]:
             self._succ, self._pred = pred, succ
-        return [edge_key(u, v) for u, v in links]
 
 
 def apply_path_extension(

@@ -51,6 +51,8 @@ class GraphPresentation:
         graph as they are, with no edge list sorted and validated again.  A
         ball with more than ``MAX_BALL_VERTICES`` vertices is refused.
         """
+        if not isinstance(radius, int) or isinstance(radius, bool):
+            raise DomainError(f"radius must be an integer, got {radius!r}")
         if radius < 1:
             raise DomainError("radius must be >= 1")
         ids = {self.root: 0}

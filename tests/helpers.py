@@ -363,6 +363,37 @@ def reference_apply(g: FiniteGraph, c: CycleEmbedding, ext) -> CycleEmbedding:
     return new_cycle
 
 
+def reference_splice(g: FiniteGraph, cycle, ext) -> tuple[int, ...]:
+    """``_SpliceCycle.splice`` as it was before a plain insertion was checked
+    and linked in one step: ``validate_extension`` in full on every
+    extension, the checked bridge-and-insert, then the distance-2 and size
+    backstops, with the same exceptions and messages."""
+    problems = validate_extension(g, cycle, ext)
+    if problems:
+        raise DomainError("invalid path extension: " + "; ".join(problems))
+    path = ext.extension_path
+    fresh = tuple(v for v in path if v not in cycle)
+    size = len(cycle._succ)
+    gained = [cycle._bridge(g, b) for b in ext.bridged]
+    if ext.case is ExtensionCase.ONE:
+        gained += cycle.insert(g, ext.base, path[-1], path[:-1])
+    else:
+        gained += cycle.insert(g, ext.reattach, path[-1], (ext.base,) + path[:-1])
+    base, nbrs = ext.base, g.neighbor_set(ext.base)
+    for u, v in gained:
+        for p in (u, v):
+            if p != base and p not in nbrs and nbrs.isdisjoint(g.neighbor_set(p)):
+                raise InternalConsistencyError(
+                    f"new edge ({u}, {v}) strays farther than distance 2 from base {base}"
+                )
+    if len(cycle._succ) != size + len(fresh):
+        raise InternalConsistencyError(
+            "splicing a validated extension did not produce a spanning cycle",
+            witness=ext.to_json_obj(),
+        )
+    return fresh
+
+
 # ``extension.validate_extension`` as it was before it computed each fact
 # once: the same checks, messages and order, each set and cycle-neighbor
 # looked up again where it is used.

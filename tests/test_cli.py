@@ -212,6 +212,17 @@ def test_bad_certificate_error_names(tmp_path, capsys, text, error):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("graph_argv", [[], ["-"]], ids=["omitted", "dash"])
+def test_verify_refuses_graph_and_certificate_both_from_stdin(capsys, monkeypatch,
+                                                              graph_argv):
+    """The graph read would take all of stdin, leaving the certificate an
+    empty read and a message about JSON; the conflict is named instead."""
+    code, out, err = run_cli(capsys, "verify-certificate", *graph_argv, "--certificate", "-",
+                             stdin=graph_to_json(complete_graph(4)), monkeypatch=monkeypatch)
+    assert_input_error(code, out, err,
+                       "the graph and the certificate cannot both be read from stdin")
+
+
 def test_malformed_graph_is_status_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{this is not json")

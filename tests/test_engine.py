@@ -407,6 +407,15 @@ def test_extraction_all_pass_on_engine_output():
         assert sum(1 for e in stable if v in e) == 2
 
 
+@pytest.mark.parametrize("rounds, radius, message", [
+    (2.0, 30, "rounds must be an integer, got 2.0"),  # once a bare TypeError
+    (2, 30.0, "radius must be an integer, got 30.0"),  # once logged as 30.0
+])
+def test_run_refuses_rounds_or_radius_that_is_not_an_int(rounds, radius, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run(preset("double-ray-square"), rounds, radius)
+
+
 def test_extraction_needs_two_rounds():
     state = small_run(rounds=1, radius=20)
     with pytest.raises(DomainError):

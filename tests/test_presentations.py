@@ -140,6 +140,18 @@ def test_ball_over_the_vertex_budget_is_refused(monkeypatch):
     assert len(pres.extract_ball(9).graph) == 37
 
 
+@pytest.mark.parametrize("radius", [2.5, True])
+def test_extract_ball_refuses_a_radius_that_is_not_an_int(radius):
+    """A float radius once walked the oracle to the vertex budget and blamed
+    the size; True once gave a ball of radius True.  Both are refused before
+    the oracle is asked."""
+    asked = []
+    pres = GraphPresentation("counted", lambda v: asked.append(v) or (v - 1, v + 1), 0)
+    with pytest.raises(DomainError, match=f"^radius must be an integer, got {radius!r}$"):
+        pres.extract_ball(radius)
+    assert asked == []
+
+
 def test_oracle_repeating_a_neighbor_is_refused():
     def repeats(v):
         return (v - 1, v + 1, v + 1)

@@ -36,6 +36,7 @@ from helpers import (
     reference_find_path_extension,
     reference_replay,
     reference_shortest_path,
+    reference_splice,
     reference_validate_extension,
     relabel,
 )
@@ -145,21 +146,25 @@ def _cycle_graph_with(n: int, *extra) -> FiniteGraph:
 
 # A splice the validator refuses, and the message of the splice's own check
 # that refuses it when the validator lets everything through.  Each adds
-# vertex n through base 0, inserted between 0 and 1, and bridges ``bridged``.
+# vertex n through base 0 along the path (n, end), and bridges ``bridged``.
 SPLICE_BACKSTOPS = {
     # K_3: after 1 is bridged, 0 and 2 are a 2-cycle
-    "two-cycle": (_cycle_graph_with(3, (3, 0), (3, 1)), (1, 2),
+    "two-cycle": (_cycle_graph_with(3, (3, 0), (3, 1)), 1, (1, 2),
                   "bridging 2 would leave a 2-cycle"),
     # C_4: bridging 2 joins 1 and 3, which are not adjacent
-    "non-edge": (_cycle_graph_with(4, (4, 0), (4, 1)), (2,),
+    "non-edge": (_cycle_graph_with(4, (4, 0), (4, 1)), 1, (2,),
                  "the splice adds the non-edge (1, 3)"),
     # C_8 with the chord 3-5: bridging 4 adds the chord, three steps from 0
-    "distance-2": (_cycle_graph_with(8, (3, 5), (8, 0), (8, 1)), (4,),
+    "distance-2": (_cycle_graph_with(8, (3, 5), (8, 0), (8, 1)), 1, (4,),
                    "new edge (3, 5) strays farther than distance 2 from base 0"),
     # C_6 with the chord 1-3: bridging 2 drops a vertex that no path
     # vertex puts back, so the cycle does not grow
-    "size": (_cycle_graph_with(6, (1, 3), (6, 0), (6, 1)), (2,),
+    "size": (_cycle_graph_with(6, (1, 3), (6, 0), (6, 1)), 1, (2,),
              "splicing a validated extension did not produce a spanning cycle"),
+    # C_4: a plain insertion ending at 2, which is not a cycle-neighbor of
+    # 0; the one-step check refuses it and the checked insert must too
+    "not-adjacent": (_cycle_graph_with(4, (4, 0), (4, 2)), 2, (),
+                     "insertion ends 0 and 2 are not adjacent on the cycle"),
 }
 
 
@@ -170,10 +175,10 @@ def test_splice_backstops_fire_past_an_accepting_validator(monkeypatch, kind):
     refuses its bad splice with its message."""
     import clawham.extension as extension
 
-    g, bridged, message = SPLICE_BACKSTOPS[kind]
+    g, end, bridged, message = SPLICE_BACKSTOPS[kind]
     n = len(g) - 1
     c = CycleEmbedding(range(n))
-    ext = PathExtension(ExtensionCase.ONE, n, 0, (n, 1), bridged)
+    ext = PathExtension(ExtensionCase.ONE, n, 0, (n, end), bridged)
     assert extension.validate_extension(g, c, ext)
     monkeypatch.setattr(extension, "validate_extension", lambda g, c, ext: [])
     with pytest.raises(InternalConsistencyError) as exc:
@@ -185,9 +190,11 @@ def test_splice_backstops_fire_past_an_accepting_validator(monkeypatch, kind):
 
 def test_replay_agrees_with_reference_on_tampered_logs():
     """Seeded edits of one splice record: both replays must reject or
-    accept alike, at the same step."""
+    accept alike, at the same step.  The generated draws of about 50
+    vertices add case-two and bridging steps to edit."""
     rng = random.Random(5)
-    for g in (graph_power(path_graph(14), 2), line_graph(complete_graph(6)).graph):
+    graphs = [graph_power(path_graph(14), 2), line_graph(complete_graph(6)).graph]
+    for g in graphs + [g for _, g in generated_draws()[:3]]:
         obj = finite_hamilton(g).to_json_obj()
         vertices = list(g.vertices)
         for _ in range(150):
@@ -257,6 +264,46 @@ def test_validate_extension_matches_reference_on_tampered_steps():
                 seen.update(want if isinstance(want, list) else [want[0]])
             cycle = apply_path_extension(g, cycle, ext)
     assert len(seen) > 15
+
+
+def _live_splice(g, cycle, ext):
+    return cycle.splice(g, ext)
+
+
+def _spliced(splice, g, c: CycleEmbedding, ext: PathExtension):
+    """The vertices ``splice`` adds to a live copy of ``c`` and the cycle it
+    leaves, or the type and message of what it raises."""
+    cycle = _SpliceCycle(c)
+    try:
+        fresh = splice(g, cycle, ext)
+    except Exception as exc:  # compared with the reference, not handled
+        return type(exc), str(exc)
+    return fresh, cycle.freeze()
+
+
+def test_splice_matches_the_validate_then_apply_reference():
+    """At every step of the constructions of P_30^2, L(K_6), K_7 and the
+    generated draws, the step's extension and seeded edits of it splice
+    alike through ``_SpliceCycle.splice`` and ``reference_splice``: the same
+    added vertices and cycle, or the same exception and message.  Plain
+    insertions (case one, bridging nothing), accepted or refused, and
+    other shapes, accepted or refused, all occur."""
+    rng = random.Random(41)
+    kinds = Counter()
+    graphs = [graph_power(path_graph(30), 2), line_graph(complete_graph(6)).graph,
+              complete_graph(7)]
+    for g in graphs + [g for _, g in generated_draws()]:
+        cert = finite_hamilton(g)
+        ids = list(g.vertices) + [len(g) + 3]
+        cycle = cert.initial_cycle
+        for ext in cert.extensions:
+            for bad in [_tampered(rng, ext, ids) for _ in range(3)] + [ext]:
+                got = _spliced(_live_splice, g, cycle, bad)
+                assert got == _spliced(reference_splice, g, cycle, bad), bad
+                plain = bad.case is ExtensionCase.ONE and not bad.bridged
+                kinds[plain, isinstance(got[1], CycleEmbedding)] += 1
+            cycle = got[1]  # the step itself came last
+    assert min(kinds.values()) > 200, kinds
 
 
 def test_shortcut_is_the_searchs_first_step(hypothesis_class_small):
