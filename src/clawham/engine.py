@@ -13,14 +13,14 @@ prefix, the shape of a limit circle through all ends.
 A round validates its input cycle once, then edits one live cycle and one
 dict of witness sets in steps.  A step is a capture or finite-component
 splice, or a part's spine and zone-cover splices; it ends with a witness
-update.  One tracker, ``_touch``, notes the cycle edges at each vertex a
-step's edits touch, on first touch, and one check, ``_good_step``, decides
-the six properties from the step's net edge changes and from the sets'
-changes inside the vertices the update may move (the footprint F of a
-splice, or a part P with its component K).  Its premises are that the
-tuple was good before the step, that no edit drops a vertex, and that the
-update moves only those vertices.  It costs O(k) C-level set operations for
-k witness sets, plus Python work in O(deg) per touched, gained or lost
+update.  The live cycle logs its own edits, and the engine gives it an
+empty log at the start of each step; one check, ``_good_step``, decides
+the six properties from the step's net edge changes in that log and from
+the sets' changes inside the vertices the update may move (the footprint
+F of a splice, or a part P with its component K).  Its premises are that
+the tuple was good before the step, that no edit drops a vertex, and that
+the update moves only those vertices.  It costs O(k) C-level set operations for
+k witness sets, plus Python work in O(deg) per edited, gained or lost
 vertex outside a component held whole; a set that sheds vertices is
 searched only until their neighbors in it are joined.  The full
 ``check_good_tuple`` runs once, at the round end, on a frozen copy.  For a
@@ -240,24 +240,6 @@ def _part_rule(witness: dict[int, set[int]], ell: int, new_m: set[int], s: int) 
     witness[ell] = new_m
 
 
-def _touch(first: dict[int, set[Edge]], cycle: _SpliceCycle, footprint) -> None:
-    """The step tracker, called before each edit of a step that touches
-    only ``footprint``.  Notes the cycle edges at every vertex of the
-    footprint and at the cycle-neighbors of its cycle vertices that no
-    earlier edit of the step touched.  A splice or insertion changes only
-    edges between these vertices: it removes the edges at the vertices it
-    bridges and the edge it inserts into, and adds edges along its path and
-    between the cycle-neighbors of bridged vertices, all at footprint
-    vertices or their cycle-neighbors.  So the noted edges are those of the
-    cycle the step started from."""
-    near = set(footprint)
-    for v in footprint:
-        if v in cycle:
-            near.update((cycle.succ(v), cycle.pred(v)))
-    for v in near.difference(first):
-        first[v] = cycle.edges_at((v,))
-
-
 def _splice_step(
     ctx: GoodTupleContext,
     cycle: _SpliceCycle,
@@ -268,11 +250,10 @@ def _splice_step(
     is the witness rule on the footprint F = extension path plus base;
     return the vertices added and the step's violations."""
     footprint = _footprint(ctx, ext)
-    first: dict[int, set[Edge]] = {}
-    _touch(first, cycle, footprint)
+    cycle.edits = {}
     fresh = cycle.splice(ctx.graph, ext)
     problems = _good_step(
-        ctx, cycle, witness, first, footprint, (),
+        ctx, cycle, witness, footprint, (),
         lambda: _witness_rule(witness, footprint, ext.endvertex),
     )
     return fresh, problems
@@ -282,16 +263,15 @@ def _part_step(
     ctx: GoodTupleContext,
     cycle: _SpliceCycle,
     witness: dict[int, set[int]],
-    first: dict[int, set[Edge]],
     ell: int,
     s: int,
 ) -> list[str]:
     """End the step of part ``ell``, whose spine and zone-cover edits are
-    noted in ``first``: its update is the part rule, which moves vertices
+    in the cycle's log: its update is the part rule, which moves vertices
     of the part P and its component K; return the step's violations."""
     moved = ctx.component_sets[ell - 1].union(ctx.dec.parts[ell - 1])
     return _good_step(
-        ctx, cycle, witness, first, moved, (ell,),
+        ctx, cycle, witness, moved, (ell,),
         lambda: _part_rule(witness, ell, set(moved), s),
     )
 
@@ -300,7 +280,6 @@ def _good_step(
     ctx: GoodTupleContext,
     cycle: _SpliceCycle,
     witness: dict[int, set[int]],
-    first: dict[int, set[Edge]],
     moved: frozenset[int],
     met: tuple[int, ...],
     rule,
@@ -308,16 +287,17 @@ def _good_step(
     """Run ``rule()``, the witness update that ends a step, and return the
     good-tuple violations of the result, read off what the step changed.
 
-    A step is one or more edits of the live cycle, each noted in ``first``
-    by ``_touch``, and then the update.  ``moved`` holds the vertices the
-    update may move, and ``met`` the components it meets: the footprint F
-    and none for a splice (F lies in the allowed region), P ∪ K and K's
-    index for a part P with component K.  Premises: the tuple was good
-    before the step; the context is built by ``GoodTupleContext.build``
-    from a decomposition of ``split_cycle``, so a component's neighbors
-    outside it lie in its part; no edit drops a cycle vertex
-    (``_SpliceCycle.splice`` raises when one would); and the update changes
-    sets only inside ``moved``, where it also puts every set it creates.
+    A step is one or more edits of the live cycle, counted in its log
+    ``cycle.edits`` from an empty dict, and then the update.  ``moved``
+    holds the vertices the update may move, and ``met`` the components it
+    meets: the footprint F and none for a splice (F lies in the allowed
+    region), P ∪ K and K's index for a part P with component K.  Premises:
+    the tuple was good before the step; the context is built by
+    ``GoodTupleContext.build`` from a decomposition of ``split_cycle``, so a
+    component's neighbors outside it lie in its part; no edit drops a cycle
+    vertex (``_SpliceCycle.splice`` raises when one would); and the update
+    changes sets only inside ``moved``, where it also puts every set it
+    creates.
     For a set W before and m after the update (W = ∅ for a new set), let
     was = W ∩ moved, gained = m ∩ moved − was and lost = was − m.  Then the
     verdict names the same properties as ``check_good_tuple``:
@@ -328,12 +308,13 @@ def _good_step(
       set iff it holds it now.  It stays off the deep base cycle, which
       ``moved`` misses: F lies in the allowed region, P in the separator
       and K outside the finite component.
-    * (c): exact.  Only the net edits (+1 added, −1 removed: the edges in
-      ``first`` against the edges now at those vertices) change which edges
-      are on the cycle, and only edges at changed vertices change whether
-      they cross.  So the count is 2 (0 for a new set), plus Σ d·x(e) over
-      the edits for x(e) = [e crosses m], plus, for a changed set,
-      Σ x(e) − x_W(e) over the starting cycle's edges at ``moved``.
+    * (c): exact.  Only the net edits (+1 added, −1 removed; an edge that
+      nets to 0 is dropped) change which edges are on the cycle, and only
+      edges at changed vertices change whether they cross.  So the count
+      is 2 (0 for a new set), plus Σ d·x(e) over the edits for
+      x(e) = [e crosses m], plus, for a changed set, Σ x(e) − x_W(e) over
+      the starting cycle's edges at ``moved``: the edges there now, less
+      the added ones, plus the removed ones at ``moved``.
     * (d): kept vertices were on the smaller cycle, so only gained vertices
       near the finite component can be off it.
     * (e): a set that only gained is connected iff ``_joined`` joins its
@@ -345,20 +326,21 @@ def _good_step(
 
     A set that did not change and holds no endpoint of an edit keeps all
     six, after one ``isdisjoint``.  The cost is O(k) set operations against
-    ``moved``, in C, plus Python work in O(deg) per touched vertex, per
+    ``moved``, in C, plus Python work in O(deg) per edited vertex, per
     gained vertex outside a component held whole, and per lost vertex; the
     search in a set that lost vertices stops as soon as it has joined them.
     """
     g = ctx.graph
     before = {j: m & moved for j, m in witness.items()}
     rule()
-    old = set().union(*first.values())
-    new = cycle.edges_at(first)
-    edits = {**dict.fromkeys(old - new, -1), **dict.fromkeys(new - old, 1)}
+    edits = {e: d for e, d in cycle.edits.items() if d}
     ends = {v for e in edits for v in e}
-    at_moved = cycle.edges_at(cycle.on_cycle(moved).difference(first)).union(
-        *(first[v] for v in moved.intersection(first))
-    )
+    at_moved = cycle.edges_at(cycle.on_cycle(moved))
+    for e, d in edits.items():
+        if d > 0:
+            at_moved.discard(e)
+        elif e[0] in moved or e[1] in moved:
+            at_moved.add(e)
 
     problems: list[str] = []
     for j in sorted(witness):
@@ -553,9 +535,9 @@ def cut_lemma_round(g: FiniteGraph, split: CycleSplit, index: int = 1) -> RoundR
     The input cycle is validated once.  All splices then edit one live
     cycle and one dict of witness sets, in steps: each capture and each
     finite-component splice is a step of one edit, and each part's spine
-    and zone covers are one step.  Every edit goes through the tracker
-    ``_touch``, and every step ends with its update rule and the check
-    ``_good_step``, which costs what the step changed; the full
+    and zone covers are one step.  Each step starts the cycle's edit log
+    afresh and ends with its update rule and the check ``_good_step``,
+    which reads the log and costs what the step changed; the full
     ``check_good_tuple`` runs once, on a frozen copy at the round end.
     The recorded separator gap holds when S ∪ N³(S) misses the separator
     ``split`` was carried from: the two lie at distance 4 or more.
@@ -646,12 +628,11 @@ def cut_lemma_round(g: FiniteGraph, split: CycleSplit, index: int = 1) -> RoundR
 
         # -- splice a spanning tree of the part's 3-zone between s and t,
         #    then cover the zone; one step, checked at the part boundary
-        first: dict[int, set[Edge]] = {}
         tree_parent, tree_vertices = _grow_part_tree(g, ctx, ell)
         n_s = min(set(g.neighbors(s)) & tree_vertices)
         n_t = min(set(g.neighbors(t)) & tree_vertices)
         spine = _tree_path(tree_parent, n_s, n_t)
-        _touch(first, cycle, {s, t, *spine})
+        cycle.edits = {}
         try:
             cycle.insert(g, s, t, spine)
         except InternalConsistencyError as exc:
@@ -659,13 +640,7 @@ def cut_lemma_round(g: FiniteGraph, split: CycleSplit, index: int = 1) -> RoundR
                 f"splicing the part-{ell} tree spine between {s} and {t} "
                 f"did not yield a cycle: {exc}"
             ) from exc
-
-        def zone_splice(ext: PathExtension) -> tuple[int, ...]:
-            _touch(first, cycle, {ext.base, *ext.extension_path})
-            return cycle.splice(g, ext)
-
-        covered_goal = part | tree_vertices
-        log = _cover(g, cycle, covered_goal, tree_vertices, splice=zone_splice)
+        log = _cover(g, cycle, part | tree_vertices, tree_vertices)
         ext_count += len(log)
 
         # -- witness updates: new part set, and absorb into older sets that
@@ -675,7 +650,7 @@ def cut_lemma_round(g: FiniteGraph, split: CycleSplit, index: int = 1) -> RoundR
                 raise InternalConsistencyError(
                     f"witness set {j} separates the adjacent pair {s}, {t}"
                 )
-        problems = _part_step(ctx, cycle, witness, first, ell, s)
+        problems = _part_step(ctx, cycle, witness, ell, s)
         if problems:
             raise InternalConsistencyError(
                 f"round {index}, part {ell}: " + "; ".join(problems)

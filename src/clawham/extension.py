@@ -319,15 +319,22 @@ class _SpliceCycle:
     ``CycleEmbedding``: from the minimum vertex toward the smaller of its two
     cycle-neighbors.  ``find_path_extension`` walks toward ``succ(base)``,
     so the orientation decides which extension is found.
+
+    ``edits``, when a caller sets it to a dict, is the log of what changed:
+    ``_link`` and ``_bridge``, the only writers of the maps, count each
+    cycle edge they add as +1 and each they remove as −1.  An edge removed
+    and added back nets to 0.  It is None by default, and then nothing is
+    counted.
     """
 
-    __slots__ = ("_succ", "_pred", "_low")
+    __slots__ = ("_succ", "_pred", "_low", "edits")
 
     def __init__(self, c: CycleEmbedding):
         order = c.order
         self._succ = dict(zip(order, order[1:] + order[:1]))
         self._pred = dict(zip(order, order[-1:] + order[:-1]))
         self._low = order[0]
+        self.edits: dict[Edge, int] | None = None
 
     def __contains__(self, v: int) -> bool:
         return v in self._succ
@@ -434,6 +441,10 @@ class _SpliceCycle:
             raise InternalConsistencyError(f"the splice adds the non-edge {edge_key(p, s)}")
         self._succ[p] = s
         self._pred[s] = p
+        edits = self.edits
+        if edits is not None:
+            for e, d in ((edge_key(p, b), -1), (edge_key(b, s), -1), (edge_key(p, s), 1)):
+                edits[e] = edits.get(e, 0) + d
         return edge_key(p, s)
 
     def insert(self, g: FiniteGraph, a: int, b: int, seq) -> list[Edge]:
@@ -464,11 +475,19 @@ class _SpliceCycle:
     def _link(self, chain) -> None:
         """Link ``chain`` in order, its ends ``chain[0]`` and then
         ``chain[-1]`` consecutive on the cycle and its interior off it, and
-        turn the maps round if the canonical orientation asks for it."""
+        turn the maps round if the canonical orientation asks for it.  The
+        edge between the ends is removed, and the chain's edges are added."""
         succ, pred = self._succ, self._pred
         for u, v in zip(chain, chain[1:]):
             succ[u] = v
             pred[v] = u
+        edits = self.edits
+        if edits is not None:
+            e = edge_key(chain[0], chain[-1])
+            edits[e] = edits.get(e, 0) - 1
+            for u, v in zip(chain, chain[1:]):
+                e = edge_key(u, v)
+                edits[e] = edits.get(e, 0) + 1
         self._low = low = min(self._low, min(chain))
         if succ[low] > pred[low]:
             self._succ, self._pred = pred, succ

@@ -1438,10 +1438,33 @@ def reference_check_extraction_conditions(state):
 
 # -- faulty rounds for the run loop's own checks -----------------------------------
 #
-# ``run`` checks each round's record after ``cut_lemma_round`` returns it.  A
-# correct round passes both checks, so each fault edits the first round's
-# record: its cycle drops the input cycle's first vertex, or it records a
-# failing conclusion.  Each entry gives the fault and the message it raises.
+# ``run`` checks each round's record after ``cut_lemma_round`` returns it, and
+# ``cut_lemma_round`` checks its own steps.  A correct round passes every check,
+# so each fault is installed by monkeypatching: the first two edit the first
+# round's record (its cycle drops the input cycle's first vertex, or it records
+# a failing conclusion); the last two break a step inside the round (the part
+# tree's spine repeats its first vertex, or every part zone holds the base
+# cycle's least vertex, which no search inside a component reaches).  Each
+# entry gives the installer and the message of
+# ``run(preset("double-ray-square"), 2, radius)`` for radius 16 and 20.
+
+
+def _on_round_one(fault):
+    """An installer that applies ``fault(record, c)`` to the record of round
+    1, for its input cycle c."""
+    def install(monkeypatch) -> None:
+        import clawham.engine as engine
+
+        original = engine.cut_lemma_round
+
+        def faulty(g, split, index=1):
+            record = original(g, split, index=index)
+            if index == 1:
+                fault(record, split.cycle)
+            return record
+
+        monkeypatch.setattr(engine, "cut_lemma_round", faulty)
+    return install
 
 
 def _drop_first_input_vertex(record, c) -> None:
@@ -1452,30 +1475,54 @@ def _fail_kept_deep_edges(record, c) -> None:
     record.checks["kept_deep_edges"] = False
 
 
+def _repeat_spine_vertex(monkeypatch) -> None:
+    import clawham.engine as engine
+
+    tree_path = engine._tree_path
+    monkeypatch.setattr(engine, "_tree_path", lambda *args: (p := tree_path(*args)) + p[:1])
+
+
+def _zone_on_cycle(monkeypatch) -> None:
+    from dataclasses import replace
+
+    import clawham.engine as engine
+
+    build = engine.GoodTupleContext.build
+
+    def faulty(g, split):
+        ctx = build(g, split)
+        low = {split.cycle.order[0]}
+        return replace(ctx, part_zones=tuple(zone | low for zone in ctx.part_zones))
+
+    monkeypatch.setattr(engine.GoodTupleContext, "build", staticmethod(faulty))
+
+
 ROUND_FAULTS = {
-    "lost-vertex": (_drop_first_input_vertex, "round 1 lost vertices of the previous cycle"),
+    "lost-vertex": (
+        _on_round_one(_drop_first_input_vertex),
+        "round 1 lost vertices of the previous cycle",
+    ),
     "failing-conclusion": (
-        _fail_kept_deep_edges,
+        _on_round_one(_fail_kept_deep_edges),
         "round 1 recorded failing conclusions: kept_deep_edges",
+    ),
+    "repeated-spine": (
+        _repeat_spine_vertex,
+        "splicing the part-1 tree spine between 11 and 12 did not yield a cycle: "
+        "inserted vertices [15, 15] are not distinct and off the cycle",
+    ),
+    "zone-on-cycle": (
+        _zone_on_cycle,
+        "the 3-zone of part 1 is not reachable inside its component; missing [0]",
     ),
 }
 
 
 def inject_round_fault(monkeypatch, kind: str) -> str:
-    """Make ``engine.cut_lemma_round`` apply the fault ``kind`` to the record
-    of round 1, and return the message ``run`` should raise."""
-    import clawham.engine as engine
-
-    fault, message = ROUND_FAULTS[kind]
-    original = engine.cut_lemma_round
-
-    def faulty(g, split, index=1):
-        record = original(g, split, index=index)
-        if index == 1:
-            fault(record, split.cycle)
-        return record
-
-    monkeypatch.setattr(engine, "cut_lemma_round", faulty)
+    """Install the fault ``kind`` and return the message ``run`` should
+    raise."""
+    install, message = ROUND_FAULTS[kind]
+    install(monkeypatch)
     return message
 
 

@@ -104,3 +104,26 @@ def test_every_imported_name_is_used(path):
             used |= set(ast.literal_eval(node.value))
     stale = {name for name in imported - used if (path.stem, name) not in UNUSED_IMPORTS_KEPT}
     assert sorted(stale) == []
+
+
+def test_every_private_helper_is_referenced():
+    """A private module-level function or class of the package is named
+    somewhere in the package besides its definition, as a name or an
+    attribute, so a simplification leaves no orphaned helper behind."""
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert sorted(defined - named) == []

@@ -300,10 +300,14 @@ def test_radius_too_small_is_reported_with_suggestion():
     assert exc.value.suggested_radius > 9
 
 
-@pytest.mark.parametrize("kind", ["lost-vertex", "failing-conclusion"])
+@pytest.mark.parametrize(
+    "kind", ["lost-vertex", "failing-conclusion", "repeated-spine", "zone-on-cycle"]
+)
 def test_run_rejects_a_faulty_round(monkeypatch, kind):
     """``run``'s checks of a round's record fire on a round that lost a
-    vertex of its input cycle or recorded a failing conclusion."""
+    vertex of its input cycle or recorded a failing conclusion, and
+    ``cut_lemma_round``'s own checks fire on a part-tree spine that repeats
+    a vertex and on a part zone that its component does not reach."""
     from helpers import inject_round_fault
 
     message = inject_round_fault(monkeypatch, kind)
@@ -601,25 +605,41 @@ def step_verdicts(monkeypatch):
     ``check_good_tuple`` on the frozen cycle.  Records one
     ``(step letters, full letters)`` pair per step in ``steps``, and the
     extension of each checked splice, as it reaches the footprint guard, in
-    ``exts``."""
+    ``exts``.  Also records, per step in ``logs``, whether the cycle's net
+    edit log (its entries that are not 0) is the edge-set difference of the
+    frozen cycles before and after the step: the round's input cycle, as
+    the round builds its live cycle, or the cycle after the step before;
+    and in ``zeros``, whether the log held an edge that nets to 0."""
     from types import SimpleNamespace
 
     import clawham.engine as engine
 
-    seen = SimpleNamespace(steps=[], exts=[])
+    seen = SimpleNamespace(steps=[], exts=[], logs=[], zeros=[], before=None)
     check, footprint = engine._good_step, engine._footprint
+
+    class Noted(engine._SpliceCycle):
+        def __init__(self, c):
+            super().__init__(c)
+            seen.before = c
 
     def checked(ctx, cycle, witness, *args):
         problems = check(ctx, cycle, witness, *args)
+        after = cycle.freeze()
         frozen = {j: frozenset(m) for j, m in witness.items()}
-        full = check_good_tuple(ctx, cycle.freeze(), frozen)
+        full = check_good_tuple(ctx, after, frozen)
         seen.steps.append((_letters(problems), _letters(full)))
+        old, new = seen.before.edge_set(), after.edge_set()
+        diff = {**dict.fromkeys(old - new, -1), **dict.fromkeys(new - old, 1)}
+        seen.logs.append({e: d for e, d in cycle.edits.items() if d} == diff)
+        seen.zeros.append(0 in cycle.edits.values())
+        seen.before = after
         return problems
 
     def noted(ctx, ext):
         seen.exts.append(ext)
         return footprint(ctx, ext)
 
+    monkeypatch.setattr(engine, "_SpliceCycle", Noted)
     monkeypatch.setattr(engine, "_good_step", checked)
     monkeypatch.setattr(engine, "_footprint", noted)
     return seen
@@ -662,7 +682,10 @@ PART_RUNS = [
 
 def _assert_steps_match(monkeypatch, verdicts, name, radius, rounds, seed=7):
     """Run, and require one step per checked splice and per part, each
-    found good by the step check and by the full check alike."""
+    found good by the step check and by the full check alike, and each
+    with a net edit log equal to its edge-set difference.  Every run has
+    steps whose log holds an edge that nets to 0: removed and added back,
+    or added and removed again."""
     import clawham.engine as engine
 
     if name == "cactus-line":
@@ -672,6 +695,8 @@ def _assert_steps_match(monkeypatch, verdicts, name, radius, rounds, seed=7):
     assert len(verdicts.steps) == len(verdicts.exts) + sum(r.dec.k for r in state.rounds)
     for i, (by_step, full) in enumerate(verdicts.steps):
         assert by_step == full == set(), i
+    assert all(verdicts.logs)
+    assert any(verdicts.zeros)
 
 
 @pytest.mark.parametrize("name, radius, rounds, seed", DIFFERENTIAL_RUNS)
@@ -1003,23 +1028,20 @@ def _part_state(held_by_older, eleven_on_cycle=False):
 
 def _part_boundary(ctx, cycle, witness, ell, splices):
     """Apply the part's splices, each a path extension or an insertion
-    ``(u, v, seq)``, as one step through the tracker, then end the step
+    ``(u, v, seq)``, as one step logged by the cycle, then end the step
     with the part rule; returns the step check's letters and the full
     check's."""
-    from clawham.engine import _part_step, _touch
+    from clawham.engine import _part_step
     from clawham.extension import PathExtension
 
     g = ctx.graph
-    first = {}
+    cycle.edits = {}
     for step in splices:
         if isinstance(step, PathExtension):
-            _touch(first, cycle, {step.base, *step.extension_path})
             cycle.splice(g, step)
         else:
-            u, v, seq = step
-            _touch(first, cycle, {u, v, *seq})
-            cycle.insert(g, u, v, seq)
-    problems = _part_step(ctx, cycle, witness, first, ell, 7)
+            cycle.insert(g, *step)
+    problems = _part_step(ctx, cycle, witness, ell, 7)
     return _letters(problems), _letters(check_good_tuple(ctx, cycle.freeze(), witness))
 
 

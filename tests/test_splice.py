@@ -144,6 +144,48 @@ def _cycle_graph_with(n: int, *extra) -> FiniteGraph:
     return FiniteGraph(range(n + 1), [(i, (i + 1) % n) for i in range(n)] + list(extra))
 
 
+# -- the edit log ------------------------------------------------------------------
+
+
+def test_bridge_logs_two_removals_and_one_addition():
+    """The log is off until a caller sets it to a dict."""
+    g = _cycle_graph_with(5, (1, 3))
+    live = _SpliceCycle(CycleEmbedding(range(5)))
+    assert live.edits is None
+    live.edits = {}
+    live._bridge(g, 2)
+    assert live.edits == {(1, 2): -1, (2, 3): -1, (1, 3): 1}
+
+
+def test_insertion_logs_the_opened_edge_and_its_chain():
+    g = FiniteGraph(range(6), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (1, 5)])
+    live = _SpliceCycle(CycleEmbedding(range(4)))
+    live.edits = {}
+    live.insert(g, 1, 0, (5, 4))
+    assert live.edits == {(0, 1): -1, (1, 5): 1, (4, 5): 1, (0, 4): 1}
+    assert live.freeze() == CycleEmbedding([0, 4, 5, 1, 2, 3])
+
+
+def test_case_two_reattach_at_the_bases_old_neighbor_nets_to_zero():
+    """On C_6 with the chords 1-3 and 0-2, target 6 joins through base 2
+    along (6, 0), reattaching at 1, the base's old predecessor.  The bridge
+    removes (1, 2) and the insertion between 1 and 0 adds it back: the log
+    holds it at 0, and its other entries are the edge-set difference."""
+    g = _cycle_graph_with(6, (1, 3), (0, 2), (2, 6), (0, 6))
+    c = CycleEmbedding(range(6))
+    ext = PathExtension(ExtensionCase.TWO, 6, 2, (6, 0), (2,), reattach=1)
+    assert c.pred(2) == 1 and validate_extension(g, c, ext) == []
+    live = _SpliceCycle(c)
+    live.edits = {}
+    live.splice(g, ext)
+    assert live.edits[(1, 2)] == 0
+    net = {e: d for e, d in live.edits.items() if d}
+    after = live.freeze()
+    assert after == CycleEmbedding([0, 6, 2, 1, 3, 4, 5])
+    assert net == {**dict.fromkeys(c.edge_set() - after.edge_set(), -1),
+                   **dict.fromkeys(after.edge_set() - c.edge_set(), 1)}
+
+
 # A splice the validator refuses, and the message of the splice's own check
 # that refuses it when the validator lets everything through.  Each adds
 # vertex n through base 0 along the path (n, end), and bridges ``bridged``.
