@@ -30,10 +30,10 @@ new path vertices.  With the input cycle validated once, these keep every
 intermediate cycle a single cycle of the graph.
 
 Finding an extension walks inside N(base) from the target to the base's
-cycle-successor.  A walk of one or two edges is read from a membership test
-or one intersection of three neighbor sets, and equals the walk the
-breadth-first search would return (``find_path_extension``); only longer
-walks run the search.
+cycle-successor.  At a claw-free base it has at most three edges, and it is
+read from set intersections that give the breadth-first search's walk
+(``find_path_extension``); a search runs only to report a hypothesis that
+fails.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 
 from .errors import (
     DomainError,
@@ -57,7 +58,7 @@ from .graph import (
     shortest_path,
     validate_cycle,
 )
-from .predicates import _local_reports, connected_report
+from .predicates import _confirmed_claw, _local_reports, claw_at, connected_report
 
 
 class ExtensionCase(Enum):
@@ -200,17 +201,24 @@ def find_path_extension(
     base's cycle-successor inside the base's neighborhood, cut at the first
     cycle-neighbor of the base, and fall back to re-routing the base when an
     interior cycle vertex has a cycle-neighbor adjacent to the base.
-    Structural hypotheses are only consumed lazily: a missing edge or a
-    disconnected neighborhood raises a hypothesis error with a witness.
+    Structural hypotheses are only consumed lazily: a missing edge, a
+    disconnected neighborhood or a claw at the base raises a hypothesis
+    error with a witness.
 
     The walk is the breadth-first search's from the target to ``up`` =
-    succ(base) within N(base), and its first two depths need no search.
-    Depth 1 is the edge (target, up), when the target sees ``up``.  Else
-    layer 1 is N(target) & N(base) in sorted order, and the search reaches
-    ``up`` from the first vertex of it that sees ``up``, so when
-    x = min(N(target) & N(up) & N(base)) exists the walk is
-    [target, x, up], and the cut at the first of ``up`` and ``um`` applies
-    to it unchanged.  Only a walk of three or more edges runs the search.
+    succ(base) within N(base), read without a search.  Depth 1 is the edge
+    (target, up), when the target sees ``up``.  Else layer 1 is
+    N(target) & N(base) in sorted order, and the search reaches ``up`` from
+    the first vertex of it that sees ``up``: the walk is [target, x, up]
+    for x = min(N(target) & N(up) & N(base)).  Else ``near_up`` =
+    N(base) & N(up) misses the target and layer 1, and layer 2 lists the
+    unreached neighbors of each layer-1 vertex in turn, sorted: the walk is
+    [target, x1, min(N(x1) & near_up), up] for the first x1 of layer 1
+    that sees ``near_up``.  The cut at the first of ``up`` and ``um``
+    applies unchanged.  A shortest walk p0 … p4 would make p0, p2, p4 and
+    the base a claw, so with no walk of three or fewer edges a flood from
+    the target inside N(base) either misses ``up`` or the base centers a
+    claw; only this error path searches.
     """
     if target in c or target not in g.neighbor_set(base) or base not in c:
         raise DomainError(
@@ -226,13 +234,20 @@ def find_path_extension(
     if via:
         walk = [target, min(via), up]
     else:
-        walk = shortest_path(g, target, {up}, allowed=nbrs)
+        near_up = nbrs & g.neighbor_set(up)
+        walk = next(([target, x1, min(hit), up] for x1 in g.neighbors(target)
+                     if x1 in nbrs and (hit := near_up & g.neighbor_set(x1))), None)
     if walk is None:
         comp = set(bfs(g, [target], within=nbrs))
+        if up not in comp:
+            raise HypothesisError(
+                "locally_connected",
+                sorted({base} | comp | {up}),
+                f"neighborhood of {base} does not connect {target} to {up}",
+            )
+        triple = _confirmed_claw(base, claw_at(g, base))
         raise HypothesisError(
-            "locally_connected",
-            sorted({base} | comp | {up}),
-            f"neighborhood of {base} does not connect {target} to {up}",
+            "claw_free", sorted((base,) + triple), f"induced claw centered at {base}"
         )
     stop = next(i for i, v in enumerate(walk) if v in (up, um))
     path = tuple(walk[: stop + 1])
@@ -570,23 +585,20 @@ def _cover(g, cycle: _SpliceCycle, goal, bases, splice=None):
 
 
 def shortest_cycle_through(g: FiniteGraph, v: int) -> CycleEmbedding:
-    """Shortest cycle through v: two internally disjoint legs between a
-    neighbor pair, found by BFS in g - v.  Pairs are tried in order and the
-    first strictly shortest path is kept, so the first adjacent pair, a
-    triangle, is returned at once: no cycle is shorter."""
+    """Shortest cycle through v.  The first adjacent pair of neighbors, in
+    order, closes a triangle, and no cycle is shorter, so it is returned
+    without a search.  Otherwise each neighbor pair in turn is joined by a
+    BFS in g - v, and the first strictly shortest path is kept."""
     nbrs = g.neighbors(v)
+    for a, b in combinations(nbrs, 2):
+        if g.has_edge(a, b):
+            return CycleEmbedding([v, a, b])
     best: list[int] | None = None
     others = frozenset(u for u in g.vertices if u != v)
-    for i, a in enumerate(nbrs):
-        na = g.neighbor_set(a)
-        for b in nbrs[i + 1 :]:
-            if b in na:
-                return CycleEmbedding([v, a, b])
-            path = shortest_path(g, a, {b}, allowed=others)
-            if path is None:
-                continue
-            if best is None or len(path) < len(best):
-                best = path
+    for a, b in combinations(nbrs, 2):
+        path = shortest_path(g, a, {b}, allowed=others)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
     if best is None:
         raise DomainError(f"no cycle passes through vertex {v}")
     return CycleEmbedding([v] + best)
@@ -632,7 +644,8 @@ class ReplayReport:
 
 
 def replay_certificate(g: FiniteGraph, cert: HamiltonCertificate) -> ReplayReport:
-    """Re-run the splice log and confirm it lands on the recorded spanning cycle."""
+    """Re-run the splice log, confirm it lands on the recorded spanning
+    cycle, and validate that cycle with code the splices do not use."""
     check = validate_cycle(g, cert.initial_cycle)
     if not check.ok:
         return ReplayReport(False, 0, f"initial cycle invalid: {check.reason} {check.witness}")
@@ -645,6 +658,10 @@ def replay_certificate(g: FiniteGraph, cert: HamiltonCertificate) -> ReplayRepor
     cycle = spliced.freeze()
     if cycle != cert.cycle:
         return ReplayReport(False, len(cert.extensions), "final cycle differs from the record")
+    check = validate_cycle(g, cycle)
+    if not check.ok:
+        return ReplayReport(False, len(cert.extensions),
+                            f"final cycle is not a cycle of the graph: {check.reason} {check.witness}")
     if cycle.vertex_set != frozenset(g.vertices):
         return ReplayReport(False, len(cert.extensions), "final cycle does not span the graph")
     return ReplayReport(True, len(cert.extensions))

@@ -1442,11 +1442,13 @@ def reference_check_extraction_conditions(state):
 # ``cut_lemma_round`` checks its own steps.  A correct round passes every check,
 # so each fault is installed by monkeypatching: the first two edit the first
 # round's record (its cycle drops the input cycle's first vertex, or it records
-# a failing conclusion); the last two break a step inside the round (the part
-# tree's spine repeats its first vertex, or every part zone holds the base
-# cycle's least vertex, which no search inside a component reaches).  Each
-# entry gives the installer and the message of
-# ``run(preset("double-ray-square"), 2, radius)`` for radius 16 and 20.
+# a failing conclusion); the others break a step inside the round (the part
+# tree's spine repeats its first vertex, every part zone holds the base
+# cycle's least vertex, which no search inside a component reaches, the part
+# rule leaves the largest vertex of part ∪ component out of the part's new
+# witness set, or the finite component's cover gets stuck).  Each entry gives
+# the installer and the message of ``run(preset("double-ray-square"), 2,
+# radius)`` for radius 16 and 20.
 
 
 def _on_round_one(fault):
@@ -1497,6 +1499,31 @@ def _zone_on_cycle(monkeypatch) -> None:
     monkeypatch.setattr(engine.GoodTupleContext, "build", staticmethod(faulty))
 
 
+def _short_part_set(monkeypatch) -> None:
+    import clawham.engine as engine
+
+    part_rule = engine._part_rule
+
+    def faulty(witness, ell, new_m, s):
+        new_m.discard(max(new_m))
+        part_rule(witness, ell, new_m, s)
+
+    monkeypatch.setattr(engine, "_part_rule", faulty)
+
+
+def _stuck_finite_cover(monkeypatch) -> None:
+    import clawham.engine as engine
+
+    cover = engine._cover
+
+    def faulty(g, cycle, goal, bases, splice=None):
+        if splice is not None:
+            raise ProgressError("the finite component's cover is stuck")
+        return cover(g, cycle, goal, bases)
+
+    monkeypatch.setattr(engine, "_cover", faulty)
+
+
 ROUND_FAULTS = {
     "lost-vertex": (
         _on_round_one(_drop_first_input_vertex),
@@ -1514,6 +1541,15 @@ ROUND_FAULTS = {
     "zone-on-cycle": (
         _zone_on_cycle,
         "the 3-zone of part 1 is not reachable inside its component; missing [0]",
+    ),
+    "short-part-set": (
+        _short_part_set,
+        "round 1, part 1: (b) part 1: witness set misses component vertices; "
+        "(f) part 1: witness set contains part of component 1 only",
+    ),
+    "stuck-finite-cover": (
+        _stuck_finite_cover,
+        "the finite component cannot be finished by pooled extensions",
     ),
 }
 

@@ -342,7 +342,8 @@ def test_infinite_run_suggests_the_radius_that_finishes_the_run(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("kind", ["lost-vertex", "failing-conclusion", "repeated-spine"])
+@pytest.mark.parametrize("kind", ["lost-vertex", "failing-conclusion", "repeated-spine",
+                                  "short-part-set", "stuck-finite-cover"])
 def test_infinite_run_reports_a_faulty_round_with_exit_3(monkeypatch, capsys, kind):
     from helpers import inject_round_fault
 

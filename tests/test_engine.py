@@ -301,13 +301,16 @@ def test_radius_too_small_is_reported_with_suggestion():
 
 
 @pytest.mark.parametrize(
-    "kind", ["lost-vertex", "failing-conclusion", "repeated-spine", "zone-on-cycle"]
+    "kind", ["lost-vertex", "failing-conclusion", "repeated-spine", "zone-on-cycle",
+             "short-part-set", "stuck-finite-cover"]
 )
 def test_run_rejects_a_faulty_round(monkeypatch, kind):
     """``run``'s checks of a round's record fire on a round that lost a
     vertex of its input cycle or recorded a failing conclusion, and
     ``cut_lemma_round``'s own checks fire on a part-tree spine that repeats
-    a vertex and on a part zone that its component does not reach."""
+    a vertex, on a part zone that its component does not reach, on a part
+    step whose new witness set misses a vertex, and on a finite-component
+    cover that gets stuck."""
     from helpers import inject_round_fault
 
     message = inject_round_fault(monkeypatch, kind)

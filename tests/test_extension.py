@@ -91,6 +91,21 @@ def test_case_two_construction():
     assert new.vertex_set == c.vertex_set | {target}
 
 
+def test_a_walk_longer_than_three_edges_is_a_claw():
+    """Vertex 0 sees 1…6, which form the path 1-2-3-4-5-6; the cycle is
+    (0, 5, 6).  The only walk from the target 1 to succ(0) = 5 inside N(0)
+    has four edges, so 0 centers a claw, which is reported with a witness
+    that re-checks, and no longer walk is used."""
+    from helpers import check_claw_witness
+
+    g = FiniteGraph(range(7), [(0, v) for v in range(1, 7)] + [(v, v + 1) for v in range(1, 6)])
+    with pytest.raises(HypothesisError) as exc:
+        find_path_extension(g, CycleEmbedding([0, 5, 6]), 1, 0)
+    assert (exc.value.predicate, exc.value.witness, str(exc.value)) == (
+        "claw_free", (0, 1, 3, 5), "induced claw centered at 0")
+    assert check_claw_witness(g, exc.value.witness)
+
+
 def test_case_two_found_in_enumerated_class(hypothesis_class_small):
     """Brute-force search over the hypothesis class, walking every
     intermediate cycle of the construction, until base re-routes appear;

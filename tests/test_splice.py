@@ -14,11 +14,13 @@ import pytest
 
 import clawham.extension as extension
 from clawham.constructions import complete_graph, graph_power, line_graph, path_graph
+from clawham.engine import run
 from clawham.errors import DomainError, InternalConsistencyError, ProgressError
 from clawham.extension import (
     ExtensionCase,
     HamiltonCertificate,
     PathExtension,
+    ReplayReport,
     _SpliceCycle,
     apply_path_extension,
     extend_to_cover,
@@ -27,10 +29,13 @@ from clawham.extension import (
     shortest_cycle_through,
     validate_extension,
 )
-from clawham.graph import CycleEmbedding, FiniteGraph, shortest_path
+from clawham.graph import CycleEmbedding, FiniteGraph, shortest_path, validate_cycle
+from clawham.presentations import PRESET_NAMES, preset
 from helpers import (
     cycle_from_edge_set,
+    finite_family_instances,
     generated_draws,
+    k_tree_line_graph,
     reference_apply,
     reference_extend_to_cover,
     reference_find_path_extension,
@@ -124,6 +129,26 @@ def test_replay_rejects_non_edges_at_the_same_step():
             assert live.failure.split(":")[0] == ref.failure.split(":")[0]
             steps_seen.add(live.steps_ok)
     assert 0 in steps_seen and len(steps_seen) > 2
+
+
+def test_replay_checks_the_final_cycle_itself(monkeypatch):
+    """A fault that the construction and the replay share: ``freeze``
+    swaps the second and third vertices of the cycle it returns.  The
+    certificate records the same wrong cycle that the replay reaches, so
+    only replay's own check of the final cycle against the graph finds it."""
+    freeze = _SpliceCycle.freeze
+
+    def swapped(self):
+        order = list(freeze(self).order)
+        order[1], order[2] = order[2], order[1]
+        return CycleEmbedding(order)
+
+    monkeypatch.setattr(_SpliceCycle, "freeze", swapped)
+    for g in (graph_power(path_graph(10), 2), line_graph(complete_graph(5)).graph):
+        cert = finite_hamilton(g)
+        assert not validate_cycle(g, cert.cycle).ok
+        assert replay_certificate(g, cert) == ReplayReport(
+            False, 7, "final cycle is not a cycle of the graph: missing-edge (1, 5)")
 
 
 def test_insert_checks_the_segment():
@@ -394,6 +419,61 @@ def test_extension_equals_the_reference_walks(monkeypatch, hypothesis_class_smal
     for g in graphs + [g for _, g in generated_draws()]:
         finite_hamilton(g)
     assert lengths[1] > 1000 and lengths[2] > 1000 and lengths[3] > 200, lengths
+
+
+def test_three_edge_walks_equal_the_reference_search(monkeypatch):
+    """The depth-3 closed form against the reference search: at every
+    (target, base) pair that the constructions of relabelled L(3-tree)
+    draws of 294 vertices and of the generated draws meet, the extension
+    equals the one cut from the reference walk.  Hundreds of walks have
+    three edges, and none has more, as the graphs are claw-free."""
+    real = extension.find_path_extension
+    lengths = Counter()
+
+    def compared(g, cycle, target, base):
+        walk = reference_shortest_path(g, target, {cycle.succ(base)},
+                                       allowed=g.neighbor_set(base))
+        lengths[len(walk) - 1] += 1
+        ext = real(g, cycle, target, base)
+        assert ext == reference_find_path_extension(g, cycle, target, base)
+        return ext
+
+    monkeypatch.setattr(extension, "find_path_extension", compared)
+    draws = [k_tree_line_graph(seed, 3, 100) for seed in range(8)]
+    for g in draws + [g for _, g in generated_draws()]:
+        finite_hamilton(g)
+    assert max(lengths) == 3 and lengths[3] > 400, lengths
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the extension code ran a search")
+
+
+def test_the_construction_never_searches_on_in_class_input(monkeypatch, hypothesis_class_small):
+    """With ``shortest_path`` and ``bfs`` made to raise in the extension
+    module, ``finite_hamilton`` and ``replay_certificate`` run on the
+    generated draws, the in-class graphs on 3..7 vertices and the
+    finite-families inputs, and ``run`` on every preset, with the same
+    certificates and run logs as without the guard.  An in-class graph on
+    3 or more vertices has a triangle at every vertex, so
+    ``shortest_cycle_through`` never searches, and ``find_path_extension``
+    reads every walk without a search.  A seed cycle without a triangle
+    does search, and the guard stops it."""
+    graphs = ([g for _, g in generated_draws()] + list(hypothesis_class_small)
+              + finite_family_instances())
+
+    def outputs():
+        certs = [finite_hamilton(g) for g in graphs]
+        assert all(replay_certificate(g, cert).ok for g, cert in zip(graphs, certs))
+        logs = [list(run(preset(name), 5, 70).to_json_lines()) for name in PRESET_NAMES]
+        return certs, logs
+
+    unguarded = outputs()
+    monkeypatch.setattr(extension, "shortest_path", _no_search)
+    monkeypatch.setattr(extension, "bfs", _no_search)
+    assert outputs() == unguarded
+    with pytest.raises(AssertionError, match="ran a search"):
+        shortest_cycle_through(FiniteGraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)]), 0)
 
 
 def _cover_or_stuck(cover, g, c, goal):
